@@ -47,12 +47,13 @@ fn bench_native_vs_simulated(c: &mut Criterion) {
 fn bench_batch_threads(c: &mut Criterion) {
     let net = wp_bench::runtime::synthetic_prepared_net(64, 3);
     let inputs = net.fabricate_inputs(32, 11);
+    let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
     let mut group = c.benchmark_group("batch32_threads");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             let runner = BatchRunner::new(t);
-            b.iter(|| runner.run(&net, &inputs))
+            b.iter(|| runner.run_refs(&net, &refs))
         });
     }
     group.finish();

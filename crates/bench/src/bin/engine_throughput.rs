@@ -30,7 +30,7 @@ use std::time::Instant;
 use wp_bench::runtime::{synthetic_lut, synthetic_prepared_net};
 use wp_bench::Effort;
 use wp_core::reference::{ActEncoding, PooledConvShape};
-use wp_engine::{avx2_available, BackendKind, BatchRunner, NativeBackend, PreparedNet};
+use wp_engine::{avx2_available, BackendKind, BatchRunner, NativeBackend, PreparedNet, Scratch};
 use wp_kernels::{conv_bitserial, BitSerialOptions, OutputQuant};
 use wp_mcu::{Mcu, McuSpec};
 use wp_quant::Requantizer;
@@ -88,6 +88,7 @@ fn main() {
     let net = synthetic_prepared_net(64, 3);
     let batch = if effort.fast { 16 } else { 64 };
     let inputs = net.fabricate_inputs(batch, 9);
+    let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
     println!("== Batch throughput (3-conv net, {batch}-image batch) ==");
     let mut base = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
@@ -95,7 +96,7 @@ fn main() {
         let mut best = f64::INFINITY;
         for _ in 0..reps.min(5) {
             let t = Instant::now();
-            let out = runner.run(&net, &inputs);
+            let out = runner.run_refs(&net, &refs);
             best = best.min(t.elapsed().as_secs_f64());
             assert_eq!(out.len(), batch);
         }
@@ -113,7 +114,7 @@ fn main() {
     println!();
 
     // --- 3. Batched vs solo whole-network execution ----------------------
-    // The serving path: `PreparedNet::run_batch` executes every layer
+    // The serving path: `PreparedNet::run` executes every layer
     // through its Kernel::run_batch entry point, amortizing each
     // weight/tap decode across the batch, on a single thread — this is
     // what the server's micro-batcher buys over per-request execution,
@@ -130,7 +131,11 @@ fn main() {
             let inputs = net.fabricate_inputs(batch, 5);
             let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
             let solo_out: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-            assert_eq!(net.run_batch(&refs), solo_out, "batched must be bit-identical");
+            assert_eq!(
+                net.run(&refs, &mut Scratch::new()),
+                solo_out,
+                "batched must be bit-identical"
+            );
             let mut solo = f64::INFINITY;
             let mut batched = f64::INFINITY;
             for _ in 0..reps.min(5) {
@@ -140,7 +145,7 @@ fn main() {
                 }
                 solo = solo.min(t.elapsed().as_secs_f64());
                 let t = Instant::now();
-                std::hint::black_box(net.run_batch(&refs));
+                std::hint::black_box(net.run(&refs, &mut Scratch::new()));
                 batched = batched.min(t.elapsed().as_secs_f64());
             }
             println!(
@@ -156,7 +161,7 @@ fn main() {
     // --- 4. Backend tiers: scalar vs swar (vs avx2) -----------------------
     // The backend-selection A/B: the same serving demos compiled per
     // kernel tier via EngineOptions::with_backend, run through the plain
-    // run_batch serving path on one thread. The scalar tier executes the
+    // PreparedNet::run serving path on one thread. The scalar tier executes the
     // reference per-element loops per image; swar adds the bit-plane
     // fills, the weight-stationary batched tile kernels with fused
     // bias+requant write-out, and batched pooling; avx2 routes popcount
@@ -181,7 +186,7 @@ fn main() {
             let net = PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind));
             let inputs = net.fabricate_inputs(ab_batch, 5);
             let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-            let out = net.run_batch(&refs);
+            let out = net.run(&refs, &mut Scratch::new());
             match &reference {
                 None => reference = Some(out),
                 Some(r) => assert_eq!(&out, r, "{} outputs must be bit-identical", kind),
@@ -189,7 +194,7 @@ fn main() {
             let mut best = f64::INFINITY;
             for _ in 0..reps.min(5) {
                 let t = Instant::now();
-                std::hint::black_box(net.run_batch(&refs));
+                std::hint::black_box(net.run(&refs, &mut Scratch::new()));
                 best = best.min(t.elapsed().as_secs_f64());
             }
             let name = net.backend_kind().name();
@@ -233,9 +238,9 @@ fn main() {
             );
             let inputs = tile_net.fabricate_inputs(ab_batch, 5);
             let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-            let expected = tile_net.run_batch(&refs);
+            let expected = tile_net.run(&refs, &mut Scratch::new());
             assert_eq!(
-                pop_net.run_batch(&refs),
+                pop_net.run(&refs, &mut Scratch::new()),
                 expected,
                 "popcount routing must be bit-identical at act_bits {bits}"
             );
@@ -243,10 +248,10 @@ fn main() {
             let mut pop = f64::INFINITY;
             for _ in 0..reps.min(5) {
                 let t = Instant::now();
-                std::hint::black_box(tile_net.run_batch(&refs));
+                std::hint::black_box(tile_net.run(&refs, &mut Scratch::new()));
                 tile = tile.min(t.elapsed().as_secs_f64());
                 let t = Instant::now();
-                std::hint::black_box(pop_net.run_batch(&refs));
+                std::hint::black_box(pop_net.run(&refs, &mut Scratch::new()));
                 pop = pop.min(t.elapsed().as_secs_f64());
             }
             let tile_ips = ab_batch as f64 / tile;
@@ -275,20 +280,20 @@ fn main() {
     let mut net = PreparedNet::from_bundle(&bundle, &opts);
     let inputs = net.fabricate_inputs(ab_batch, 5);
     let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-    let expected = net.run_batch(&refs);
+    let expected = net.run(&refs, &mut Scratch::new());
     let mut disabled = f64::INFINITY;
     for _ in 0..reps.min(5) {
         let t = Instant::now();
-        std::hint::black_box(net.run_batch(&refs));
+        std::hint::black_box(net.run(&refs, &mut Scratch::new()));
         disabled = disabled.min(t.elapsed().as_secs_f64());
     }
     let profile = std::sync::Arc::new(net.make_profile());
     net.set_profile(Some(std::sync::Arc::clone(&profile)));
-    assert_eq!(net.run_batch(&refs), expected, "profiled run must be bit-identical");
+    assert_eq!(net.run(&refs, &mut Scratch::new()), expected, "profiled run must be bit-identical");
     let mut profiled = f64::INFINITY;
     for _ in 0..reps.min(5) {
         let t = Instant::now();
-        std::hint::black_box(net.run_batch(&refs));
+        std::hint::black_box(net.run(&refs, &mut Scratch::new()));
         profiled = profiled.min(t.elapsed().as_secs_f64());
     }
     let disabled_ips = ab_batch as f64 / disabled;

@@ -91,7 +91,7 @@ const SEC_CONVS: u8 = 4;
 pub enum CodecError {
     /// The buffer does not start with the expected magic bytes.
     BadMagic,
-    /// The file's version is newer than this codec understands.
+    /// The file's version is outside the range this codec reads.
     UnsupportedVersion(u8),
     /// The buffer ended before the named piece could be read.
     Truncated(&'static str),
@@ -109,7 +109,11 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::BadMagic => write!(f, "not a WPB bundle (bad magic)"),
             CodecError::UnsupportedVersion(v) => {
-                write!(f, "unsupported WPB version {v} (this codec reads {WPB_VERSION})")
+                write!(
+                    f,
+                    "unsupported WPB version {v} (this codec reads versions \
+                     {WPB_MIN_VERSION}-{WPB_VERSION})"
+                )
             }
             CodecError::Truncated(what) => write!(f, "truncated bundle: {what}"),
             CodecError::Checksum(section) => {
@@ -316,7 +320,10 @@ impl BundleCodec for JsonCodec {
     fn decode(&self, bytes: &[u8]) -> Result<DeployBundle, CodecError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| CodecError::Malformed("json bundle is not UTF-8".into()))?;
-        serde_json::from_str(text).map_err(|e| CodecError::Malformed(format!("json: {e}")))
+        let bundle =
+            serde_json::from_str(text).map_err(|e| CodecError::Malformed(format!("json: {e}")))?;
+        check_pool_indices(&bundle)?;
+        Ok(bundle)
     }
 }
 
@@ -408,6 +415,7 @@ impl WpbCodec {
             convs: convs.ok_or_else(|| missing("missing convs section"))?,
             act_bits,
         };
+        check_pool_indices(&bundle)?;
         Ok((bundle, r.stats()))
     }
 }
@@ -520,6 +528,24 @@ pub fn wpb_recorded_codings(bytes: &[u8]) -> Result<Vec<Option<IndexCoding>>, Co
         return Ok(codings);
     }
     Err(CodecError::Truncated("missing convs section"))
+}
+
+/// Rejects a bundle whose pooled index maps address a vector outside the
+/// pool (or outside the LUT, should the two disagree): the engine's
+/// batched scatter would read a neighbouring position's partials instead
+/// of failing. Run by both decoders after the whole bundle is read, so
+/// the check holds whatever order the sections arrived in.
+fn check_pool_indices(bundle: &DeployBundle) -> Result<(), CodecError> {
+    let pool = bundle.pool.len().min(bundle.lut.pool_size());
+    for (position, conv) in bundle.convs.iter().enumerate() {
+        let ConvPayload::Pooled { indices } = conv else { continue };
+        if let Some(&bad) = indices.iter().find(|&&i| usize::from(i) >= pool) {
+            return Err(CodecError::Malformed(format!(
+                "conv {position} uses pool index {bad}; the pool holds {pool} vectors"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Fills a section slot, rejecting duplicates.
@@ -1675,6 +1701,35 @@ mod tests {
             WpbCodec::default().decode(&wrong_version),
             Err(CodecError::UnsupportedVersion(99))
         ));
+        // The first version past the readable range; the message names
+        // the whole range, not just the newest version.
+        wrong_version[4] = 3;
+        let err = WpbCodec::default().decode(&wrong_version).unwrap_err();
+        assert!(matches!(err, CodecError::UnsupportedVersion(3)), "{err:?}");
+        assert_eq!(err.to_string(), "unsupported WPB version 3 (this codec reads versions 1-2)");
+    }
+
+    /// A pooled index past the pool encodes fine (the codecs are
+    /// symbol-agnostic) but must not decode, in either format and through
+    /// the streaming path too.
+    #[test]
+    fn out_of_pool_indices_are_malformed_in_both_formats() {
+        let mut b = fabricated_bundle(21, 16, LutOrder::InputOriented, 2);
+        let ConvPayload::Pooled { indices } = &mut b.convs[1] else {
+            panic!("fabricated conv 1 is pooled");
+        };
+        indices[7] = 16;
+        let expect = "conv 1 uses pool index 16; the pool holds 16 vectors";
+        for format in [Format::Json, Format::Wpb] {
+            let bytes = b.to_bytes(format).unwrap();
+            for result in [DeployBundle::from_bytes(&bytes), DeployBundle::from_reader(&bytes[..])]
+            {
+                match result {
+                    Err(CodecError::Malformed(m)) => assert_eq!(m, expect, "{format:?}"),
+                    other => panic!("{format:?}: expected a malformed-bundle error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,8 @@ use wp_kernels::OutputQuant;
 /// bit row's block can be streamed as one contiguous run. The native
 /// kernel exploits this the same way the MCU kernel does — each activation
 /// bit row selects one contiguous slab, which the partial-dot sweep walks
-/// linearly (and the compiler vectorizes). [`crate::BatchRunner`] gives
-/// each worker thread its own copy (one "SRAM" per core).
+/// linearly (and the compiler vectorizes). The cache is read-only at run
+/// time, so [`crate::BatchRunner`] workers all read the plan's one copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutCache {
     pool_size: usize,
@@ -176,8 +176,7 @@ impl NativeBackend {
         Self::from_cache_with(LutCache::new(lut), act_bits, encoding, backend)
     }
 
-    /// Builds a backend around an already-flattened [`LutCache`] (used by
-    /// the batch engine to hand each worker its own copy).
+    /// Builds a backend around an already-flattened [`LutCache`].
     ///
     /// # Panics
     ///
@@ -252,12 +251,6 @@ impl NativeBackend {
         &self.lut
     }
 
-    /// A fresh backend sharing nothing with `self` (deep-copies the LUT
-    /// cache) — one per worker thread in [`crate::BatchRunner`].
-    pub fn clone_for_worker(&self) -> Self {
-        self.clone()
-    }
-
     /// Accumulates one bit row's weighted LUT block into the per-position
     /// partials (Algorithm 1 lines 11–13, reassociated into a dense sweep
     /// over the pattern's contiguous pool-vector slab).
@@ -277,11 +270,15 @@ impl NativeBackend {
     /// # Panics
     ///
     /// Panics if the index count does not match the shape at the backend's
-    /// group size.
+    /// group size, or if an index addresses a vector outside the pool.
     pub fn prepare_indices(&self, shape: &PooledConvShape, indices: &[u8]) -> PreparedIndices {
         let g = self.lut.group;
         let groups = shape.groups(g);
         assert_eq!(indices.len(), shape.index_count(g), "index count mismatch");
+        let s_count = self.lut.pool_size;
+        if let Some(&bad) = indices.iter().find(|&&i| usize::from(i) >= s_count) {
+            panic!("pool index {bad} outside the {s_count}-vector pool");
+        }
         let k_count = shape.out_ch;
         let idx_stride = groups * shape.kernel * shape.kernel;
         let mut tap_major = vec![0u8; indices.len()];
@@ -496,38 +493,6 @@ impl NativeBackend {
             shape,
             prep,
             &RawOut,
-            &mut Scratch::new(),
-            &mut outs,
-        );
-        outs
-    }
-
-    /// [`NativeBackend::conv_pooled_prepared_batch`] with the bias +
-    /// requant finish fused into the scatter write-out: each output
-    /// leaves its accumulator register straight through
-    /// [`OutputQuant::apply_value`] instead of being stored raw and
-    /// re-walked by a separate `apply_plane` pass. Element-for-element
-    /// (and panic-for-panic) identical to accumulating raw and then
-    /// applying [`OutputQuant::apply_plane`] — see [`WriteOut`].
-    ///
-    /// # Panics
-    ///
-    /// As [`NativeBackend::conv_pooled_prepared_batch`], plus the
-    /// bias/requant panics of [`OutputQuant::apply_plane`].
-    pub fn conv_pooled_prepared_batch_fused(
-        &self,
-        batch: &[&[i32]],
-        shape: &PooledConvShape,
-        prep: &PreparedIndices,
-        bias: &[i32],
-        oq: &OutputQuant,
-    ) -> Vec<Vec<i32>> {
-        let mut outs = Vec::with_capacity(batch.len());
-        self.conv_pooled_prepared_batch_core(
-            batch,
-            shape,
-            prep,
-            &FusedOut { bias, oq },
             &mut Scratch::new(),
             &mut outs,
         );
@@ -915,10 +880,10 @@ impl TileAcc for i32 {
 }
 
 /// How a batched tile kernel writes a finished accumulator out: raw
-/// checked narrowing (the `accumulate_batch` surface), or the bias +
-/// requant arithmetic fused in as the value leaves registers (the
-/// `run_batch` surface) — dropping the separate finish pass that used
-/// to re-walk every output plane.
+/// checked narrowing (the raw `*_batch` functions the parity suites
+/// compare), or the bias + requant arithmetic fused in as the value
+/// leaves registers (the `Kernel::run_batch` surface), so no separate
+/// finish pass re-walks the output planes.
 ///
 /// `emit` must be arithmetic-identical — **including the panics** — to
 /// the raw narrowing followed by [`OutputQuant::apply_plane`]:
@@ -1037,33 +1002,6 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
 ) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
     conv_direct_batch_core(batch, shape, weights, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// [`conv_direct_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`conv_direct_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn conv_direct_batch_fused(
-    batch: &[&[i32]],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(
-        batch,
-        shape,
-        weights,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
     outs
 }
 
@@ -1205,33 +1143,6 @@ pub fn dwconv_acc_batch<S: AsRef<[i32]>>(
     outs
 }
 
-/// [`dwconv_acc_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`dwconv_acc_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn dwconv_acc_batch_fused(
-    batch: &[&[i32]],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dwconv_acc_batch_core(
-        batch,
-        shape,
-        weights,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
-    outs
-}
-
 /// The batched depthwise engine (see
 /// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
 /// outs/scratch contract).
@@ -1344,33 +1255,6 @@ pub fn dense_acc_batch<S: AsRef<[i32]>>(
 ) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
     dense_acc_batch_core(batch, weights, out_features, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// [`dense_acc_batch`] with the bias+requant finish fused into the tile
-/// write-out (see [`NativeBackend::conv_pooled_prepared_batch_fused`] for
-/// the exactness contract).
-///
-/// # Panics
-///
-/// As [`dense_acc_batch`], plus the bias/requant panics of
-/// [`OutputQuant::apply_plane`].
-pub fn dense_acc_batch_fused(
-    batch: &[&[i32]],
-    weights: &[i8],
-    out_features: usize,
-    bias: &[i32],
-    oq: &OutputQuant,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(
-        batch,
-        weights,
-        out_features,
-        &FusedOut { bias, oq },
-        &mut Scratch::new(),
-        &mut outs,
-    );
     outs
 }
 

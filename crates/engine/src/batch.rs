@@ -1,16 +1,17 @@
 //! Threaded batch inference.
 //!
-//! [`BatchRunner`] fans a batch of inputs across scoped worker threads.
-//! The prepared network is shared read-only; each worker owns a private
-//! copy of the flattened LUT blocks (the per-core "SRAM" analogue of the
-//! paper's §4.2 cache) plus a private [`crate::Scratch`] arena that
-//! recycles every working buffer across the worker's items, and work is
-//! distributed by an atomic cursor so fast workers steal the tail of the
-//! batch instead of idling.
+//! [`BatchRunner`] splits a batch of inputs into contiguous chunks, one
+//! per scoped worker thread, and runs each chunk through
+//! [`PreparedNet::run`], so the batched kernels amortize tap and weight
+//! decoding across the chunk on top of thread parallelism. The prepared
+//! network — its LUT cache included — is shared read-only by every
+//! worker. Each worker builds a fresh [`Scratch`] arena and every call
+//! spawns its workers anew, so a served batch allocates its working set
+//! once per call; only [`PreparedNet::run`] against a caller-kept arena
+//! reaches the zero-allocation steady state.
 
 use crate::bundle::PreparedNet;
 use crate::scratch::Scratch;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fixed-width pool of inference workers over one [`PreparedNet`].
 #[derive(Debug, Clone, Copy)]
@@ -42,75 +43,17 @@ impl BatchRunner {
         self.threads.min(batch_len)
     }
 
-    /// Runs every input through `net`, returning outputs in input order.
-    /// Results are identical for any worker count (each inference is
-    /// independent and the arithmetic is deterministic). An empty batch
-    /// returns empty without touching any thread machinery.
-    ///
-    /// Work is distributed by an atomic cursor (fast workers steal the
-    /// tail), which suits heterogeneous per-item cost; serving coalescers
-    /// with uniform items should prefer [`BatchRunner::run_refs`], which
-    /// additionally amortizes work across each worker's chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, or if a worker thread
-    /// panics (the panic is propagated).
-    pub fn run(&self, net: &PreparedNet, inputs: &[Vec<i32>]) -> Vec<Vec<i32>> {
-        if inputs.is_empty() {
-            return Vec::new();
-        }
-        net.validate_batch_inputs(inputs.iter().map(|x| x.len()));
-        let workers = self.planned_workers(inputs.len());
-        if workers <= 1 {
-            return inputs.iter().map(|x| net.run_one(x)).collect();
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let mut results: Vec<Option<Vec<i32>>> = vec![None; inputs.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        // Per-worker LUT cache and scratch arena: no
-                        // sharing (and after warmup, no allocation) on
-                        // the hot path.
-                        let backend = net.worker_backend();
-                        let mut scratch = Scratch::new();
-                        let mut done = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= inputs.len() {
-                                break;
-                            }
-                            done.push((i, net.run_one_scratch(&backend, &inputs[i], &mut scratch)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, out) in handle.join().expect("batch worker panicked") {
-                    results[i] = Some(out);
-                }
-            }
-        });
-        results.into_iter().map(|r| r.expect("every input processed")).collect()
-    }
-
-    /// The borrowed-input path for request coalescers: runs a batch of
-    /// borrowed activation slices (e.g. one per queued request, with no
-    /// copy into an owned batch) and returns outputs in input order.
+    /// Runs a batch of borrowed activation slices (e.g. one per queued
+    /// request, with no copy into an owned batch) and returns outputs in
+    /// input order.
     ///
     /// The batch is split into contiguous per-worker chunks and each chunk
-    /// executes through [`PreparedNet::run_batch_with`], so the batched
-    /// pooled-conv kernel amortizes tap-index decoding across the chunk —
-    /// on top of (not instead of) thread parallelism. Outputs are
-    /// bit-identical to [`BatchRunner::run`] and to per-item
-    /// [`PreparedNet::run_one`] for any worker count. Degenerate batches
-    /// are handled explicitly: empty input returns empty, and a batch
-    /// smaller than the thread count spawns only `batch_len` workers.
+    /// executes through [`PreparedNet::run`]. Outputs are bit-identical to
+    /// per-item [`PreparedNet::run_one`] for any worker count. Degenerate
+    /// batches are handled explicitly: empty input returns empty without
+    /// touching any thread machinery, a batch smaller than the thread
+    /// count spawns only `batch_len` workers, and a single-worker batch
+    /// runs on the calling thread.
     ///
     /// # Panics
     ///
@@ -123,21 +66,13 @@ impl BatchRunner {
         net.validate_batch_inputs(inputs.iter().map(|x| x.len()));
         let workers = self.planned_workers(inputs.len());
         if workers <= 1 {
-            return net.run_batch(inputs);
+            return net.run(inputs, &mut Scratch::new());
         }
         let chunk = inputs.len().div_ceil(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .chunks(chunk)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        // Per-worker LUT cache and scratch arena: no
-                        // sharing on the hot path.
-                        let backend = net.worker_backend();
-                        let mut scratch = Scratch::new();
-                        net.run_batch_scratch(&backend, chunk, &mut scratch)
-                    })
-                })
+                .map(|chunk| scope.spawn(move || net.run(chunk, &mut Scratch::new())))
                 .collect();
             handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
         })
@@ -180,13 +115,22 @@ mod tests {
         DeployBundle { spec, pool, lut, convs: vec![ConvPayload::Pooled { indices }], act_bits: 8 }
     }
 
+    fn refs(inputs: &[Vec<i32>]) -> Vec<&[i32]> {
+        inputs.iter().map(Vec::as_slice).collect()
+    }
+
     #[test]
     fn outputs_identical_across_thread_counts() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(13, 4);
-        let serial = BatchRunner::new(1).run(&net, &inputs);
+        let refs = refs(&inputs);
+        let serial = BatchRunner::new(1).run_refs(&net, &refs);
         for threads in [2, 4, 7] {
-            assert_eq!(BatchRunner::new(threads).run(&net, &inputs), serial, "{threads} threads");
+            assert_eq!(
+                BatchRunner::new(threads).run_refs(&net, &refs),
+                serial,
+                "{threads} threads"
+            );
         }
     }
 
@@ -194,7 +138,7 @@ mod tests {
     fn outputs_are_in_input_order() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(6, 8);
-        let batch = BatchRunner::new(3).run(&net, &inputs);
+        let batch = BatchRunner::new(3).run_refs(&net, &refs(&inputs));
         for (input, out) in inputs.iter().zip(&batch) {
             assert_eq!(&net.run_one(input), out);
         }
@@ -203,8 +147,8 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
-        assert!(BatchRunner::new(4).run(&net, &[]).is_empty());
         assert!(BatchRunner::new(4).run_refs(&net, &[]).is_empty());
+        assert!(BatchRunner::new(1).run_refs(&net, &[]).is_empty());
     }
 
     #[test]
@@ -223,17 +167,17 @@ mod tests {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(3, 17);
         let expected: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-        assert_eq!(runner.run(&net, &inputs), expected);
-        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        assert_eq!(runner.run_refs(&net, &refs), expected);
+        assert_eq!(runner.run_refs(&net, &refs(&inputs)), expected);
     }
 
+    /// The threaded runner matches one [`PreparedNet::run`] over the whole
+    /// batch, whatever the chunking.
     #[test]
     fn run_refs_matches_run_across_thread_counts() {
         let net = PreparedNet::from_bundle(&bundle(), &EngineOptions::default());
         let inputs = net.fabricate_inputs(13, 29);
-        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        let serial = BatchRunner::new(1).run(&net, &inputs);
+        let refs = refs(&inputs);
+        let serial = net.run(&refs, &mut Scratch::new());
         for threads in [1, 2, 4, 7] {
             assert_eq!(
                 BatchRunner::new(threads).run_refs(&net, &refs),

@@ -3,12 +3,13 @@
 //! A [`PreparedNet`] walks the bundle's [`wp_core::netspec::NetSpec`] once,
 //! resolves every layer's activation shapes, pairs each conv with its
 //! payload (pooled index map or direct int8 weights), and fixes the
-//! per-layer requantization — after which [`PreparedNet::run_one`] executes
-//! an inference with zero per-call setup. The bundle stores conv payloads
-//! only, so depthwise/dense weights are fabricated deterministically from
-//! [`EngineOptions::weight_seed`] and biases are zero — the same convention
-//! as the simulator's `wp_kernels::network::run_network`, which makes
-//! side-by-side throughput comparisons apples-to-apples.
+//! per-layer requantization — after which [`PreparedNet::run`] executes a
+//! batch (a solo request is a batch of one) with zero per-call setup. The
+//! bundle stores conv payloads only, so depthwise/dense weights are
+//! fabricated deterministically from [`EngineOptions::weight_seed`] and
+//! biases are zero — the same convention as the simulator's
+//! `wp_kernels::network::run_network`, which makes side-by-side throughput
+//! comparisons apples-to-apples.
 
 use crate::backend::{LutCache, NativeBackend};
 use crate::kernel::{
@@ -232,7 +233,8 @@ impl PreparedNet {
         self.act_bits
     }
 
-    /// The shared backend (read-only; workers clone it).
+    /// The backend every run executes through (read-only, so batch
+    /// workers share it, LUT cache included).
     pub fn backend(&self) -> &NativeBackend {
         &self.backend
     }
@@ -253,92 +255,77 @@ impl PreparedNet {
         (0..n).map(|_| (0..c * h * w).map(|_| rng.gen_range(lo..=hi)).collect()).collect()
     }
 
-    /// Runs one inference with the plan's own LUT cache.
+    /// Runs one inference as a batch of one through [`PreparedNet::run`]
+    /// with a fresh arena — the convenience form for tools, tests and
+    /// expected-output builders.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not match the network's input size.
     pub fn run_one(&self, input: &[i32]) -> Vec<i32> {
-        self.run_one_with(&self.backend, input)
+        self.run(&[input], &mut Scratch::new()).pop().expect("one output per input")
     }
 
-    /// Runs one inference through a caller-provided backend (each
-    /// [`crate::BatchRunner`] worker passes its own LUT-cache copy). The
-    /// backend must be a clone of this plan's backend.
+    /// Runs a batch through the plan layer by layer, each layer through
+    /// its [`Kernel::run_batch`] entry point, returning outputs in input
+    /// order. Every requantizing kernel (pooled conv, direct conv,
+    /// depthwise, dense) executes a weight-stationary batched
+    /// implementation that decodes each weight/tap once per batch tile;
+    /// a solo request is simply a batch of one. Outputs are
+    /// **bit-identical** for any batch composition (pinned by test), so
+    /// serving layers may coalesce requests freely.
+    ///
+    /// Input staging, every intermediate plane set and every kernel
+    /// working set come from (and return to) `scratch`. Hand the returned
+    /// planes back with [`Scratch::put_planes`] and a warmed arena serves
+    /// whole inferences with zero heap allocations (pinned by
+    /// `tests/zero_alloc.rs`).
     ///
     /// # Panics
     ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_with(&self, backend: &NativeBackend, input: &[i32]) -> Vec<i32> {
-        let mut scratch = Scratch::new();
-        self.run_one_scratch(backend, input, &mut scratch)
-    }
-
-    /// [`PreparedNet::run_one_with`] against a caller-owned [`Scratch`]
-    /// arena: every intermediate plane comes from (and returns to) the
-    /// arena, so repeated runs against the same warmed arena allocate
-    /// only the returned output buffer. Hand the output back via
-    /// [`Scratch::put_i32`] — or use [`PreparedNet::run_one_into`] — for
-    /// the fully zero-allocation steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_scratch(
-        &self,
-        backend: &NativeBackend,
-        input: &[i32],
-        scratch: &mut Scratch,
-    ) -> Vec<i32> {
-        let (c, h, w) = self.input;
-        assert_eq!(input.len(), c * h * w, "input size mismatch");
-        let mut codes = scratch.take_i32(input.len());
-        codes.copy_from_slice(input);
+    /// Panics if any input has the wrong size. All inputs are validated
+    /// up front — before any layer executes — and the panic message names
+    /// the offending batch index, not a position buried inside a layer
+    /// loop.
+    pub fn run(&self, inputs: &[&[i32]], scratch: &mut Scratch) -> Vec<Vec<i32>> {
+        self.validate_batch_inputs(inputs.iter().map(|x| x.len()));
         if self.profile.is_none() && self.sink.is_none() {
             // The untraced hot path: one Option check per run, zero
             // per-layer overhead (pinned by the trace_overhead bench).
+            let mut planes = stage_batch(inputs, scratch);
             for layer in &self.layers {
-                let ctx = layer.ctx(backend, self.act_bits);
-                let next = layer.kernel.run_solo(&ctx, &codes, scratch);
-                scratch.put_i32(std::mem::replace(&mut codes, next));
+                let ctx = layer.ctx(&self.backend, self.act_bits);
+                planes = layer.kernel.run_batch(&ctx, planes, scratch);
             }
-            return codes;
+            return planes;
         }
 
+        let batch = u16::try_from(inputs.len()).unwrap_or(u16::MAX);
         let run_tier = trace::tier_code(self.backend.simd());
         let run_start = trace::now_ns();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let ctx = layer.ctx(backend, self.act_bits);
-            let tier = layer.kernel.span_tier(&ctx, false);
-            let t0 = trace::now_ns();
-            let next = layer.kernel.run_solo(&ctx, &codes, scratch);
-            scratch.put_i32(std::mem::replace(&mut codes, next));
-            let dur = trace::now_ns().saturating_sub(t0);
-            self.observe_layer(li, 1, tier, t0, dur);
+        let mut planes = stage_batch(inputs, scratch);
+        if let Some(sink) = &self.sink {
+            sink.record_span(&TraceEvent {
+                kind: SpanKind::Pack,
+                track: trace::current_track(),
+                layer: 0,
+                batch,
+                tier: run_tier,
+                id: 0,
+                start_ns: run_start,
+                dur_ns: trace::now_ns().saturating_sub(run_start),
+            });
         }
-        self.observe_run(1, run_tier, run_start);
-        codes
-    }
-
-    /// Runs one inference entirely out of the arena, writing the output
-    /// codes into `out` (cleared and refilled). With a warmed `scratch`
-    /// and an `out` reused across calls, this is the zero-heap-allocation
-    /// serving path (pinned by `tests/zero_alloc.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input` does not match the network's input size.
-    pub fn run_one_into(
-        &self,
-        backend: &NativeBackend,
-        input: &[i32],
-        scratch: &mut Scratch,
-        out: &mut Vec<i32>,
-    ) {
-        let codes = self.run_one_scratch(backend, input, scratch);
-        out.clear();
-        out.extend_from_slice(&codes);
-        scratch.put_i32(codes);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let ctx = layer.ctx(&self.backend, self.act_bits);
+            let tier = layer.kernel.span_tier(&ctx);
+            let t0 = trace::now_ns();
+            planes = layer.kernel.run_batch(&ctx, planes, scratch);
+            let dur = trace::now_ns().saturating_sub(t0);
+            self.observe_layer(li, batch, tier, t0, dur);
+        }
+        self.observe_run(batch, run_tier, run_start);
+        planes
     }
 
     /// Derives per-layer requant multipliers from synthetic activation
@@ -397,120 +384,6 @@ impl PreparedNet {
         multipliers
     }
 
-    /// Runs a whole batch through the plan with the plan's own LUT cache,
-    /// returning outputs in input order. See
-    /// [`PreparedNet::run_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size (validated up front, with
-    /// the offending batch index in the message).
-    pub fn run_batch(&self, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
-        self.run_batch_with(&self.backend, inputs)
-    }
-
-    /// Runs a whole batch through the plan layer by layer, each layer
-    /// through its [`Kernel::run_batch`] entry point: every requantizing
-    /// kernel (pooled conv, direct conv, depthwise, dense) executes a
-    /// weight-stationary batched implementation that decodes each
-    /// weight/tap once per batch tile, and pass-through layers map per
-    /// image. Outputs are **bit-identical** to calling
-    /// [`PreparedNet::run_one`] on each input (pinned by test), so serving
-    /// layers may coalesce requests freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size. All inputs are validated
-    /// up front — before any layer executes — and the panic message names
-    /// the offending batch index, not a position buried inside a layer
-    /// loop.
-    pub fn run_batch_with(&self, backend: &NativeBackend, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
-        let mut scratch = Scratch::new();
-        self.run_batch_scratch(backend, inputs, &mut scratch)
-    }
-
-    /// [`PreparedNet::run_batch_with`] against a caller-owned [`Scratch`]
-    /// arena: input staging, every intermediate plane set and every
-    /// kernel working set come from (and return to) the arena. Hand the
-    /// returned planes back via [`Scratch::put_planes`] — or use
-    /// [`PreparedNet::run_batch_into`] — for the fully zero-allocation
-    /// steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, as in
-    /// [`PreparedNet::run_batch_with`].
-    pub fn run_batch_scratch(
-        &self,
-        backend: &NativeBackend,
-        inputs: &[&[i32]],
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        self.validate_batch_inputs(inputs.iter().map(|x| x.len()));
-        if self.profile.is_none() && self.sink.is_none() {
-            // The untraced hot path (see `run_one_scratch`).
-            let mut planes = stage_batch(inputs, scratch);
-            for layer in &self.layers {
-                let ctx = layer.ctx(backend, self.act_bits);
-                planes = layer.kernel.run_batch(&ctx, planes, scratch);
-            }
-            return planes;
-        }
-
-        let batch = u16::try_from(inputs.len()).unwrap_or(u16::MAX);
-        let run_tier = trace::tier_code(self.backend.simd());
-        let run_start = trace::now_ns();
-        let mut planes = stage_batch(inputs, scratch);
-        if let Some(sink) = &self.sink {
-            sink.record_span(&TraceEvent {
-                kind: SpanKind::Pack,
-                track: trace::current_track(),
-                layer: 0,
-                batch,
-                tier: run_tier,
-                id: 0,
-                start_ns: run_start,
-                dur_ns: trace::now_ns().saturating_sub(run_start),
-            });
-        }
-        for (li, layer) in self.layers.iter().enumerate() {
-            let ctx = layer.ctx(backend, self.act_bits);
-            let tier = layer.kernel.span_tier(&ctx, true);
-            let t0 = trace::now_ns();
-            planes = layer.kernel.run_batch(&ctx, planes, scratch);
-            let dur = trace::now_ns().saturating_sub(t0);
-            self.observe_layer(li, batch, tier, t0, dur);
-        }
-        self.observe_run(batch, run_tier, run_start);
-        planes
-    }
-
-    /// Runs a whole batch entirely out of the arena, writing the outputs
-    /// into `outs` (resized to the batch, each entry cleared and
-    /// refilled). With a warmed `scratch` and `outs` reused across calls,
-    /// this is the zero-heap-allocation serving path (pinned by
-    /// `tests/zero_alloc.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input has the wrong size, as in
-    /// [`PreparedNet::run_batch_with`].
-    pub fn run_batch_into(
-        &self,
-        backend: &NativeBackend,
-        inputs: &[&[i32]],
-        scratch: &mut Scratch,
-        outs: &mut Vec<Vec<i32>>,
-    ) {
-        let planes = self.run_batch_scratch(backend, inputs, scratch);
-        outs.resize_with(planes.len(), Vec::new);
-        for (out, plane) in outs.iter_mut().zip(&planes) {
-            out.clear();
-            out.extend_from_slice(plane);
-        }
-        scratch.put_planes(planes);
-    }
-
     /// Records one traced layer execution into whichever observers are
     /// attached (only called on the traced path).
     fn observe_layer(&self, layer: usize, batch: u16, tier: u8, start_ns: u64, dur_ns: u64) {
@@ -553,9 +426,9 @@ impl PreparedNet {
 
     /// Validates a batch's input lengths up front, before any layer
     /// executes, panicking with the offending *batch* index — shared by
-    /// every batch entry point ([`PreparedNet::run_batch_with`],
-    /// [`crate::BatchRunner`]) so the message never degrades to a
-    /// chunk-local position from inside a worker's layer loop.
+    /// [`PreparedNet::run`] and [`crate::BatchRunner`] so the message
+    /// never degrades to a chunk-local position from inside a worker's
+    /// layer loop.
     pub(crate) fn validate_batch_inputs(&self, lens: impl Iterator<Item = usize>) {
         let (c, h, w) = self.input;
         let expected = c * h * w;
@@ -600,11 +473,6 @@ impl PreparedNet {
     /// The attached event sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
         self.sink.as_ref()
-    }
-
-    /// A fresh LUT-cache-bearing backend for one worker thread.
-    pub fn worker_backend(&self) -> NativeBackend {
-        self.backend.clone_for_worker()
     }
 
     /// The LUT cache layout (exposed for diagnostics).
@@ -753,7 +621,7 @@ mod tests {
         assert_ne!(outs[1], outs[2]);
         // And the batched path agrees under per-layer multipliers too.
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        assert_eq!(net.run_batch(&refs), outs);
+        assert_eq!(net.run(&refs, &mut Scratch::new()), outs);
     }
 
     #[test]
@@ -765,7 +633,7 @@ mod tests {
         let n = crate::NativeBackend::BATCH_TILE + 5;
         let inputs = net.fabricate_inputs(n, 23);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        let batched = net.run_batch(&refs);
+        let batched = net.run(&refs, &mut Scratch::new());
         for (input, out) in inputs.iter().zip(&batched) {
             assert_eq!(&net.run_one(input), out);
         }
@@ -777,9 +645,9 @@ mod tests {
             &toy_bundle(LutOrder::InputOriented),
             &EngineOptions::default(),
         );
-        assert!(net.run_batch(&[]).is_empty());
+        assert!(net.run(&[], &mut Scratch::new()).is_empty());
         let input = net.fabricate_inputs(1, 31).pop().unwrap();
-        assert_eq!(net.run_batch(&[&input]), vec![net.run_one(&input)]);
+        assert_eq!(net.run(&[&input], &mut Scratch::new()), vec![net.run_one(&input)]);
     }
 
     #[test]
@@ -847,12 +715,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "input size mismatch")]
+    #[should_panic(expected = "input 0 has 7 codes; model expects 3x8x8 = 192")]
     fn wrong_input_size_rejected() {
         let net = PreparedNet::from_bundle(
             &toy_bundle(LutOrder::InputOriented),
             &EngineOptions::default(),
         );
         net.run_one(&[0i32; 7]);
+    }
+
+    /// An in-memory bundle whose index map addresses a vector past the
+    /// pool fails at compile time, not silently (full tiles) or at run
+    /// time (solo).
+    #[test]
+    #[should_panic(expected = "pool index 4 outside the 4-vector pool")]
+    fn out_of_pool_index_rejected_at_compile() {
+        let mut bundle = toy_bundle(LutOrder::InputOriented);
+        let ConvPayload::Pooled { indices } = &mut bundle.convs[1] else {
+            panic!("toy conv 1 is pooled");
+        };
+        indices[5] = 4;
+        PreparedNet::from_bundle(&bundle, &EngineOptions::default());
     }
 }

@@ -1,11 +1,12 @@
 //! The unified per-layer execution interface.
 //!
 //! Every compiled layer — pooled conv, direct conv, depthwise, dense,
-//! pooling, residual — executes through one [`Kernel`] trait with two
-//! entry points: [`Kernel::run_solo`] for a single activation plane and
-//! [`Kernel::run_batch`] for a coalesced batch. The trait replaces the
-//! per-layer-kind `match` arms the executor used to carry: the executor
-//! walks a list of `Arc<dyn Kernel>` and never inspects layer kinds.
+//! pooling, residual — executes through one [`Kernel`] trait. The executor
+//! ([`crate::PreparedNet::run`]) walks a list of `Arc<dyn Kernel>`, never
+//! inspects layer kinds, and calls one entry point per layer:
+//! [`Kernel::run_batch`], on a coalesced batch (a solo request is a batch
+//! of one). [`Kernel::run_solo`] is the per-image reference each kernel
+//! is defined by.
 //!
 //! The contract every implementation upholds (pinned by the batch-parity
 //! tests): **`run_batch` is bit-identical to mapping `run_solo` over the
@@ -13,26 +14,27 @@
 //! way (SWIS-style): a batch tile is transposed to batch-minor columns
 //! and each weight/tap is decoded once per tile instead of once per
 //! image, which only reassociates *independent* per-image sums — see
-//! [`crate::backend`] for each kernel's exactness argument. At low
-//! activation bitwidths the direct-conv and dense kernels route batches
-//! through the bit-plane popcount tiles instead
+//! [`crate::backend`] for each kernel's exactness argument. Images past
+//! the last full tile run the solo kernels. At low activation bitwidths
+//! the direct-conv and dense kernels route batches through the bit-plane
+//! popcount tiles instead
 //! ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
 //! weight-plane load feeds eight images — same contract, same integers.
-//! Pass-through kernels (pooling, residual) are elementwise and simply
-//! map solo execution, which the default method bodies provide.
+//! Cheap elementwise kernels keep the default `run_batch`, which maps
+//! `run_solo` per image.
 //!
 //! Every method threads a [`Scratch`] arena: activation planes, raw
 //! accumulators and kernel working sets are checked out of per-worker
 //! pools and returned after use, so a warmed plan executes with zero
 //! heap allocations (`tests/zero_alloc.rs`). `run_solo` borrows its
-//! input (the executor owns the plane and recycles it); `run_batch`
-//! consumes its input planes and drains them back into the arena.
+//! input; `run_batch` consumes its input planes and drains them back
+//! into the arena.
 //!
 //! Requantizing kernels also expose their raw accumulators through
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
-use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices, RawOut};
+use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices};
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use crate::swar;
@@ -46,11 +48,12 @@ fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
     ctx.backend.simd() == ResolvedBackend::Scalar
 }
 
-/// `Some(use_avx2)` when the solo bit-plane popcount kernels should run
-/// for this call: a swar-or-better tier at an activation bitwidth low
-/// enough that popcounting 8 weight planes beats the per-element MAC.
-/// The threshold is the backend's resolved routing limit (engine option
-/// or `WP_POPCOUNT_MAX_BITS`, default [`swar::POPCOUNT_MAX_BITS`]). The
+/// `Some(use_avx2)` when [`Kernel::accumulate`] (and so
+/// [`Kernel::run_solo`]) should take the solo bit-plane popcount kernels:
+/// a swar-or-better tier at an activation bitwidth low enough that
+/// popcounting 8 weight planes beats the per-element MAC. The threshold
+/// is the backend's resolved routing limit (engine option or
+/// `WP_POPCOUNT_MAX_BITS`, default [`swar::POPCOUNT_MAX_BITS`]). The
 /// scalar tier never routes here.
 fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
     match ctx.backend.simd() {
@@ -86,7 +89,7 @@ fn popcount_batch_path(ctx: &KernelCtx<'_>) -> Option<bool> {
 /// calls.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelCtx<'a> {
-    /// The executing backend (each worker thread passes its own copy).
+    /// The executing backend (the plan's own, shared by every worker).
     pub backend: &'a NativeBackend,
     /// Input activation dims `(C, H, W)` at this layer.
     pub in_dims: (usize, usize, usize),
@@ -104,12 +107,11 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// Short op name (diagnostics, coverage reports).
     fn name(&self) -> &'static str;
 
-    /// The trace tier code this call's span should carry (see
+    /// The trace tier code a [`Kernel::run_batch`] span should carry (see
     /// [`trace::tier_name`]): the backend tier by default; kernels that
     /// route through the bit-plane popcount path report the popcount
     /// variant so profiles distinguish it from the int8 tile path.
-    fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
-        let _ = batched;
+    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
         trace::tier_code(ctx.backend.simd())
     }
 
@@ -141,77 +143,23 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
         acc
     }
 
-    /// Batched raw accumulators plus the spatial positions per output
-    /// channel — `Some` exactly when [`Kernel::accumulate`] is `Some`,
-    /// and bit-identical to mapping it over the batch. Buffers (and the
-    /// outer container) come from the arena.
-    ///
-    /// Default: that per-image map. On the scalar tier this is the
-    /// batched story for every kernel; the swar/avx2 tiers skip it —
-    /// their [`Kernel::run_batch`] overrides run the batched tile
-    /// kernels with the bias+requant finish fused into the tile
-    /// write-out, so the raw-accumulator split only ever feeds the
-    /// reference path.
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        let mut plane = 0;
-        let mut accs = scratch.take_planes(batch.len());
-        for codes in batch {
-            match self.accumulate(ctx, codes, scratch) {
-                Some((acc, p)) => {
-                    plane = p;
-                    accs.push(acc);
-                }
-                None => {
-                    scratch.put_planes(accs);
-                    return None;
-                }
-            }
-        }
-        Some((accs, plane))
-    }
-
     /// Executes the layer on a whole batch of activation planes,
-    /// bit-identical to mapping [`Kernel::run_solo`] over them. Consumes
-    /// the input planes (draining them back into the arena) and returns
-    /// arena buffers.
+    /// bit-identical to mapping [`Kernel::run_solo`] over them — the one
+    /// entry point the executor calls. Consumes the input planes
+    /// (draining them back into the arena) and returns arena buffers.
     ///
-    /// Default: accumulate through [`Kernel::accumulate_batch`] and
-    /// finish through the shared in-place bias+requant arithmetic;
-    /// pass-through kernels (accumulate = `None`) map
-    /// [`Kernel::run_solo`] per image. Requantizing kernels override
-    /// this on the swar/avx2 tiers to call the fused batched tile
-    /// kernels (bias+requant applied in the tile write-out), which are
-    /// pinned bit-identical to this default by the backend-parity
-    /// tests.
+    /// Default: exactly that per-image [`Kernel::run_solo`] map. Every
+    /// requantizing kernel overrides this on the swar/avx2 tiers to call
+    /// the batched tile kernels (bias+requant fused into the tile
+    /// write-out), pinned bit-identical to the map by the batch- and
+    /// backend-parity tests.
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        let outs = match self.accumulate_batch(ctx, &planes, scratch) {
-            Some((mut accs, plane)) => {
-                for acc in &mut accs {
-                    ctx.oq.apply_plane_in_place(acc, ctx.bias, plane);
-                }
-                accs
-            }
-            None => {
-                let mut outs = scratch.take_planes(planes.len());
-                for p in &planes {
-                    let out = self.run_solo(ctx, p, scratch);
-                    outs.push(out);
-                }
-                outs
-            }
-        };
-        scratch.put_planes(planes);
-        outs
+        solo_map(self, ctx, planes, scratch)
     }
 }
 
@@ -221,10 +169,11 @@ pub(crate) fn out_plane(shape: &PooledConvShape) -> usize {
     geo.out_h() * geo.out_w()
 }
 
-/// Maps [`Kernel::run_solo`] over a batch — the scalar tier's batched
-/// story for requantizing kernels.
-fn run_batch_solo_map(
-    kernel: &impl Kernel,
+/// Maps [`Kernel::run_solo`] over a batch: the default
+/// [`Kernel::run_batch`], and the scalar tier's batched story for every
+/// kernel.
+fn solo_map<K: Kernel + ?Sized>(
+    kernel: &K,
     ctx: &KernelCtx<'_>,
     planes: Vec<Vec<i32>>,
     scratch: &mut Scratch,
@@ -264,32 +213,6 @@ impl Kernel for PooledConvKernel {
         ))
     }
 
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        ctx.backend.conv_pooled_prepared_batch_core(
-            batch,
-            &self.shape,
-            &self.indices,
-            &RawOut,
-            scratch,
-            &mut outs,
-        );
-        Some((outs, out_plane(&self.shape)))
-    }
-
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -297,7 +220,7 @@ impl Kernel for PooledConvKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         ctx.backend.conv_pooled_prepared_batch_core(
@@ -350,8 +273,8 @@ impl Kernel for DirectConvKernel {
         "direct_conv"
     }
 
-    fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
-        match if batched { popcount_batch_path(ctx) } else { popcount_path(ctx) } {
+    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
+        match popcount_batch_path(ctx) {
             Some(use_avx2) => trace::popcount_tier_code(use_avx2),
             None => trace::tier_code(ctx.backend.simd()),
         }
@@ -372,43 +295,6 @@ impl Kernel for DirectConvKernel {
         Some((acc, out_plane(&self.shape)))
     }
 
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::conv_direct_batch_core(
-                batch,
-                &self.shape,
-                &self.packed,
-                use_avx2,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::conv_direct_batch_core(
-                batch,
-                &self.shape,
-                &self.weights,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-        }
-        Some((outs, out_plane(&self.shape)))
-    }
-
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -416,7 +302,7 @@ impl Kernel for DirectConvKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
@@ -470,32 +356,6 @@ impl Kernel for DwConvKernel {
         ))
     }
 
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, out_plane(&self.shape)));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        backend::dwconv_acc_batch_core(
-            batch,
-            &self.shape,
-            &self.weights,
-            &RawOut,
-            scratch,
-            &mut outs,
-        );
-        Some((outs, out_plane(&self.shape)))
-    }
-
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -503,7 +363,7 @@ impl Kernel for DwConvKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         backend::dwconv_acc_batch_core(
@@ -553,8 +413,8 @@ impl Kernel for DenseKernel {
         "dense"
     }
 
-    fn span_tier(&self, ctx: &KernelCtx<'_>, batched: bool) -> u8 {
-        match if batched { popcount_batch_path(ctx) } else { popcount_path(ctx) } {
+    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
+        match popcount_batch_path(ctx) {
             Some(use_avx2) => trace::popcount_tier_code(use_avx2),
             None => trace::tier_code(ctx.backend.simd()),
         }
@@ -573,42 +433,6 @@ impl Kernel for DenseKernel {
         Some((acc, 1))
     }
 
-    fn accumulate_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        batch: &[Vec<i32>],
-        scratch: &mut Scratch,
-    ) -> Option<(Vec<Vec<i32>>, usize)> {
-        if scalar_tier(ctx) {
-            let mut accs = scratch.take_planes(batch.len());
-            for codes in batch {
-                let acc = self.accumulate(ctx, codes, scratch).unwrap().0;
-                accs.push(acc);
-            }
-            return Some((accs, 1));
-        }
-        let mut outs = scratch.take_planes(batch.len());
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::dense_acc_batch_core(
-                batch,
-                &self.packed,
-                use_avx2,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::dense_acc_batch_core(
-                batch,
-                &self.weights,
-                self.out_features,
-                &RawOut,
-                scratch,
-                &mut outs,
-            ),
-        }
-        Some((outs, 1))
-    }
-
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -616,7 +440,7 @@ impl Kernel for DenseKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
@@ -677,7 +501,7 @@ impl Kernel for MaxPoolKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let (c, h, w) = ctx.in_dims;
         let mut outs = scratch.take_planes(planes.len());
@@ -720,7 +544,7 @@ impl Kernel for AvgPoolKernel {
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
         if scalar_tier(ctx) {
-            return run_batch_solo_map(self, ctx, planes, scratch);
+            return solo_map(self, ctx, planes, scratch);
         }
         let (c, h, w) = ctx.in_dims;
         let mut outs = scratch.take_planes(planes.len());

@@ -21,17 +21,20 @@
 //!   paper's §4.2 SRAM block cache — so lookups are a single indexed load
 //!   regardless of the bundle's [`wp_core::LutOrder`].
 //! * [`Kernel`] (in [`kernel`]) — the unified per-layer interface: every
-//!   compiled layer is an `Arc<dyn Kernel>` with `run_solo` / `run_batch`
-//!   entry points, so the executor never matches on layer kinds and every
-//!   layer type batches.
+//!   compiled layer is an `Arc<dyn Kernel>` executed through its
+//!   `run_batch` entry point (bit-identical to mapping the per-image
+//!   `run_solo` reference), so the executor never matches on layer kinds
+//!   and every layer type batches.
 //! * [`PreparedNet`] — a [`wp_core::deploy::DeployBundle`] compiled into a
 //!   flat execution plan: pooled convs run bit-serially from the bundle's
 //!   index maps, direct convs from its int8 weights, with per-layer
 //!   requantization via the exact same [`wp_kernels::OutputQuant`]
-//!   arithmetic the instrumented kernels use.
-//! * [`BatchRunner`] — fans a batch of inputs across worker threads with
-//!   `std::thread::scope`; workers share the read-only prepared network and
-//!   each own a private [`LutCache`] copy (the SRAM-per-core analogue).
+//!   arithmetic the instrumented kernels use. One layer loop,
+//!   [`PreparedNet::run`], executes every batch; a solo request is a
+//!   batch of one.
+//! * [`BatchRunner`] — splits a batch into per-worker chunks on
+//!   `std::thread::scope` threads; workers share the read-only prepared
+//!   network, LUT cache included.
 //!
 //! # Example
 //!

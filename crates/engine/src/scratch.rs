@@ -19,8 +19,9 @@
 //! converge after a handful of runs.
 //!
 //! The arena is deliberately *not* shared: one `Scratch` per worker
-//! thread (see [`crate::BatchRunner`]), threaded by `&mut` through
-//! [`crate::PreparedNet`] and every kernel — no locks, no contention,
+//! thread (each [`crate::BatchRunner`] call builds one per worker),
+//! threaded by `&mut` through [`crate::PreparedNet::run`] and every
+//! kernel — no locks, no contention,
 //! and buffer reuse keeps each worker's working set hot in its own
 //! cache, the host-side analogue of the paper's per-core SRAM budget.
 

@@ -21,7 +21,7 @@ use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::reference::ActEncoding;
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{BackendKind, EngineOptions, PreparedNet, ResolvedBackend};
+use wp_engine::{BackendKind, EngineOptions, PreparedNet, ResolvedBackend, Scratch};
 
 /// Every tier the API exposes explicitly (Auto is resolution, not a
 /// distinct arithmetic, and is covered by `auto_resolves_away_from_scalar`).
@@ -80,7 +80,11 @@ fn assert_tiers_agree(bundle: &DeployBundle, opts: &EngineOptions, batches: &[us
     let expect: Vec<Vec<i32>> = inputs.iter().map(|x| scalar.run_one(x)).collect();
     // The scalar tier itself honors the batch == solo contract...
     for &b in batches {
-        assert_eq!(scalar.run_batch(&refs[..b]), expect[..b], "scalar batch={b}, {tag}");
+        assert_eq!(
+            scalar.run(&refs[..b], &mut Scratch::new()),
+            expect[..b],
+            "scalar batch={b}, {tag}"
+        );
     }
     // ...and every other tier reproduces scalar solo and batched.
     for kind in [BackendKind::Swar, BackendKind::Avx2] {
@@ -90,7 +94,11 @@ fn assert_tiers_agree(bundle: &DeployBundle, opts: &EngineOptions, batches: &[us
             assert_eq!(&net.run_one(input), out, "{kind} solo, {tag}");
         }
         for &b in batches {
-            assert_eq!(net.run_batch(&refs[..b]), expect[..b], "{kind} batch={b}, {tag}");
+            assert_eq!(
+                net.run(&refs[..b], &mut Scratch::new()),
+                expect[..b],
+                "{kind} batch={b}, {tag}"
+            );
         }
     }
 }

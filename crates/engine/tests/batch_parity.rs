@@ -20,7 +20,7 @@ use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::reference::PooledConvShape;
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{backend, BatchRunner, EngineOptions, NativeBackend, PreparedNet};
+use wp_engine::{backend, BatchRunner, EngineOptions, NativeBackend, PreparedNet, Scratch};
 
 /// A bundle whose walk visits every kernel the engine implements.
 fn all_kinds_bundle(seed: u64) -> DeployBundle {
@@ -72,7 +72,11 @@ fn all_kinds_batched_matches_solo_across_batch_sizes_and_threads() {
     let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
     for batch in [1usize, 2, 7, 16] {
         // The direct engine-level batched path...
-        assert_eq!(net.run_batch(&refs[..batch]), solo[..batch], "run_batch, batch={batch}");
+        assert_eq!(
+            net.run(&refs[..batch], &mut Scratch::new()),
+            solo[..batch],
+            "run, batch={batch}"
+        );
         // ...and the threaded serving path on top of it.
         for threads in [1usize, 4] {
             assert_eq!(
@@ -96,7 +100,7 @@ fn all_kinds_batched_matches_solo_under_calibration() {
     let inputs = net.fabricate_inputs(11, 13);
     let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
     let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-    assert_eq!(net.run_batch(&refs), solo);
+    assert_eq!(net.run(&refs, &mut Scratch::new()), solo);
 }
 
 /// A wrong-size input in a batch must be reported by batch index, up
@@ -109,7 +113,7 @@ fn run_batch_reports_offending_input_index() {
     let good = net.fabricate_inputs(2, 1);
     let bad = vec![0i32; 5];
     let refs: Vec<&[i32]> = vec![&good[0], &good[1], &bad];
-    net.run_batch(&refs);
+    net.run(&refs, &mut Scratch::new());
 }
 
 /// And the threaded runner reports the same global index (not a
@@ -219,7 +223,7 @@ proptest! {
         let inputs = net.fabricate_inputs(batch, seed ^ 0xF00D);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-        prop_assert_eq!(net.run_batch(&refs), solo.clone());
+        prop_assert_eq!(net.run(&refs, &mut Scratch::new()), solo.clone());
         prop_assert_eq!(BatchRunner::new(threads).run_refs(&net, &refs), solo);
     }
 }

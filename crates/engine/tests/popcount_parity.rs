@@ -24,7 +24,7 @@ use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::reference::{ActEncoding, PooledConvShape};
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{avx2_available, backend, swar, BackendKind, EngineOptions, PreparedNet};
+use wp_engine::{avx2_available, backend, swar, BackendKind, EngineOptions, PreparedNet, Scratch};
 
 fn codes(rng: &mut impl Rng, n: usize, enc: ActEncoding, bits: u8) -> Vec<i32> {
     let (lo, hi) = enc.code_range(bits);
@@ -183,7 +183,7 @@ fn network_agrees_across_tiers_and_popcount_thresholds() {
                 }
                 for batch in [1usize, 2, 7, 16] {
                     assert_eq!(
-                        net.run_batch(&refs[..batch]),
+                        net.run(&refs[..batch], &mut Scratch::new()),
                         want[..batch],
                         "batch={batch} bits={bits} kind={kind:?} limit={limit:?}"
                     );
@@ -204,6 +204,6 @@ fn blocked_dense_network_matches_solo() {
         let inputs = net.fabricate_inputs(17, 0xB10C);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let want: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-        assert_eq!(net.run_batch(&refs), want, "bits={bits}");
+        assert_eq!(net.run(&refs, &mut Scratch::new()), want, "bits={bits}");
     }
 }

@@ -13,7 +13,8 @@ use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::{LookupTable, LutOrder, WeightPool};
 use wp_engine::trace::{current_track, SpanKind, TraceEvent};
 use wp_engine::{
-    BackendKind, BatchRunner, EngineOptions, NetProfile, PreparedNet, TraceBuffer, TraceSink,
+    BackendKind, BatchRunner, EngineOptions, NetProfile, PreparedNet, Scratch, TraceBuffer,
+    TraceSink,
 };
 
 /// Direct stem + pooled conv + pooling + dense head: every kernel family
@@ -76,7 +77,7 @@ fn traced_execution_is_bit_identical_to_untraced() {
         let inputs = plain.fabricate_inputs(9, 7);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let solo: Vec<Vec<i32>> = inputs.iter().map(|x| plain.run_one(x)).collect();
-        let batched = plain.run_batch(&refs);
+        let batched = plain.run(&refs, &mut Scratch::new());
         assert_eq!(batched, solo);
 
         let mut traced = PreparedNet::from_bundle(&bundle, &opts);
@@ -86,7 +87,11 @@ fn traced_execution_is_bit_identical_to_untraced() {
         traced.set_trace_sink(Some(sink.clone()));
         let traced_solo: Vec<Vec<i32>> = inputs.iter().map(|x| traced.run_one(x)).collect();
         assert_eq!(traced_solo, solo, "{backend:?}: traced solo diverged");
-        assert_eq!(traced.run_batch(&refs), batched, "{backend:?}: traced batch diverged");
+        assert_eq!(
+            traced.run(&refs, &mut Scratch::new()),
+            batched,
+            "{backend:?}: traced batch diverged"
+        );
         let runner_out = BatchRunner::new(3).run_refs(&traced, &refs);
         assert_eq!(runner_out, batched, "{backend:?}: traced threaded run diverged");
 

@@ -5,10 +5,11 @@
 //! accumulator and kernel working set is checked out of per-worker pools
 //! and returned after use. A run's buffer demand is fixed by the plan,
 //! so after a handful of warmup runs every pool holds its peak demand
-//! and the `run_one_into` / `run_batch_into` entry points stop touching
-//! the allocator entirely. This test pins that with a counting global
-//! allocator: warm the arena, then assert **zero** allocations across
-//! whole solo and batched inferences.
+//! and [`wp_engine::PreparedNet::run`], with its outputs handed back via
+//! [`Scratch::put_planes`], stops touching the allocator entirely. This
+//! test pins that with a counting global allocator: warm the arena, then
+//! assert **zero** allocations across whole solo (a batch of one) and
+//! batched inferences.
 //!
 //! One `#[test]` only: the counting allocator is process-global, and a
 //! concurrent test's allocations would race the measurement.
@@ -130,33 +131,39 @@ fn warmed_runs_do_not_allocate() {
     // allocate in its observers.
     let opts = EngineOptions::new().with_act_bits(2).with_backend(BackendKind::Swar);
     let net = PreparedNet::from_bundle(&all_kinds_bundle(), &opts);
-    let backend = net.worker_backend();
     let mut scratch = Scratch::new();
 
     let inputs = net.fabricate_inputs(11, 7);
     let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-    let mut solo_out = Vec::new();
-    let mut batch_outs = Vec::new();
+    let want_solo = vec![net.run_one(&inputs[0])];
+    let want_batch: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
 
     // Warm every pool to its peak demand (the demand multiset is fixed
     // by the plan, so a few runs converge).
     for _ in 0..8 {
-        net.run_one_into(&backend, &inputs[0], &mut scratch, &mut solo_out);
-        net.run_batch_into(&backend, &refs, &mut scratch, &mut batch_outs);
+        let outs = net.run(&refs[..1], &mut scratch);
+        scratch.put_planes(outs);
+        let outs = net.run(&refs, &mut scratch);
+        scratch.put_planes(outs);
     }
-    let want_solo = solo_out.clone();
-    let want_batch = batch_outs.clone();
 
+    // Comparing borrowed planes allocates nothing, so the check runs
+    // inside the armed window, before the outputs go back to the arena.
+    let (mut solo_ok, mut batch_ok) = (false, false);
     let solo_allocs = allocations_during(|| {
-        net.run_one_into(&backend, &inputs[0], &mut scratch, &mut solo_out);
+        let outs = net.run(&refs[..1], &mut scratch);
+        solo_ok = outs == want_solo;
+        scratch.put_planes(outs);
     });
     let batch_allocs = allocations_during(|| {
-        net.run_batch_into(&backend, &refs, &mut scratch, &mut batch_outs);
+        let outs = net.run(&refs, &mut scratch);
+        batch_ok = outs == want_batch;
+        scratch.put_planes(outs);
     });
 
     // The runs must still compute the right thing...
-    assert_eq!(solo_out, want_solo);
-    assert_eq!(batch_outs, want_batch);
+    assert!(solo_ok, "warmed solo run diverged from run_one");
+    assert!(batch_ok, "warmed batched run diverged from run_one");
     // ...without ever entering the allocator.
     assert_eq!(solo_allocs, 0, "solo steady state must not allocate");
     assert_eq!(batch_allocs, 0, "batched steady state must not allocate");

@@ -1,10 +1,12 @@
 //! The dynamic micro-batcher: coalesces concurrent inference requests
 //! into batches for the native engine.
 //!
-//! Connection threads [`Batcher::submit`] one activation plane each and
-//! block until their result is ready; the event-driven front instead
-//! uses [`Batcher::submit_callback`], which never blocks and delivers
-//! the result to a completion callback. A dedicated flusher thread drains
+//! Every plane is submitted with a completion callback
+//! ([`Batcher::submit_callback`], what the event-driven front uses): it
+//! never blocks, and the result reaches the callback exactly once.
+//! [`Batcher::submit`] and [`Batcher::infer`] are thin blocking wrappers
+//! whose callback is a channel send, for tests and tools. A dedicated
+//! flusher thread drains
 //! the queue into batches, flushing as soon as **either** `max_batch`
 //! planes are waiting **or** the oldest plane has waited `max_wait`
 //! (whichever comes first — a solo request on an idle server pays at most
@@ -80,30 +82,12 @@ impl std::fmt::Display for InferError {
 
 impl std::error::Error for InferError {}
 
-/// How a served (or failed) plane's result reaches its submitter.
-enum Responder {
-    /// A blocking waiter holds the [`Ticket`] end of this channel
-    /// (thread-per-connection front, tests, CLI).
-    Channel(mpsc::Sender<Result<Vec<i32>, InferError>>),
-    /// The event-driven front: invoked on the flusher thread right after
-    /// the batch executes (or synchronously at submit time on a
-    /// validation/overload failure). Must be cheap and must not block —
-    /// the intended use hands the result to an event thread's completion
-    /// queue and wakes its eventfd.
-    Callback(Box<dyn FnOnce(Result<Vec<i32>, InferError>) + Send>),
-}
-
-impl Responder {
-    fn respond(self, result: Result<Vec<i32>, InferError>) {
-        match self {
-            // A dropped ticket (client gone) is fine to ignore.
-            Responder::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            Responder::Callback(f) => f(result),
-        }
-    }
-}
+/// How a served (or failed) plane's result reaches its submitter:
+/// invoked on the flusher thread right after the batch executes, or
+/// synchronously at submit time on a validation/overload failure. Must
+/// be cheap and must not block — the event front hands the result to an
+/// event thread's completion queue and wakes its eventfd.
+type Responder = Box<dyn FnOnce(Result<Vec<i32>, InferError>) + Send>;
 
 /// One queued plane and the responder its result goes back through.
 struct Pending {
@@ -125,14 +109,6 @@ struct Shared {
     state: Mutex<QueueState>,
     /// Signals the flusher that work arrived or shutdown was requested.
     wake_flusher: Condvar,
-}
-
-/// A refused submission: the error plus the responder handed back
-/// un-invoked (nothing was enqueued), so the submit path controls
-/// whether the failure is returned or called back.
-struct SubmitRejected {
-    error: InferError,
-    responder: Responder,
 }
 
 /// A ticket for a submitted plane; redeem with [`Ticket::wait`].
@@ -209,59 +185,56 @@ impl Batcher {
         self.batches_flushed.load(Ordering::Relaxed)
     }
 
-    /// Validates and enqueues one plane, returning a [`Ticket`] that
-    /// blocks until the result is ready. Validation happens here, against
-    /// the *current* plan, so the flusher can execute whole batches
-    /// without per-plane error paths.
+    /// Validates and enqueues one plane; `done` is invoked with the
+    /// result — on the flusher thread once the plane's batch executes,
+    /// or synchronously *before this returns* when validation fails, the
+    /// queue is at capacity, or the batcher is shutting down. Exactly one
+    /// invocation either way, so callers never poll and never block.
     ///
-    /// # Errors
-    ///
+    /// Validation happens here, against the *current* plan, so the
+    /// flusher can execute whole batches without per-plane error paths:
     /// [`InferError::BadInput`] for a wrong-size plane or out-of-range
     /// code, [`InferError::Overloaded`] at the queue cap, and
     /// [`InferError::ShuttingDown`] after [`Batcher::shutdown`].
-    pub fn submit(&self, input: Vec<i32>) -> Result<Ticket, InferError> {
-        self.submit_traced(input, 0)
-    }
-
-    /// [`Batcher::submit`] carrying a request trace id: the id is stamped
-    /// on the queue-wait span the flusher emits for this plane, tying the
-    /// span back to the HTTP request that caused it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Batcher::submit`].
-    pub fn submit_traced(&self, input: Vec<i32>, span_id: u64) -> Result<Ticket, InferError> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_with(input, span_id, Responder::Channel(tx)).map_err(|r| r.error)?;
-        Ok(Ticket { rx })
-    }
-
-    /// Nonblocking submission for the event-driven front: instead of a
-    /// [`Ticket`] to block on, `done` is invoked with the result — on the
-    /// flusher thread once the plane's batch executes, or synchronously
-    /// *before this returns* when validation fails, the queue is at
-    /// capacity, or the batcher is shutting down. Exactly one invocation
-    /// either way, so callers never poll and never block.
+    /// `span_id` (a [`trace::span_id_from`] of the request id, 0 when
+    /// untraced) is stamped on the queue-wait span the flusher emits for
+    /// this plane.
     pub fn submit_callback(
         &self,
         input: Vec<i32>,
         span_id: u64,
         done: impl FnOnce(Result<Vec<i32>, InferError>) + Send + 'static,
     ) {
-        let responder = Responder::Callback(Box::new(done));
-        if let Err(rejected) = self.submit_with(input, span_id, responder) {
-            rejected.responder.respond(Err(rejected.error));
+        if let Err((error, done)) = self.enqueue(input, span_id, Box::new(done)) {
+            done(Err(error));
         }
+    }
+
+    /// Blocking convenience over the callback: submits one untraced plane
+    /// and returns a [`Ticket`] to wait on. Rejections surface here as
+    /// errors instead of through the ticket.
+    ///
+    /// # Errors
+    ///
+    /// The submit-time rejections of [`Batcher::submit_callback`].
+    pub fn submit(&self, input: Vec<i32>) -> Result<Ticket, InferError> {
+        let (tx, rx) = mpsc::channel();
+        // A dropped ticket (caller gone) makes the send fail; ignore it.
+        let done: Responder = Box::new(move |result| {
+            let _ = tx.send(result);
+        });
+        self.enqueue(input, 0, done).map_err(|(error, _)| error)?;
+        Ok(Ticket { rx })
     }
 
     /// Validates and enqueues one plane. On failure the responder is
     /// handed back un-invoked so the caller decides delivery.
-    fn submit_with(
+    fn enqueue(
         &self,
         input: Vec<i32>,
         span_id: u64,
         responder: Responder,
-    ) -> Result<(), SubmitRejected> {
+    ) -> Result<(), (InferError, Responder)> {
         let net = self.slot.read().expect("model slot poisoned").clone();
         let (c, h, w) = net.input_shape();
         if input.len() != c * h * w {
@@ -270,21 +243,21 @@ impl Batcher {
                 c * h * w,
                 input.len()
             ));
-            return Err(SubmitRejected { error, responder });
+            return Err((error, responder));
         }
         let (lo, hi) = net.backend().encoding().code_range(net.act_bits());
         if let Some(&bad) = input.iter().find(|&&v| !(lo..=hi).contains(&v)) {
             let error = InferError::BadInput(format!("activation code {bad} outside [{lo}, {hi}]"));
-            return Err(SubmitRejected { error, responder });
+            return Err((error, responder));
         }
 
         {
             let mut state = self.shared.state.lock().expect("batcher queue poisoned");
             if state.shutdown {
-                return Err(SubmitRejected { error: InferError::ShuttingDown, responder });
+                return Err((InferError::ShuttingDown, responder));
             }
             if state.pending.len() >= self.config.max_queue {
-                return Err(SubmitRejected { error: InferError::Overloaded, responder });
+                return Err((InferError::Overloaded, responder));
             }
             state.pending.push_back(Pending {
                 input,
@@ -301,7 +274,8 @@ impl Batcher {
     ///
     /// # Errors
     ///
-    /// See [`Batcher::submit`].
+    /// The submit-time rejections of [`Batcher::submit_callback`], or
+    /// [`InferError::ShuttingDown`] if the plane is never served.
     pub fn infer(&self, input: Vec<i32>) -> Result<Vec<i32>, InferError> {
         self.submit(input)?.wait()
     }
@@ -426,7 +400,7 @@ fn flusher_loop(
                     "plane no longer matches the deployed model (hot-swapped mid-queue?)".into(),
                 )
             });
-            p.responder.respond(reply);
+            (p.responder)(reply);
         }
 
         state = shared.state.lock().expect("batcher queue poisoned");
@@ -516,7 +490,7 @@ mod tests {
         batcher.shutdown();
     }
 
-    /// Callback submission matches ticket submission bit-for-bit, and
+    /// Callback submission is bit-identical to solo execution, and
     /// failure paths (bad input, shutdown) invoke the callback instead of
     /// dropping it.
     #[test]

@@ -187,7 +187,8 @@ mod tests {
         let inputs = net.fabricate_inputs(9, 2);
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-        assert_eq!(net.run_batch(&refs), solo, "stem batched path must be bit-identical");
+        let batched = net.run(&refs, &mut wp_engine::Scratch::new());
+        assert_eq!(batched, solo, "stem batched path must be bit-identical");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!
 //! * **No crates**: the build environment is offline, so `epoll` is bound
 //!   directly with `extern "C"` declarations — std already links libc on
-//!   Linux, the symbols are there. The module is `cfg(target_os =
-//!   "linux")`; other platforms use the threaded front.
+//!   Linux, the symbols are there. This is the server's only front, so
+//!   the crate refuses to build off Linux.
 //! * **Level-triggered** events: simpler invariants than edge-triggered
 //!   (a missed wakeup self-heals on the next `epoll_wait`), and the
 //!   syscall savings of edge mode are noise next to inference work.
@@ -36,8 +36,6 @@
 //!   (idle → mid-request), so the hot request path does no wheel work.
 //! * The `epoll_wait` timeout doubles as the deadline-wheel tick — no
 //!   separate timer machinery.
-
-#![cfg(target_os = "linux")]
 
 use crate::batcher::InferError;
 use crate::conn::{Connection, DeadlinePhase, DeadlineWheel, Slab, Timeouts, Token};
@@ -314,8 +312,8 @@ impl InferJob {
             match result {
                 Ok(out) => st.outputs[index] = Some(out),
                 Err(e) => {
-                    // First error wins — matches the blocking path, which
-                    // reports the first ticket that fails.
+                    // First error wins: the reply reports the first plane
+                    // that failed.
                     if st.error.is_none() {
                         st.error = Some(e);
                     }
@@ -440,7 +438,7 @@ pub(crate) fn start(
             s.wake.wake();
         }
     });
-    Ok(FrontRuntime { threads, wake: Some(wake) })
+    Ok(FrontRuntime { threads, wake })
 }
 
 // ---------------------------------------------------------------------------
@@ -570,9 +568,8 @@ impl EventLoop {
     fn dispatch(&mut self, token: Token, request: Request) {
         let started = Instant::now();
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
-        // Evaluated before routing, exactly like the threaded front (a
-        // /v1/shutdown request's own response still says keep-alive) —
-        // responses must stay byte-identical between fronts.
+        // Evaluated before routing, so a /v1/shutdown request's own
+        // response still says keep-alive.
         let keep_alive = request.keep_alive() && !self.shutdown.load(Ordering::SeqCst);
         let rid = server::request_id(&request);
 
@@ -646,14 +643,14 @@ impl EventLoop {
         }
     }
 
-    /// Answers a protocol violation with the same 4xx the threaded front
-    /// sends, then closes after flushing.
+    /// Answers a protocol violation with a 4xx, then closes after
+    /// flushing.
     fn enqueue_parse_error(&mut self, token: Token, err: &HttpError) {
         let (status, message) = match err {
             HttpError::Malformed(m) => (Status::BAD_REQUEST, m.clone()),
             HttpError::TooLarge(m) => (Status::PAYLOAD_TOO_LARGE, m.clone()),
-            // Eof/Io never come out of the pull-free incremental parser.
-            HttpError::Eof | HttpError::Io(_) => return,
+            // A body cut short by EOF: there is no request to answer.
+            HttpError::Io(_) => return,
         };
         self.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.responses_client_error.fetch_add(1, Ordering::Relaxed);
@@ -670,9 +667,9 @@ impl EventLoop {
     /// otherwise rearms its deadline, EPOLLOUT interest, and (when the
     /// deadline moved earlier) its wheel entry.
     fn finish_io(&mut self, token: Token, now: Instant) {
-        // A peer that half-closed mid-head gets the same 400 the
-        // blocking front sends on EOF ([`RequestParser::eof_error`];
-        // mid-body EOFs stay silent — there is no request to answer).
+        // A peer that half-closed mid-head gets a 400
+        // ([`http::RequestParser::eof_error`]); mid-body EOFs stay silent
+        // — there is no request to answer.
         let eof_err = {
             let Some(conn) = self.slab.get_mut(token) else { return };
             if conn.peer_closed && !conn.close_after_flush && !conn.inflight {
@@ -700,7 +697,7 @@ impl EventLoop {
                     close = true;
                 } else if conn.peer_closed && drained && !conn.inflight {
                     // Clean EOF (or a dead socket) with nothing left to
-                    // send: reap silently, like the threaded front.
+                    // send: reap silently.
                     close = true;
                 }
             }

@@ -1,13 +1,13 @@
-//! A minimal HTTP/1.1 layer over `std::net` — just enough protocol for the
-//! inference endpoints, with hard limits instead of dependencies.
+//! A minimal HTTP/1.1 layer — just enough protocol for the inference
+//! endpoints, with hard limits instead of dependencies.
 //!
 //! The core is an **incremental parser**, [`RequestParser`]: a state
 //! machine that is fed whatever bytes have arrived (possibly one at a
 //! time, across many socket readiness events) and yields a [`Request`]
-//! once a full head + body is buffered. The event-driven connection front
-//! drives it directly; the blocking [`read_request`] used by the threaded
-//! front and unit tests is a thin loop over the same machine, so the two
-//! fronts cannot drift apart in what they accept.
+//! once a full head + body is buffered; [`RequestParser::eof_error`] says
+//! what a peer's EOF means at any point of the parse. The event-driven
+//! connection front drives it directly, and renders every response with
+//! [`encode_response`].
 //!
 //! Supported: request line + headers + `Content-Length` bodies,
 //! keep-alive (HTTP/1.1 default, opt-in for 1.0), pipelined requests
@@ -17,7 +17,7 @@
 //! supported (connection is closed or the request rejected): chunked
 //! *request* bodies and upgrades.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -67,10 +67,7 @@ impl Request {
 /// Why a request could not be parsed.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The peer closed the connection before a request started (normal
-    /// keep-alive termination).
-    Eof,
-    /// An I/O error (includes read timeouts on idle keep-alive sockets).
+    /// The transport failed mid-request (a body cut short by EOF).
     Io(io::Error),
     /// The request violates the protocol subset; the string is safe to
     /// echo in a 400 response.
@@ -82,7 +79,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Eof => write!(f, "connection closed"),
             HttpError::Io(e) => write!(f, "io error: {e}"),
             HttpError::Malformed(m) => write!(f, "malformed request: {m}"),
             HttpError::TooLarge(m) => write!(f, "request too large: {m}"),
@@ -180,8 +176,8 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// [`HttpError::Malformed`] / [`HttpError::TooLarge`] exactly as the
-    /// blocking reader; the connection should respond 4xx and close.
+    /// [`HttpError::Malformed`] / [`HttpError::TooLarge`] when the bytes
+    /// cannot be served; the connection should respond 4xx and close.
     pub fn try_parse(&mut self) -> Result<Option<Request>, HttpError> {
         loop {
             match &mut self.stage {
@@ -305,33 +301,6 @@ fn body_length(request: &Request) -> Result<usize, HttpError> {
     Ok(len)
 }
 
-/// Reads one request from a buffered stream, blocking until it is
-/// complete — the same state machine as [`RequestParser`], driven by a
-/// blocking reader.
-///
-/// # Errors
-///
-/// [`HttpError::Eof`] when the peer closed cleanly between requests,
-/// [`HttpError::Io`] on transport errors, idle timeouts, or a body cut
-/// short, and [`HttpError::Malformed`]/[`HttpError::TooLarge`] when the
-/// bytes arrive but cannot be served.
-pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.try_parse()? {
-            return Ok(request);
-        }
-        let chunk = reader.fill_buf().map_err(HttpError::Io)?;
-        if chunk.is_empty() {
-            // EOF: clean between requests, an error mid-request.
-            return Err(parser.eof_error().unwrap_or(HttpError::Eof));
-        }
-        let n = chunk.len();
-        parser.feed(&chunk[..n]);
-        reader.consume(n);
-    }
-}
-
 /// An HTTP status code with its canonical reason phrase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Status(pub u16);
@@ -421,67 +390,31 @@ pub fn encode_response(
     out
 }
 
-/// Writes one JSON response (flushes the stream).
-///
-/// # Errors
-///
-/// Returns any transport error.
-pub fn write_json_response(
-    stream: &mut impl Write,
-    status: Status,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    write_response(stream, status, "application/json", &[], body, keep_alive)
-}
-
-/// Writes one response with an explicit content type and extra headers
-/// (flushes the stream), always `Content-Length`-framed — this is the
-/// threaded front's buffered path, the reference the chunked encoding is
-/// diffed against. Header names and values must already be valid header
-/// text — nothing is escaped here.
-///
-/// # Errors
-///
-/// Returns any transport error.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: Status,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        status.0,
-        status.reason(),
-        content_type,
-        body.len(),
-        connection
-    )?;
-    for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// Feeds `raw` to a fresh parser as one whole byte stream, then ends
+    /// the stream: a complete request parses to `Ok(Some)`, and an EOF
+    /// with nothing complete maps through [`RequestParser::eof_error`] —
+    /// `Ok(None)` for a clean close before any request started.
+    fn parse(raw: impl AsRef<[u8]>) -> Result<Option<Request>, HttpError> {
+        let mut parser = RequestParser::new();
+        parser.feed(raw.as_ref());
+        match parser.try_parse()? {
+            Some(request) => Ok(Some(request)),
+            None => parser.eof_error().map_or(Ok(None), Err),
+        }
+    }
+
+    /// [`parse`] for a stream that must hold one complete request.
+    fn request(raw: &str) -> Request {
+        parse(raw).unwrap().expect("a complete request")
     }
 
     #[test]
     fn parses_get_with_headers() {
-        let r = parse("GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").unwrap();
+        let r = request("GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/healthz");
         assert!(r.http11);
@@ -491,22 +424,23 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let r = parse("POST /v1/infer HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
+        let r = request("POST /v1/infer HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd");
         assert_eq!(r.body, b"abcd");
         assert!(r.keep_alive(), "HTTP/1.1 defaults to keep-alive");
     }
 
     #[test]
     fn http10_defaults_to_close() {
-        let r = parse("GET / HTTP/1.0\r\n\r\n").unwrap();
+        let r = request("GET / HTTP/1.0\r\n\r\n");
         assert!(!r.keep_alive());
-        let r = parse("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let r = request("GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
         assert!(r.keep_alive());
     }
 
     #[test]
     fn eof_and_malformed_are_distinguished() {
-        assert!(matches!(parse(""), Err(HttpError::Eof)));
+        assert!(matches!(parse(""), Ok(None)), "a clean close is not an error");
+        assert!(matches!(parse("\r\n\r\n"), Ok(None)), "nor are blank lines before it");
         assert!(matches!(parse("BROKEN\r\n\r\n"), Err(HttpError::Malformed(_))));
         assert!(matches!(parse("GET / HTTP/2\r\n\r\n"), Err(HttpError::Malformed(_))));
         assert!(matches!(
@@ -532,10 +466,7 @@ mod tests {
         let mut raw = Vec::from(&b"GET / HTTP/1.1\r\nX-Bin: "[..]);
         raw.extend_from_slice(&[0xFF, 0xFE]);
         raw.extend_from_slice(b"\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut BufReader::new(raw.as_slice())),
-            Err(HttpError::Malformed(_))
-        ));
+        assert!(matches!(parse(&raw), Err(HttpError::Malformed(_))));
         // Chunked transfer encoding is outside the supported subset.
         assert!(matches!(
             parse("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
@@ -629,8 +560,7 @@ mod tests {
 
     #[test]
     fn response_is_well_formed() {
-        let mut out = Vec::new();
-        write_json_response(&mut out, Status::OK, "{\"a\":1}", true).unwrap();
+        let out = encode_response(Status::OK, "application/json", &[], b"{\"a\":1}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json\r\n"));
@@ -641,16 +571,13 @@ mod tests {
 
     #[test]
     fn response_carries_content_type_and_extra_headers() {
-        let mut out = Vec::new();
-        write_response(
-            &mut out,
+        let out = encode_response(
             Status::OK,
             "text/plain; version=0.0.4",
             &[("X-Request-Id", "req-7")],
-            "wp_http_requests_total 1\n",
+            b"wp_http_requests_total 1\n",
             false,
-        )
-        .unwrap();
+        );
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
         assert!(text.contains("X-Request-Id: req-7\r\n"));

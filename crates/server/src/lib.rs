@@ -14,23 +14,26 @@
 //!
 //! Pieces:
 //!
-//! * [`http`] — minimal HTTP/1.1 parsing/writing with hard limits.
+//! * [`http`] — incremental HTTP/1.1 request parsing and response
+//!   encoding, with hard limits.
 //! * [`protocol`] — the JSON request/response types.
 //! * [`batcher`] — [`Batcher`]: flush on `max_batch` or `max_wait`,
-//!   whichever first.
+//!   whichever first; results return through one completion callback
+//!   per plane.
 //! * [`registry`] — [`ModelRegistry`]: named models, atomic hot-swap
 //!   reload.
 //! * [`metrics`] — global HTTP [`Metrics`] + per-model
 //!   [`metrics::ModelMetrics`] (the `GET /metrics` totals are the sum of
 //!   the per-model rows).
 //! * [`prometheus`] — Prometheus text exposition of the same snapshot.
-//! * [`server`] — front selection and routing, request-scoped trace ids
+//! * [`server`] — [`serve`], routing, request-scoped trace ids
 //!   (`X-Request-Id` in, echoed out, stamped on engine spans and error
 //!   bodies).
-//! * [`event`] — the default front on Linux: a vendored-FFI epoll
-//!   readiness loop; a few event threads carry thousands of mostly-idle
-//!   keep-alive connections (per-connection slab, deadline wheel,
-//!   chunked responses from nonblocking write buffers).
+//! * [`event`] — the connection front: a vendored-FFI epoll readiness
+//!   loop; a few event threads carry thousands of mostly-idle keep-alive
+//!   connections (per-connection slab, deadline wheel, chunked responses
+//!   from nonblocking write buffers). Being epoll-based, it makes the
+//!   crate Linux-only.
 //! * [`conn`] — the event front's data structures: generation-checked
 //!   [`conn::Slab`], hashed [`conn::DeadlineWheel`], per-connection
 //!   state.
@@ -71,10 +74,12 @@
 //! handle.shutdown();
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("wp_server is Linux-only: its one connection front is an epoll event loop");
+
 pub mod batcher;
 pub mod conn;
 pub mod demo;
-#[cfg(target_os = "linux")]
 pub mod event;
 pub mod http;
 pub mod metrics;
@@ -86,4 +91,4 @@ pub mod server;
 pub use batcher::{Batcher, BatcherConfig, InferError};
 pub use metrics::{Metrics, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
 pub use registry::{ModelEntry, ModelRegistry, RegistryError};
-pub use server::{serve, FrontKind, ServerConfig, ServerHandle};
+pub use server::{serve, ServerConfig, ServerHandle};

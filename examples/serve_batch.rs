@@ -84,15 +84,16 @@ fn main() {
     let prepared = PreparedNet::from_bundle(&bundle, &EngineOptions::default());
     let batch = 64;
     let inputs = prepared.fabricate_inputs(batch, 42);
+    let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
 
-    let reference = BatchRunner::new(1).run(&prepared, &inputs);
+    let reference = BatchRunner::new(1).run_refs(&prepared, &refs);
     println!("\nserving a {batch}-image batch:");
     for threads in [1usize, 2, 4, 8] {
         let runner = BatchRunner::new(threads);
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t = Instant::now();
-            let out = runner.run(&prepared, &inputs);
+            let out = runner.run_refs(&prepared, &refs);
             best = best.min(t.elapsed().as_secs_f64());
             assert_eq!(out, reference, "outputs must not depend on thread count");
         }

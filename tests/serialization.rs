@@ -115,8 +115,9 @@ fn deploy_bundle_file_round_trip_reruns_identically() {
         let a = PreparedNet::from_bundle(&bundle, &opts);
         let b = PreparedNet::from_bundle(&back, &opts);
         let inputs = a.fabricate_inputs(5, 17);
-        let out_a = BatchRunner::new(1).run(&a, &inputs);
-        let out_b = BatchRunner::new(3).run(&b, &inputs);
+        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
+        let out_a = BatchRunner::new(1).run_refs(&a, &refs);
+        let out_b = BatchRunner::new(3).run_refs(&b, &refs);
         assert_eq!(out_a, out_b, "{order:?}");
     }
 }
