@@ -1,6 +1,5 @@
 //! Bundle-format benchmark: JSON vs entropy-coded WPB vs the entropy
-//! bound, on the serving demo model — with the Rice-only and forced-ANS
-//! codecs A/B'd against the auto chooser, and the streaming decode path
+//! bound, on the serving demo model, with the streaming decode path
 //! differentially checked against the buffer path.
 //!
 //! ```sh
@@ -12,8 +11,6 @@
 //! * WPB is at least 5x smaller than JSON,
 //! * the coded index stream sits within 15% of the measured index
 //!   entropy,
-//! * the auto codec's total bundle is no larger than the Rice-only
-//!   baseline (per-layer ANS must only ever help),
 //! * WPB decodes at least 1.8x faster than JSON (hot-swap latency term;
 //!   measured ~2.4x on an idle host, gated with CI-noise headroom),
 //! * the streaming `from_reader` decode reconstructs the buffer decode
@@ -27,7 +24,7 @@
 //! the build, not just a dashboard.
 
 use std::time::Instant;
-use wp_core::deploy::codec::{index_stream_stats, EncodeOptions, Format, IndexCodecPref};
+use wp_core::deploy::codec::{index_stream_stats, Format};
 use wp_core::deploy::DeployBundle;
 use wp_engine::{EngineOptions, PreparedNet};
 use wp_server::demo::{demo_bundle, DemoSize};
@@ -47,16 +44,8 @@ fn main() {
 
     let bundle = demo_bundle(DemoSize::Serve, 1);
     let json = bundle.to_bytes(Format::Json).expect("json encode");
-    let encode_wpb = |pref: IndexCodecPref| {
-        bundle
-            .to_bytes_with(&EncodeOptions::new(Format::Wpb).with_index_codec(pref))
-            .expect("wpb encode")
-    };
-    let wpb = encode_wpb(IndexCodecPref::Auto);
-    let wpb_rice = encode_wpb(IndexCodecPref::Rice);
-    let wpb_ans = encode_wpb(IndexCodecPref::Ans);
+    let wpb = bundle.to_bytes(Format::Wpb).expect("wpb encode");
     let ratio = json.len() as f64 / wpb.len() as f64;
-    let auto_over_rice = wpb.len() as f64 / wpb_rice.len() as f64;
 
     // Decode wall time (best of 15, after warmup): the hot-swap reload
     // latency term. Best-of damps scheduler noise on shared CI runners.
@@ -76,28 +65,19 @@ fn main() {
     let decode_speedup = json_decode_ms / wpb_decode_ms;
 
     // Streaming differential: `from_reader` must reconstruct exactly what
-    // the buffer decode does — for every codec — while never transiently
-    // buffering more than the largest section (the "no whole-file
-    // intermediate buffer" property the registry cold-start relies on).
-    let mut streaming_identical = true;
-    let mut peak_transient_bytes = 0usize;
-    let mut largest_section_bytes = 0usize;
-    for bytes in [&wpb, &wpb_rice, &wpb_ans] {
-        let buffered = DeployBundle::from_bytes(bytes).expect("buffer decode");
-        let (streamed, stats) =
-            DeployBundle::from_reader_with_stats(bytes.as_slice()).expect("streaming decode");
-        streaming_identical &= buffered == streamed;
-        assert!(
-            stats.peak_transient_bytes <= stats.largest_section_bytes,
-            "peak transient {} exceeds largest section {}",
-            stats.peak_transient_bytes,
-            stats.largest_section_bytes
-        );
-        if bytes.as_slice() == wpb.as_slice() {
-            peak_transient_bytes = stats.peak_transient_bytes;
-            largest_section_bytes = stats.largest_section_bytes;
-        }
-    }
+    // the buffer decode does while never transiently buffering more than
+    // the largest section (the "no whole-file intermediate buffer"
+    // property the registry cold-start relies on).
+    let buffered = DeployBundle::from_bytes(&wpb).expect("buffer decode");
+    let (streamed, decode_stats) =
+        DeployBundle::from_reader_with_stats(wpb.as_slice()).expect("streaming decode");
+    let streaming_identical = buffered == streamed;
+    let peak_transient_bytes = decode_stats.peak_transient_bytes;
+    let largest_section_bytes = decode_stats.largest_section_bytes;
+    assert!(
+        peak_transient_bytes <= largest_section_bytes,
+        "peak transient {peak_transient_bytes} exceeds largest section {largest_section_bytes}"
+    );
 
     // Index-stream accounting: fixed width vs WPB coding vs entropy.
     let stats = index_stream_stats(&bundle);
@@ -126,12 +106,10 @@ fn main() {
     println!("== Bundle format: demo-serve ==");
     println!("json:          {:>9} bytes  (decode {:.2} ms)", json.len(), json_decode_ms);
     println!(
-        "wpb (auto):    {:>9} bytes  (decode {:.2} ms, {decode_speedup:.2}x faster than json)",
+        "wpb:           {:>9} bytes  (decode {:.2} ms, {decode_speedup:.2}x faster than json)",
         wpb.len(),
         wpb_decode_ms
     );
-    println!("wpb (rice):    {:>9} bytes  (auto/rice {auto_over_rice:.4}x)", wpb_rice.len());
-    println!("wpb (ans):     {:>9} bytes", wpb_ans.len());
     println!("ratio:         {ratio:>9.2}x smaller than json");
     println!(
         "streaming:     peak transient {peak_transient_bytes} bytes <= largest section \
@@ -158,12 +136,9 @@ fn main() {
         })
         .collect();
     let json_report = format!(
-        "{{\"bench\":\"bundle\",\"model\":\"demo-serve\",\"json_bytes\":{},\"wpb_bytes\":{},\"wpb_rice_bytes\":{},\"wpb_ans_bytes\":{},\"auto_over_rice\":{:.4},\"json_over_wpb\":{:.2},\"json_decode_ms\":{:.3},\"wpb_decode_ms\":{:.3},\"decode_speedup\":{:.2},\"peak_transient_bytes\":{},\"largest_section_bytes\":{},\"total_indices\":{},\"index_entropy_bits\":{:.4},\"layer_entropy_bits\":{:.4},\"coded_index_bits\":{:.4},\"coded_over_entropy\":{:.4},\"coded_over_layer_entropy\":{:.4},\"entropy_bound_index_bytes\":{:.0},\"outputs_identical\":{},\"streaming_identical\":{},\"layers\":[{}]}}\n",
+        "{{\"bench\":\"bundle\",\"model\":\"demo-serve\",\"json_bytes\":{},\"wpb_bytes\":{},\"json_over_wpb\":{:.2},\"json_decode_ms\":{:.3},\"wpb_decode_ms\":{:.3},\"decode_speedup\":{:.2},\"peak_transient_bytes\":{},\"largest_section_bytes\":{},\"total_indices\":{},\"index_entropy_bits\":{:.4},\"layer_entropy_bits\":{:.4},\"coded_index_bits\":{:.4},\"coded_over_entropy\":{:.4},\"coded_over_layer_entropy\":{:.4},\"entropy_bound_index_bytes\":{:.0},\"outputs_identical\":{},\"streaming_identical\":{},\"layers\":[{}]}}\n",
         json.len(),
         wpb.len(),
-        wpb_rice.len(),
-        wpb_ans.len(),
-        auto_over_rice,
         ratio,
         json_decode_ms,
         wpb_decode_ms,
@@ -188,11 +163,6 @@ fn main() {
     assert!(outputs_identical, "WPB-decoded engine outputs must equal JSON-decoded outputs");
     assert!(streaming_identical, "from_reader must reconstruct the buffer decode exactly");
     assert!(ratio >= 5.0, "WPB must be >=5x smaller than JSON (got {ratio:.2}x)");
-    assert!(
-        auto_over_rice <= 1.0,
-        "auto codec selection must never exceed the Rice-only baseline \
-         (got {auto_over_rice:.4}x)"
-    );
     assert!(
         decode_speedup >= 1.8,
         "WPB must decode >=1.8x faster than JSON (got {decode_speedup:.2}x; \

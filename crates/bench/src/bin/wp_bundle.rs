@@ -22,17 +22,15 @@
 
 use std::path::Path;
 use std::process::exit;
-use wp_core::deploy::codec::{
-    index_stream_stats, wpb_recorded_codings, EncodeOptions, Format, IndexCodecPref,
-};
+use wp_core::deploy::codec::{index_stream_stats, Format};
 use wp_core::deploy::DeployBundle;
 use wp_engine::{EngineOptions, PreparedNet};
 use wp_server::demo::{demo_bundle, DemoSize};
 
 const HELP: &str = "wp_bundle — deploy-bundle tooling (JSON and WPB formats)
     demo OUT [--size tiny|serve] [--seed N]   fabricate a demo bundle
-    inspect PATH                              summary + per-layer codec and coded-vs-entropy bits
-    convert IN OUT [--codec rice|ans|auto]    re-encode (formats from extensions/magic)
+    inspect PATH                              summary + per-layer coding (raw|ans) and coded-vs-entropy bits
+    convert IN OUT                            re-encode (input sniffed, output format from extension)
     verify PATH [PATH2]                       round-trip check; 2 paths: bit-identical outputs";
 
 fn fail(msg: &str) -> ! {
@@ -50,7 +48,7 @@ fn main() {
     match strs.as_slice() {
         ["demo", out, rest @ ..] => demo(out, rest),
         ["inspect", path] => inspect(path),
-        ["convert", from, to, rest @ ..] => convert(from, to, rest),
+        ["convert", from, to] => convert(from, to),
         ["verify", path] => verify_one(path),
         ["verify", a, b] => verify_pair(a, b),
         ["--help"] | ["-h"] | [] => println!("{HELP}"),
@@ -119,42 +117,21 @@ fn inspect(path: &str) {
     );
     println!("flash payload (fixed-width accounting): {} bytes", bundle.flash_bytes());
 
-    // For WPB files report the codec each layer *recorded on disk* (a
-    // forced --codec conversion differs from what the chooser would pick
-    // today); for JSON there is no recorded coding, so show the choice
-    // an auto WPB encode would make.
-    let recorded = if format == Format::Wpb { wpb_recorded_codings(&raw).ok() } else { None };
     let stats = index_stream_stats(&bundle);
     if stats.is_empty() {
         println!("no pooled layers (nothing to entropy-code)");
     } else {
-        let source = if recorded.is_some() { "recorded in file" } else { "auto choice" };
-        println!("pooled index streams (codec {source}, coded vs entropy bound):");
-        println!("  conv   indices   entropy b/idx   coded b/idx   codec");
-        let mut rows: Vec<(usize, usize, f64, f64, String)> = Vec::with_capacity(stats.len());
+        println!("pooled index streams (WPB coding, coded vs entropy bound):");
+        println!("  conv   indices   entropy b/idx   coded b/idx   coding");
         for s in &stats {
-            // Under a recorded coding, charge the stream at *that* coding's
-            // cost, not what the auto chooser would pick today.
-            let (coded, coding) = match recorded.as_ref().and_then(|r| r.get(s.conv)) {
-                Some(Some(rec)) => {
-                    let indices = match &bundle.convs[s.conv] {
-                        wp_core::deploy::ConvPayload::Pooled { indices } => indices.as_slice(),
-                        wp_core::deploy::ConvPayload::Direct { .. } => &[],
-                    };
-                    let bits = rec.coded_bits(indices) as f64 / s.count.max(1) as f64;
-                    (bits, rec.describe())
-                }
-                _ => (s.coded_bits, s.coding.clone()),
-            };
             println!(
                 "  {:>4}   {:>7}   {:>13.3}   {:>11.3}   {}",
-                s.conv, s.count, s.entropy_bits, coded, coding
+                s.conv, s.count, s.entropy_bits, s.coded_bits, s.coding
             );
-            rows.push((s.conv, s.count, s.entropy_bits, coded, coding));
         }
-        let total: usize = rows.iter().map(|r| r.1).sum();
-        let entropy: f64 = rows.iter().map(|r| r.2 * r.1 as f64).sum();
-        let coded: f64 = rows.iter().map(|r| r.3 * r.1 as f64).sum();
+        let total: usize = stats.iter().map(|s| s.count).sum();
+        let entropy: f64 = stats.iter().map(|s| s.entropy_bits * s.count as f64).sum();
+        let coded: f64 = stats.iter().map(|s| s.coded_bits * s.count as f64).sum();
         println!(
             "  all    {:>7}   {:>13.3}   {:>11.3}   (coded/entropy {:.3}x)",
             total,
@@ -171,26 +148,11 @@ fn inspect(path: &str) {
     );
 }
 
-/// `convert IN OUT [--codec rice|ans|auto]`: decode (sniffed) and
-/// re-encode (format by extension, index codec by flag for A/B runs).
-fn convert(from: &str, to: &str, rest: &[&str]) {
-    let mut pref = IndexCodecPref::Auto;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match *flag {
-            "--codec" => {
-                let value = it.next().copied().unwrap_or_else(|| fail("--codec needs a value"));
-                pref = value.parse::<IndexCodecPref>().unwrap_or_else(|e| fail(&e));
-            }
-            other => fail(&format!("unknown flag {other:?}")),
-        }
-    }
+/// `convert IN OUT`: decode (format sniffed) and re-encode (format by
+/// extension).
+fn convert(from: &str, to: &str) {
     let bundle = load(from);
-    let opts = EncodeOptions::for_path(Path::new(to)).with_index_codec(pref);
-    if pref != IndexCodecPref::Auto && opts.format() != Format::Wpb {
-        fail(&format!("--codec {pref} only applies to .wpb outputs; {to} is JSON"));
-    }
-    bundle.save_with(to, &opts).unwrap_or_else(|e| fail(&format!("saving {to}: {e}")));
+    bundle.save(to).unwrap_or_else(|e| fail(&format!("saving {to}: {e}")));
     // Paranoia worth having in a storage tool: what we wrote must load
     // back equal before we report success.
     let back = load(to);

@@ -1,11 +1,11 @@
 //! Tabled rANS (range asymmetric numeral system) entropy coding for
 //! pool-index streams.
 //!
-//! Rice coding (the WPB v1 coder) is optimal only for geometric
-//! histograms and is quantized to whole bits per symbol; a tabled ANS
-//! coder closes the remaining gap to the per-layer entropy bound for
-//! any histogram shape, spending fractional bits per symbol. The codec
-//! here is the classic byte-renormalized rANS:
+//! Fixed-width indices spend a whole number of bits on every index,
+//! whatever the layer's histogram; a tabled ANS coder spends fractional
+//! bits per symbol under that histogram, which reaches the per-layer
+//! entropy bound for any histogram shape, below 1 bit per index included.
+//! The codec here is the classic byte-renormalized rANS:
 //!
 //! * Symbol frequencies are normalized so they sum to `1 << ANS_SCALE_BITS`
 //!   (every occurring symbol keeps frequency >= 1), and the normalized
@@ -108,24 +108,6 @@ pub fn validate_freqs(freqs: &[u16]) -> Result<(), CodecError> {
         )));
     }
     Ok(())
-}
-
-/// Exact coded cost in bits for a stream with histogram `hist` under the
-/// normalized table `freqs`: `sum_v count_v * log2(ANS_TOTAL / f_v)` plus
-/// the 32-bit state flush. Used by the per-layer codec chooser; the real
-/// stream lands within a few bytes of this (renormalization is
-/// byte-granular).
-pub fn cost_bits(hist: &[u64; 256], freqs: &[u16]) -> f64 {
-    let mut bits = 32.0; // state flush
-    for (v, &c) in hist.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let f = freqs.get(v).copied().unwrap_or(0);
-        debug_assert!(f > 0, "occurring symbol {v} has zero frequency");
-        bits += c as f64 * (f64::from(ANS_TOTAL) / f64::from(f)).log2();
-    }
-    bits
 }
 
 /// Cumulative-frequency starts: `cum[s]` is the first state slot owned by
@@ -289,8 +271,8 @@ mod tests {
 
     #[test]
     fn coded_size_tracks_the_entropy_bound() {
-        // A clearly non-geometric histogram Rice cannot fit: two heavy
-        // symbols plus a light one.
+        // A clearly non-geometric histogram: two heavy symbols plus a
+        // light one.
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let symbols: Vec<u8> = (0..20_000)
             .map(|_| match rng.gen_range(0..20) {
@@ -316,13 +298,6 @@ mod tests {
         assert!(
             coded_per_sym <= entropy * 1.01 + 0.01,
             "coded {coded_per_sym:.4} b/sym vs entropy {entropy:.4}"
-        );
-        // And the analytic cost estimate matches the real stream closely.
-        let est = cost_bits(&hist, &freqs) / 8.0;
-        assert!(
-            (est - stream.len() as f64).abs() <= 16.0,
-            "estimated {est:.1} bytes vs actual {}",
-            stream.len()
         );
     }
 

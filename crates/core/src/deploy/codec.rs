@@ -1,22 +1,23 @@
-//! Bundle (de)serialization codecs: JSON and the entropy-coded binary
-//! **WPB** format.
+//! Bundle serialization: JSON and the entropy-coded binary **WPB** format.
 //!
 //! A [`DeployBundle`]'s dominant storage term is its pool-index streams
 //! (SWIS and CIMPool make the same observation), and
 //! [`DeployBundle::index_entropy_bits`] measures how far the fixed-width
 //! encoding sits above the empirical entropy. WPB closes that gap: each
-//! pooled layer's index stream is Rice/Golomb coded with a per-layer
-//! parameter chosen from the layer's measured index statistics (with an
-//! optional frequency-rank remap for skewed streams, and a raw
-//! fixed-width fallback whenever entropy coding would *expand* the
-//! stream), the LUT is bit-packed at its entry width, and pool vectors
-//! and direct weights are stored as raw little-endian bytes.
+//! pooled layer's index stream is tabled-rANS coded under the layer's own
+//! histogram, or stored raw at fixed width when that is no larger (see
+//! [`IndexCoding`]); the LUT is bit-packed at its entry width, and pool
+//! vectors and direct weights are stored as raw little-endian bytes.
+//!
+//! [`DeployBundle`]'s `save`, `load`, `to_bytes`, `from_bytes`,
+//! `from_reader` and `from_reader_with_stats` are the entry points; this
+//! module holds the encoders and decoders they dispatch to.
 //!
 //! # WPB layout
 //!
 //! ```text
 //! "WPB1"  magic (4 bytes)
-//! u8      version (1 = Rice-era streams, 2 = at least one ANS stream)
+//! u8      version (always 2)
 //! u8      act_bits
 //! u32le   CRC-32 of the six header bytes above
 //! then sections, each:
@@ -31,14 +32,13 @@
 //! fail loudly with a typed [`CodecError`]. Multi-byte integers are
 //! little-endian; bitstreams fill bytes LSB-first.
 //!
-//! Decoding is **streaming and section-oriented**: the one real decoder
-//! ([`WpbCodec::decode_from`]) pulls sections from any [`std::io::Read`]
-//! through a [`super::stream::SectionReader`], verifying each CRC and
-//! decoding into destinations preallocated from validated counts — peak
-//! transient memory is bounded by the largest section, never the whole
-//! file. The buffer entry points ([`BundleCodec::decode`],
-//! [`DeployBundle::from_bytes`]) run the same streaming decoder over the
-//! slice, so the two paths cannot drift apart.
+//! Decoding is **streaming and section-oriented**: the one WPB decoder
+//! pulls sections from any [`std::io::Read`] through a
+//! [`super::stream::SectionReader`], verifying each CRC and decoding into
+//! destinations preallocated from validated counts — peak transient memory
+//! is bounded by the largest section, never the whole file.
+//! [`DeployBundle::from_bytes`] runs the same decoder over the slice, so
+//! the buffer and stream paths cannot drift apart.
 //!
 //! Section payloads:
 //!
@@ -51,14 +51,15 @@
 //! * **convs** — `varint n`, then per conv a `u8` kind: direct convs store
 //!   `varint n`, `f32 scale` and raw int8 bytes; pooled convs store
 //!   `varint n`, a coding-mode header and the coded bitstream (see
-//!   [`IndexCoding`]). Because the spec and pool sections precede convs in
-//!   every stream this codec writes, pooled index counts are validated
-//!   against the spec-derived expectation before anything is allocated.
+//!   [`IndexCoding`]). The encoder always writes spec, pool, lut, convs in
+//!   that order, and a convs section that arrives before the spec and pool
+//!   is malformed: every pooled index count is checked against its spec
+//!   shape before anything is allocated.
 
 use super::ans;
 use super::stream::{DecodeStats, SectionReader};
 use super::{ConvPayload, DeployBundle};
-use crate::netspec::{LayerSpec, NetSpec};
+use crate::netspec::{ConvSpec, LayerSpec, NetSpec};
 use crate::{LookupTable, LutOrder, WeightPool};
 use std::fmt;
 use std::io::Read;
@@ -67,18 +68,9 @@ use std::path::Path;
 /// Magic bytes opening every WPB file.
 pub const WPB_MAGIC: [u8; 4] = *b"WPB1";
 
-/// The newest WPB format version this codec reads and writes. Version 2
-/// added the per-layer ANS index-stream coding; bundles whose every
-/// stream still codes as Rice/raw are written as version 1 so pre-ANS
-/// readers keep loading them.
+/// The WPB format version this codec writes and reads. Its index streams
+/// are raw (mode tag 0) or tabled rANS (mode tag 3).
 pub const WPB_VERSION: u8 = 2;
-
-/// The oldest WPB version this codec still reads.
-pub const WPB_MIN_VERSION: u8 = 1;
-
-/// Largest Rice parameter the encoder considers (indices are bytes, so
-/// larger parameters always lose to the raw fallback).
-const MAX_RICE_K: u8 = 7;
 
 /// Section tags.
 const SEC_SPEC: u8 = 1;
@@ -91,7 +83,7 @@ const SEC_CONVS: u8 = 4;
 pub enum CodecError {
     /// The buffer does not start with the expected magic bytes.
     BadMagic,
-    /// The file's version is outside the range this codec reads.
+    /// The file's version is not the one this codec reads.
     UnsupportedVersion(u8),
     /// The buffer ended before the named piece could be read.
     Truncated(&'static str),
@@ -109,11 +101,7 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::BadMagic => write!(f, "not a WPB bundle (bad magic)"),
             CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported WPB version {v} (this codec reads versions \
-                     {WPB_MIN_VERSION}-{WPB_VERSION})"
-                )
+                write!(f, "unsupported WPB version {v} (this codec reads version {WPB_VERSION})")
             }
             CodecError::Truncated(what) => write!(f, "truncated bundle: {what}"),
             CodecError::Checksum(section) => {
@@ -154,306 +142,114 @@ impl Format {
             _ => Format::Json,
         }
     }
-
-    /// The codec implementing this format (with the default [`Auto`]
-    /// index-codec preference; use [`EncodeOptions`] to force one).
-    ///
-    /// [`Auto`]: IndexCodecPref::Auto
-    pub fn codec(self) -> &'static dyn BundleCodec {
-        static WPB: WpbCodec = WpbCodec { pref: IndexCodecPref::Auto };
-        match self {
-            Format::Json => &JsonCodec,
-            Format::Wpb => &WPB,
-        }
-    }
 }
 
-/// Which index-stream entropy coder the WPB encoder may pick per layer.
+/// Serializes `bundle` as JSON.
+pub(super) fn encode_json(bundle: &DeployBundle) -> Result<Vec<u8>, CodecError> {
+    serde_json::to_string(bundle)
+        .map(String::into_bytes)
+        .map_err(|e| CodecError::Malformed(format!("json: {e}")))
+}
+
+/// Parses a JSON bundle and runs the checks every decoded bundle passes.
+pub(super) fn decode_json(bytes: &[u8]) -> Result<DeployBundle, CodecError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| CodecError::Malformed("json bundle is not UTF-8".into()))?;
+    let bundle =
+        serde_json::from_str(text).map_err(|e| CodecError::Malformed(format!("json: {e}")))?;
+    check_pool_indices(&bundle)?;
+    Ok(bundle)
+}
+
+/// Serializes `bundle` as WPB (see the module docs for the layout).
 ///
-/// [`Auto`](IndexCodecPref::Auto) measures each layer's histogram and
-/// takes whichever coding is smallest in actual bits; the forced modes
-/// exist for A/B comparisons (`wp_bundle convert --codec`) and for
-/// pinning the Rice baseline in benchmarks. Decoding is unaffected — the
-/// chosen coding is recorded per layer in the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexCodecPref {
-    /// Smallest of raw / Rice / Rice+remap / ANS, measured per layer.
-    #[default]
-    Auto,
-    /// Restrict to the WPB v1 codings (raw / Rice / Rice+remap).
-    Rice,
-    /// Force tabled ANS on every non-empty stream.
-    Ans,
-}
-
-impl IndexCodecPref {
-    /// Short lowercase name (`auto`, `rice`, `ans`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexCodecPref::Auto => "auto",
-            IndexCodecPref::Rice => "rice",
-            IndexCodecPref::Ans => "ans",
-        }
-    }
-}
-
-impl std::str::FromStr for IndexCodecPref {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(IndexCodecPref::Auto),
-            "rice" => Ok(IndexCodecPref::Rice),
-            "ans" => Ok(IndexCodecPref::Ans),
-            other => Err(format!("unknown index codec {other:?} (auto|rice|ans)")),
-        }
-    }
-}
-
-impl fmt::Display for IndexCodecPref {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The one place a bundle's serialization is chosen: format plus
-/// index-codec preference. [`DeployBundle::save`], [`DeployBundle::to_bytes`],
-/// the `wp_bundle` CLI and the server registry all route through this,
-/// so path-based and explicit-format call sites cannot disagree about
-/// which codec a given target gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeOptions {
-    format: Format,
-    index_codec: IndexCodecPref,
-}
-
-impl EncodeOptions {
-    /// Options for an explicit format with the default ([`Auto`]) index
-    /// codec.
-    ///
-    /// [`Auto`]: IndexCodecPref::Auto
-    pub fn new(format: Format) -> Self {
-        Self { format, index_codec: IndexCodecPref::Auto }
-    }
-
-    /// The selection rule shared by every path-based writer: format from
-    /// the extension ([`Format::for_path`]), [`Auto`] index codec.
-    ///
-    /// [`Auto`]: IndexCodecPref::Auto
-    pub fn for_path(path: &Path) -> Self {
-        Self::new(Format::for_path(path))
-    }
-
-    /// Forces a per-layer index codec (ignored by the JSON format, which
-    /// has no coded streams).
-    pub fn with_index_codec(mut self, pref: IndexCodecPref) -> Self {
-        self.index_codec = pref;
-        self
-    }
-
-    /// The chosen format.
-    pub fn format(&self) -> Format {
-        self.format
-    }
-
-    /// The chosen index-codec preference.
-    pub fn index_codec(&self) -> IndexCodecPref {
-        self.index_codec
-    }
-
-    /// Serializes `bundle` under these options.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CodecError`] from the codec.
-    pub fn encode(&self, bundle: &DeployBundle) -> Result<Vec<u8>, CodecError> {
-        match self.format {
-            Format::Json => JsonCodec.encode(bundle),
-            Format::Wpb => WpbCodec::with_pref(self.index_codec).encode(bundle),
-        }
-    }
-}
-
-/// Format-agnostic bundle (de)serialization.
+/// # Errors
 ///
-/// Both implementations are round-trip equal by construction:
-/// `decode(encode(b)) == b` for every valid bundle (pinned by unit and
-/// property tests, including both [`LutOrder`]s and both
-/// [`ConvPayload`] kinds).
-pub trait BundleCodec: Sync {
-    /// The format this codec implements.
-    fn format(&self) -> Format;
-
-    /// Serializes `bundle` to bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::Malformed`] if the bundle violates the
-    /// format's representable range (e.g. LUT codes outside their stated
-    /// bitwidth).
-    fn encode(&self, bundle: &DeployBundle) -> Result<Vec<u8>, CodecError>;
-
-    /// Reconstructs a bundle from bytes produced by [`BundleCodec::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CodecError`]; truncated or corrupted input fails
-    /// loudly rather than yielding a partial bundle.
-    fn decode(&self, bytes: &[u8]) -> Result<DeployBundle, CodecError>;
+/// [`CodecError::Malformed`] when the bundle violates the format's
+/// representable range (a LUT code outside its stated bitwidth).
+pub(super) fn encode_wpb(bundle: &DeployBundle) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&WPB_MAGIC);
+    out.push(WPB_VERSION);
+    out.push(bundle.act_bits);
+    // The header gets its own checksum: act_bits lives outside every
+    // section, and a flipped bit there would otherwise decode into a
+    // quietly wrong bundle.
+    let header_crc = crc32(&out);
+    out.extend_from_slice(&header_crc.to_le_bytes());
+    write_section(&mut out, SEC_SPEC, &encode_spec(&bundle.spec)?);
+    write_section(&mut out, SEC_POOL, &encode_pool(&bundle.pool));
+    write_section(&mut out, SEC_LUT, &encode_lut(&bundle.lut)?);
+    write_section(&mut out, SEC_CONVS, &encode_convs(&bundle.convs));
+    Ok(out)
 }
 
-/// The JSON codec (serde over the vendored shim).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonCodec;
-
-impl BundleCodec for JsonCodec {
-    fn format(&self) -> Format {
-        Format::Json
-    }
-
-    fn encode(&self, bundle: &DeployBundle) -> Result<Vec<u8>, CodecError> {
-        serde_json::to_string(bundle)
-            .map(String::into_bytes)
-            .map_err(|e| CodecError::Malformed(format!("json: {e}")))
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<DeployBundle, CodecError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| CodecError::Malformed("json bundle is not UTF-8".into()))?;
-        let bundle =
-            serde_json::from_str(text).map_err(|e| CodecError::Malformed(format!("json: {e}")))?;
-        check_pool_indices(&bundle)?;
-        Ok(bundle)
-    }
-}
-
-/// The entropy-coded binary codec (see the module docs for the layout).
+/// Streaming WPB decode from any [`Read`] positioned at the magic bytes:
+/// sections are pulled one at a time through a [`SectionReader`], so peak
+/// transient memory is bounded by the largest section rather than the
+/// whole stream. Also returns the [`DecodeStats`] accounting of what the
+/// decode buffered.
 ///
-/// Carries the per-layer index-codec preference used at encode time;
-/// decoding reads whatever coding each layer recorded.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WpbCodec {
-    /// Index-stream codec preference applied to every pooled layer.
-    pub pref: IndexCodecPref,
-}
+/// # Errors
+///
+/// A typed [`CodecError`]; truncated or corrupted streams fail loudly
+/// rather than yielding a partial bundle.
+pub(super) fn decode_wpb<R: Read>(reader: R) -> Result<(DeployBundle, DecodeStats), CodecError> {
+    let mut r = SectionReader::new(reader);
+    let act_bits = read_wpb_prologue(&mut r)?;
 
-impl WpbCodec {
-    /// A codec with a forced index-stream preference.
-    pub fn with_pref(pref: IndexCodecPref) -> Self {
-        Self { pref }
-    }
-
-    /// Streaming decode from any [`Read`]: sections are pulled one at a
-    /// time through a [`SectionReader`], so peak transient memory is
-    /// bounded by the largest section rather than the whole stream. This
-    /// is *the* WPB decoder — the buffer path runs it over a slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`CodecError`]; truncated or corrupted streams
-    /// fail loudly rather than yielding a partial bundle.
-    pub fn decode_from<R: Read>(reader: R) -> Result<DeployBundle, CodecError> {
-        Self::decode_from_with_stats(reader).map(|(bundle, _)| bundle)
-    }
-
-    /// [`WpbCodec::decode_from`] plus [`DecodeStats`] accounting of what
-    /// the decode buffered — the hook behind the "peak transient stays
-    /// <= largest section" tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`WpbCodec::decode_from`].
-    pub fn decode_from_with_stats<R: Read>(
-        reader: R,
-    ) -> Result<(DeployBundle, DecodeStats), CodecError> {
-        let mut r = SectionReader::new(reader);
-        let act_bits = read_wpb_prologue(&mut r)?;
-
-        let mut spec: Option<NetSpec> = None;
-        let mut pool: Option<WeightPool> = None;
-        let mut lut: Option<LookupTable> = None;
-        let mut convs: Option<Vec<ConvPayload>> = None;
-        while let Some(header) = r.next_section()? {
-            let name = section_name(header.tag);
-            match header.tag {
-                SEC_SPEC => {
-                    let payload = r.payload(&header, name)?;
-                    let decoded = decode_spec(payload)?;
-                    store(&mut spec, decoded, name)?;
-                }
-                SEC_POOL => {
-                    let payload = r.payload(&header, name)?;
-                    let decoded = decode_pool(payload)?;
-                    store(&mut pool, decoded, name)?;
-                }
-                SEC_LUT => {
-                    let payload = r.payload(&header, name)?;
-                    let decoded = decode_lut(payload)?;
-                    store(&mut lut, decoded, name)?;
-                }
-                SEC_CONVS => {
-                    // The spec and pool sections precede convs in every
-                    // stream we write, so pooled index counts can be
-                    // validated against the spec-derived expectation and
-                    // destinations preallocated exactly.
-                    let ctx = ConvContext::from_sections(spec.as_ref(), pool.as_ref());
-                    let payload = r.payload(&header, name)?;
-                    let decoded = decode_convs(payload, ctx.as_ref())?;
-                    store(&mut convs, decoded, name)?;
-                }
-                // Unknown sections are CRC-checked and skipped in chunks
-                // (never buffered) so older readers survive additive
-                // format growth without paying for it.
-                _ => r.skip_payload(&header)?,
+    let mut spec: Option<NetSpec> = None;
+    let mut pool: Option<WeightPool> = None;
+    let mut lut: Option<LookupTable> = None;
+    let mut convs: Option<Vec<ConvPayload>> = None;
+    while let Some(header) = r.next_section()? {
+        let name = section_name(header.tag);
+        match header.tag {
+            SEC_SPEC => {
+                let payload = r.payload(&header, name)?;
+                let decoded = decode_spec(payload)?;
+                store(&mut spec, decoded, name)?;
             }
+            SEC_POOL => {
+                let payload = r.payload(&header, name)?;
+                let decoded = decode_pool(payload)?;
+                store(&mut pool, decoded, name)?;
+            }
+            SEC_LUT => {
+                let payload = r.payload(&header, name)?;
+                let decoded = decode_lut(payload)?;
+                store(&mut lut, decoded, name)?;
+            }
+            SEC_CONVS => {
+                // Every pooled index count is checked against its spec
+                // shape before allocation, so the spec and pool must
+                // already be known.
+                let (Some(spec), Some(pool)) = (spec.as_ref(), pool.as_ref()) else {
+                    return Err(CodecError::Malformed(
+                        "convs section before the spec and pool sections".into(),
+                    ));
+                };
+                let ctx = ConvContext::new(spec, pool)?;
+                let payload = r.payload(&header, name)?;
+                let decoded = decode_convs(payload, &ctx)?;
+                store(&mut convs, decoded, name)?;
+            }
+            // Unknown sections are CRC-checked and skipped in chunks
+            // (never buffered) so older readers survive additive
+            // format growth without paying for it.
+            _ => r.skip_payload(&header)?,
         }
-        let missing = |name: &'static str| CodecError::Truncated(name);
-        let bundle = DeployBundle {
-            spec: spec.ok_or_else(|| missing("missing spec section"))?,
-            pool: pool.ok_or_else(|| missing("missing pool section"))?,
-            lut: lut.ok_or_else(|| missing("missing lut section"))?,
-            convs: convs.ok_or_else(|| missing("missing convs section"))?,
-            act_bits,
-        };
-        check_pool_indices(&bundle)?;
-        Ok((bundle, r.stats()))
     }
-}
-
-impl BundleCodec for WpbCodec {
-    fn format(&self) -> Format {
-        Format::Wpb
-    }
-
-    fn encode(&self, bundle: &DeployBundle) -> Result<Vec<u8>, CodecError> {
-        // Sections are built before the header: the version byte depends
-        // on whether any layer chose ANS (version 2) so Rice-era readers
-        // keep loading bundles that don't use the new coding.
-        let spec = encode_spec(&bundle.spec)?;
-        let pool = encode_pool(&bundle.pool);
-        let lut = encode_lut(&bundle.lut)?;
-        let (convs, used_ans) = encode_convs(&bundle.convs, self.pref);
-        let version = if used_ans { WPB_VERSION } else { WPB_MIN_VERSION };
-
-        let mut out = Vec::new();
-        out.extend_from_slice(&WPB_MAGIC);
-        out.push(version);
-        out.push(bundle.act_bits);
-        // The header gets its own checksum: act_bits lives outside every
-        // section, and a flipped bit there would otherwise decode into a
-        // quietly wrong bundle.
-        let header_crc = crc32(&out);
-        out.extend_from_slice(&header_crc.to_le_bytes());
-        write_section(&mut out, SEC_SPEC, &spec);
-        write_section(&mut out, SEC_POOL, &pool);
-        write_section(&mut out, SEC_LUT, &lut);
-        write_section(&mut out, SEC_CONVS, &convs);
-        Ok(out)
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Result<DeployBundle, CodecError> {
-        Self::decode_from(bytes)
-    }
+    let missing = |name: &'static str| CodecError::Truncated(name);
+    let bundle = DeployBundle {
+        spec: spec.ok_or_else(|| missing("missing spec section"))?,
+        pool: pool.ok_or_else(|| missing("missing pool section"))?,
+        lut: lut.ok_or_else(|| missing("missing lut section"))?,
+        convs: convs.ok_or_else(|| missing("missing convs section"))?,
+        act_bits,
+    };
+    check_pool_indices(&bundle)?;
+    Ok((bundle, r.stats()))
 }
 
 /// Reads and validates the fixed WPB prologue (magic, version, act_bits,
@@ -465,7 +261,7 @@ fn read_wpb_prologue<R: Read>(r: &mut SectionReader<R>) -> Result<u8, CodecError
         return Err(CodecError::BadMagic);
     }
     let version = r.read_u8("version")?;
-    if !(WPB_MIN_VERSION..=WPB_VERSION).contains(&version) {
+    if version != WPB_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let act_bits = r.read_u8("act_bits")?;
@@ -476,69 +272,27 @@ fn read_wpb_prologue<R: Read>(r: &mut SectionReader<R>) -> Result<u8, CodecError
     Ok(act_bits)
 }
 
-/// The index coding each conv payload in a WPB byte buffer **actually
-/// recorded** — as opposed to what [`IndexCoding::choose`] would pick
-/// for the decoded streams today. Entries align with
-/// [`DeployBundle::convs`]; `None` marks a direct (int8) conv, which
-/// carries no index stream. This is what `wp_bundle inspect` reports
-/// for `.wpb` files, and how a forced `--codec` conversion is audited.
-///
-/// # Errors
-///
-/// Returns a typed [`CodecError`] for non-WPB input or malformed convs
-/// sections.
-pub fn wpb_recorded_codings(bytes: &[u8]) -> Result<Vec<Option<IndexCoding>>, CodecError> {
-    let mut r = SectionReader::new(bytes);
-    read_wpb_prologue(&mut r)?;
-    while let Some(header) = r.next_section()? {
-        if header.tag != SEC_CONVS {
-            r.skip_payload(&header)?;
-            continue;
-        }
-        let payload = r.payload(&header, "convs")?;
-        let mut b = ByteReader::new(payload);
-        let n = b.varint("conv count")? as usize;
-        if n > b.remaining() / 2 + 1 {
-            return Err(CodecError::Malformed(format!(
-                "{n} convs in a {}-byte section",
-                payload.len()
-            )));
-        }
-        let mut codings = Vec::with_capacity(n);
-        for _ in 0..n {
-            match b.u8("conv kind")? {
-                0 => {
-                    b.varint("index count")?;
-                    let coding = IndexCoding::read_header(&mut b)?;
-                    let stream_len = b.varint("index stream length")? as usize;
-                    b.take(stream_len, "index stream")?;
-                    codings.push(Some(coding));
-                }
-                1 => {
-                    let count = b.varint("weight count")? as usize;
-                    b.u32le("weight scale")?;
-                    b.take(count, "direct weights")?;
-                    codings.push(None);
-                }
-                other => {
-                    return Err(CodecError::Malformed(format!("unknown conv payload kind {other}")))
-                }
-            }
-        }
-        return Ok(codings);
-    }
-    Err(CodecError::Truncated("missing convs section"))
-}
-
-/// Rejects a bundle whose pooled index maps address a vector outside the
-/// pool (or outside the LUT, should the two disagree): the engine's
-/// batched scatter would read a neighbouring position's partials instead
-/// of failing. Run by both decoders after the whole bundle is read, so
-/// the check holds whatever order the sections arrived in.
+/// The checks every decoded bundle passes, whichever format it came in:
+/// one conv payload per spec conv, each pooled payload holding exactly
+/// the indices its spec shape needs, pool and LUT agreeing on the group
+/// size, and every index inside the pool (and the LUT, should the two
+/// disagree on size). The engine would otherwise panic compiling the
+/// bundle or, for an out-of-pool index, have its batched scatter read a
+/// neighbouring position's partials.
 fn check_pool_indices(bundle: &DeployBundle) -> Result<(), CodecError> {
+    let ctx = ConvContext::new(&bundle.spec, &bundle.pool)?;
+    ctx.check_len(bundle.convs.len())?;
+    if bundle.lut.group_size() != ctx.group {
+        return Err(CodecError::Malformed(format!(
+            "the pool's vectors have {} weights but the lut is built for groups of {}",
+            ctx.group,
+            bundle.lut.group_size()
+        )));
+    }
     let pool = bundle.pool.len().min(bundle.lut.pool_size());
     for (position, conv) in bundle.convs.iter().enumerate() {
         let ConvPayload::Pooled { indices } = conv else { continue };
+        ctx.check_count(position, indices.len())?;
         if let Some(&bad) = indices.iter().find(|&&i| usize::from(i) >= pool) {
             return Err(CodecError::Malformed(format!(
                 "conv {position} uses pool index {bad}; the pool holds {pool} vectors"
@@ -687,19 +441,16 @@ fn decode_lut(payload: &[u8]) -> Result<LookupTable, CodecError> {
         .map_err(CodecError::Malformed)
 }
 
-fn encode_convs(convs: &[ConvPayload], pref: IndexCodecPref) -> (Vec<u8>, bool) {
+fn encode_convs(convs: &[ConvPayload]) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut used_ans = false;
     write_varint(&mut out, convs.len() as u64);
     for conv in convs {
         match conv {
             ConvPayload::Pooled { indices } => {
                 out.push(0);
                 write_varint(&mut out, indices.len() as u64);
-                let coding = IndexCoding::choose_with(indices, pref);
-                used_ans |= matches!(coding, IndexCoding::Ans { .. });
+                let (coding, stream) = IndexCoding::encode(indices);
                 coding.write_header(&mut out);
-                let stream = coding.encode_stream(indices);
                 write_varint(&mut out, stream.len() as u64);
                 out.extend_from_slice(&stream);
             }
@@ -711,92 +462,92 @@ fn encode_convs(convs: &[ConvPayload], pref: IndexCodecPref) -> (Vec<u8>, bool) 
             }
         }
     }
-    (out, used_ans)
+    out
 }
 
-/// Spec/pool-derived expectations for the convs section: how many conv
-/// payloads there should be and, per pooled layer, how many indices.
-/// Built when the spec and pool sections were decoded first (which is
-/// how this codec always writes them).
-struct ConvContext {
-    /// Per conv (in spec order): expected pooled index count, when the
-    /// spec marks the conv compressed and the pool's group size divides
-    /// its input depth.
-    pooled_counts: Vec<Option<usize>>,
+/// What the spec and pool require of the conv payloads: one per spec
+/// conv and, for each pooled one, exactly `out_ch·(in_ch/G)·k²` indices.
+/// The WPB decoder checks a convs section against it before allocating;
+/// [`check_pool_indices`] runs the same checks on every decoded bundle,
+/// so both formats fail with the same message.
+struct ConvContext<'a> {
+    /// The spec's convs, in payload order.
+    convs: Vec<&'a ConvSpec>,
+    /// The pool's group size `G`.
+    group: usize,
 }
 
-impl ConvContext {
-    fn from_sections(spec: Option<&NetSpec>, pool: Option<&WeightPool>) -> Option<Self> {
-        let (spec, pool) = (spec?, pool?);
-        let group = pool.group_size();
-        if group == 0 {
-            return None;
+impl<'a> ConvContext<'a> {
+    fn new(spec: &'a NetSpec, pool: &WeightPool) -> Result<Self, CodecError> {
+        if pool.is_empty() {
+            return Err(CodecError::Malformed("the pool holds no vectors".into()));
         }
-        let pooled_counts = spec
+        let convs = spec
             .layers
             .iter()
             .filter_map(|layer| match layer {
                 LayerSpec::Conv(cs) => Some(cs),
                 _ => None,
             })
-            .map(|cs| {
-                (cs.compressed && cs.in_ch % group == 0)
-                    .then(|| cs.out_ch * (cs.in_ch / group) * cs.kernel * cs.kernel)
-            })
             .collect();
-        Some(Self { pooled_counts })
+        Ok(Self { convs, group: pool.group_size() })
+    }
+
+    fn check_len(&self, n: usize) -> Result<(), CodecError> {
+        if n != self.convs.len() {
+            return Err(CodecError::Malformed(format!(
+                "{n} conv payloads but the spec declares {} convs",
+                self.convs.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Checks a pooled payload's index count at `position` (which
+    /// [`ConvContext::check_len`] has bounded).
+    fn check_count(&self, position: usize, count: usize) -> Result<(), CodecError> {
+        let cs = self.convs[position];
+        let group = self.group;
+        if group == 0 || !cs.in_ch.is_multiple_of(group) {
+            return Err(CodecError::Malformed(format!(
+                "conv {position} is pooled, but its {} input channels do not split into \
+                 groups of {group}",
+                cs.in_ch
+            )));
+        }
+        let expected = cs
+            .out_ch
+            .checked_mul(cs.in_ch / group)
+            .and_then(|n| n.checked_mul(cs.kernel))
+            .and_then(|n| n.checked_mul(cs.kernel))
+            .ok_or_else(|| {
+                CodecError::Malformed(format!("conv {position}'s spec shape overflows"))
+            })?;
+        if count != expected {
+            return Err(CodecError::Malformed(format!(
+                "conv {position} holds {count} pool indices; its spec shape needs {expected}"
+            )));
+        }
+        Ok(())
     }
 }
 
-fn decode_convs(payload: &[u8], ctx: Option<&ConvContext>) -> Result<Vec<ConvPayload>, CodecError> {
+fn decode_convs(payload: &[u8], ctx: &ConvContext<'_>) -> Result<Vec<ConvPayload>, CodecError> {
     let mut r = ByteReader::new(payload);
     let n = r.varint("conv count")? as usize;
-    // Each conv costs at least two bytes on the wire.
-    if n > r.remaining() / 2 + 1 {
-        return Err(CodecError::Malformed(format!(
-            "{n} convs in a {}-byte section",
-            payload.len()
-        )));
-    }
-    if let Some(ctx) = ctx {
-        if n != ctx.pooled_counts.len() {
-            return Err(CodecError::Malformed(format!(
-                "{n} conv payloads but the spec section declares {} convs",
-                ctx.pooled_counts.len()
-            )));
-        }
-    }
+    ctx.check_len(n)?;
     let mut convs = Vec::with_capacity(n);
     for position in 0..n {
         match r.u8("conv kind")? {
             0 => {
                 let count = r.varint("index count")? as usize;
-                // When the spec section was decoded first (always, for
-                // streams this codec writes), the index count must not
-                // exceed the spec-derived expectation — a crafted count
-                // cannot balloon the decode no matter what the coded
-                // stream claims it holds.
-                let expected = ctx.and_then(|c| c.pooled_counts.get(position).copied().flatten());
-                if let Some(expected) = expected {
-                    if count > expected {
-                        return Err(CodecError::Malformed(format!(
-                            "conv {position} claims {count} indices; its spec shape holds {expected}"
-                        )));
-                    }
-                }
+                // The count is the spec's, whatever the coded stream
+                // claims to hold, so a crafted one cannot balloon the
+                // decode.
+                ctx.check_count(position, count)?;
                 let coding = IndexCoding::read_header(&mut r)?;
                 let stream_len = r.varint("index stream length")? as usize;
                 let stream = r.take(stream_len, "index stream")?;
-                // Fallback cap when no spec expectation exists: bound the
-                // claimed count by what the stream could possibly encode
-                // (raw width 0 and ANS spend sub-bit per index, so they
-                // get coding-aware bounds).
-                if count > coding.max_decodable(stream.len(), payload.len()) {
-                    return Err(CodecError::Malformed(format!(
-                        "{count} indices cannot fit a {}-byte stream",
-                        stream.len()
-                    )));
-                }
                 let indices = coding.decode_stream(stream, count)?;
                 convs.push(ConvPayload::Pooled { indices });
             }
@@ -822,44 +573,22 @@ fn decode_convs(payload: &[u8], ctx: Option<&ConvContext>) -> Result<Vec<ConvPay
 
 /// How one pooled layer's index stream is coded.
 ///
-/// The encoder measures the layer's index histogram and picks whichever
-/// representation is smallest *for that layer*:
-///
 /// * `Raw` — fixed width at the stream's own `ceil(log2(max+1))` bits:
-///   the fallback whenever entropy coding would expand the stream (e.g.
-///   near-uniform index usage, where fixed width already sits on the
-///   entropy).
-/// * `Rice` — Rice/Golomb codes of the raw index values with per-layer
-///   parameter `k` (quotient in unary, remainder in `k` bits).
-/// * `RiceRemap` — Rice codes of frequency ranks: a small rank→index
-///   table (stored with the layer) maps the most frequent index to rank
-///   0, which turns any skewed histogram into the decaying shape Rice
-///   coding wants. The table's 8 bits/entry are charged against the mode
+///   taken for empty streams and whenever the ANS stream would be no
+///   smaller (near-uniform index usage, where fixed width already sits on
+///   the entropy).
+/// * `Ans` — tabled rANS over the raw index values (see [`super::ans`]):
+///   fractional bits per index under the layer's own normalized
+///   histogram, so it reaches the per-layer entropy bound for any
+///   histogram shape, below 1 bit per index included. The normalized
+///   frequency table ships with the layer and is charged against the mode
 ///   when choosing.
-/// * `Ans` — tabled rANS over the raw index values (see
-///   [`super::ans`]): fractional bits per symbol under the layer's own
-///   normalized histogram, which is what closes the gap Rice leaves on
-///   non-geometric or low-entropy streams. The normalized frequency
-///   table ships with the layer and is charged against the mode when
-///   choosing. Introduced in WPB version 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexCoding {
     /// Fixed-width indices at `width` bits each.
     Raw {
         /// Bits per index (0 when every index is 0).
         width: u8,
-    },
-    /// Rice codes of the raw index values.
-    Rice {
-        /// The Rice parameter (remainder width).
-        k: u8,
-    },
-    /// Rice codes of frequency ranks via a rank→index side table.
-    RiceRemap {
-        /// The Rice parameter (remainder width).
-        k: u8,
-        /// `table[rank]` is the pool index with that frequency rank.
-        table: Vec<u8>,
     },
     /// Tabled rANS under a per-layer normalized histogram.
     Ans {
@@ -870,130 +599,57 @@ pub enum IndexCoding {
 }
 
 impl IndexCoding {
-    /// Measures `indices` and picks the smallest representation among
-    /// every coding (the [`IndexCodecPref::Auto`] rule).
+    /// Codes one index stream, returning the coding and the stream that
+    /// follows its header: the real ANS stream when it, frequency table
+    /// included, is smaller than fixed width, and the raw stream
+    /// otherwise.
+    fn encode(indices: &[u8]) -> (Self, Vec<u8>) {
+        let Some(&max) = indices.iter().max() else {
+            return (IndexCoding::Raw { width: 0 }, Vec::new());
+        };
+        let width = bits_for(u32::from(max)) as u8;
+        let freqs = ans::normalize_freqs(&histogram(indices)).expect("non-empty stream");
+        let stream = ans::encode(indices, &freqs);
+        let ans = IndexCoding::Ans { freqs };
+        let raw = IndexCoding::Raw { width };
+        if ans.coded_bits(indices.len(), stream.len()) < raw.coded_bits(indices.len(), 0) {
+            return (ans, stream);
+        }
+        let mut w = BitWriter::new();
+        for &v in indices {
+            w.write_bits(u64::from(v), u32::from(width));
+        }
+        (raw, w.into_bytes())
+    }
+
+    /// The coding WPB writes for `indices`: ANS when its real stream,
+    /// frequency table included, is smaller than fixed width, raw
+    /// otherwise.
     pub fn choose(indices: &[u8]) -> Self {
-        Self::choose_with(indices, IndexCodecPref::Auto)
+        Self::encode(indices).0
     }
 
-    /// Measures `indices` and picks a representation under `pref`:
-    /// [`Auto`](IndexCodecPref::Auto) takes the smallest in actual coded
-    /// bits (side tables included), [`Rice`](IndexCodecPref::Rice)
-    /// restricts the choice to the v1 codings, and
-    /// [`Ans`](IndexCodecPref::Ans) forces ANS on every non-empty
-    /// stream.
-    pub fn choose_with(indices: &[u8], pref: IndexCodecPref) -> Self {
-        if indices.is_empty() {
-            return IndexCoding::Raw { width: 0 };
-        }
-        let hist = histogram(indices);
-        if pref == IndexCodecPref::Ans {
-            let freqs = ans::normalize_freqs(&hist).expect("non-empty stream");
-            return IndexCoding::Ans { freqs };
-        }
-        let max = indices.iter().copied().max().expect("non-empty") as u32;
-        let width = bits_for(max);
-        let mut best = IndexCoding::Raw { width: width as u8 };
-        let mut best_bits = indices.len() as u64 * u64::from(width);
-
-        for k in 0..=MAX_RICE_K {
-            let bits = rice_cost(&hist, u32::from(k));
-            if bits < best_bits {
-                best = IndexCoding::Rice { k };
-                best_bits = bits;
-            }
-        }
-
-        // Frequency-rank remap: most frequent symbol becomes rank 0.
-        let mut by_freq: Vec<(u8, u64)> =
-            hist.iter().enumerate().filter(|&(_, &c)| c > 0).map(|(v, &c)| (v as u8, c)).collect();
-        by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut rank_hist = [0u64; 256];
-        for (rank, &(_, count)) in by_freq.iter().enumerate() {
-            rank_hist[rank] = count;
-        }
-        let table: Vec<u8> = by_freq.iter().map(|&(v, _)| v).collect();
-        let table_bits = 8 * table.len() as u64;
-        for k in 0..=MAX_RICE_K {
-            let bits = table_bits + rice_cost(&rank_hist, u32::from(k));
-            if bits < best_bits {
-                best = IndexCoding::RiceRemap { k, table: table.clone() };
-                best_bits = bits;
-            }
-        }
-
-        if pref == IndexCodecPref::Auto {
-            // ANS enters the race on its *actual* coded size (header plus
-            // real stream), not an estimate — renormalization is
-            // byte-granular, and a near-tie decided on an estimate could
-            // pick a coding that then expands past the raw fallback.
-            let freqs = ans::normalize_freqs(&hist).expect("non-empty stream");
-            let candidate = IndexCoding::Ans { freqs };
-            if candidate.coded_bits(indices) < best_bits {
-                best = candidate;
-            }
-        }
-        best
-    }
-
-    /// Total coded bits `encode_stream` will produce for `indices` under
-    /// this coding, side table included (used by the size accounting; the
-    /// actual stream is byte-padded).
-    pub fn coded_bits(&self, indices: &[u8]) -> u64 {
-        let hist = histogram(indices);
+    /// Bits this coding spends on `count` indices whose coded stream is
+    /// `stream_len` bytes: `count · width` for raw (byte padding
+    /// excluded), the frequency table plus the real stream for ANS.
+    fn coded_bits(&self, count: usize, stream_len: usize) -> u64 {
         match self {
-            IndexCoding::Raw { width } => indices.len() as u64 * u64::from(*width),
-            IndexCoding::Rice { k } => rice_cost(&hist, u32::from(*k)),
-            IndexCoding::RiceRemap { k, table } => {
-                let mut rank_hist = [0u64; 256];
-                for (rank, &v) in table.iter().enumerate() {
-                    rank_hist[rank] = hist[v as usize];
-                }
-                8 * table.len() as u64 + rice_cost(&rank_hist, u32::from(*k))
-            }
+            IndexCoding::Raw { width } => count as u64 * u64::from(*width),
             IndexCoding::Ans { freqs } => {
-                // Exact: the serialized frequency table plus the real
-                // stream (state flush and renormalization included).
-                let mut header = Vec::new();
-                write_varint(&mut header, freqs.len() as u64);
-                for &f in freqs {
-                    write_varint(&mut header, u64::from(f));
-                }
-                8 * (header.len() as u64 + ans::encode(indices, freqs).len() as u64)
+                let mut table = Vec::new();
+                write_freqs(&mut table, freqs);
+                8 * (table.len() + stream_len) as u64
             }
         }
     }
 
-    /// Short human-readable description (`raw[4b]`, `rice[k=1]`, ...).
+    /// Short human-readable description (`raw[4b]`, `ans[11 syms]`).
     pub fn describe(&self) -> String {
         match self {
             IndexCoding::Raw { width } => format!("raw[{width}b]"),
-            IndexCoding::Rice { k } => format!("rice[k={k}]"),
-            IndexCoding::RiceRemap { k, table } => {
-                format!("rice+remap[k={k},{} syms]", table.len())
-            }
             IndexCoding::Ans { freqs } => {
                 format!("ans[{} syms]", freqs.iter().filter(|&&f| f > 0).count())
             }
-        }
-    }
-
-    /// The most indices a `stream_len`-byte stream could possibly encode
-    /// under this coding — the decode-side amplification cap when no
-    /// spec-derived expectation is available. Bit codings spend >= 1 bit
-    /// per index; raw width 0 is implicit (capped by the section size);
-    /// ANS spends at least `log2(total/max_freq)` bits per symbol.
-    fn max_decodable(&self, stream_len: usize, section_len: usize) -> usize {
-        match self {
-            IndexCoding::Raw { width: 0 } => section_len.saturating_mul(8),
-            IndexCoding::Ans { freqs } => {
-                let max_f = freqs.iter().copied().max().unwrap_or(0);
-                let min_bits =
-                    (f64::from(ans::ANS_TOTAL) / f64::from(max_f.max(1))).log2().max(1e-4);
-                let cap = ((stream_len as f64 * 8.0 + 64.0) / min_bits).min(usize::MAX as f64);
-                cap as usize
-            }
-            _ => stream_len.saturating_mul(8),
         }
     }
 
@@ -1003,22 +659,9 @@ impl IndexCoding {
                 out.push(0);
                 out.push(*width);
             }
-            IndexCoding::Rice { k } => {
-                out.push(1);
-                out.push(*k);
-            }
-            IndexCoding::RiceRemap { k, table } => {
-                out.push(2);
-                out.push(*k);
-                write_varint(out, table.len() as u64);
-                out.extend_from_slice(table);
-            }
             IndexCoding::Ans { freqs } => {
                 out.push(3);
-                write_varint(out, freqs.len() as u64);
-                for &f in freqs {
-                    write_varint(out, u64::from(f));
-                }
+                write_freqs(out, freqs);
             }
         }
     }
@@ -1031,29 +674,6 @@ impl IndexCoding {
                     return Err(CodecError::Malformed(format!("raw index width {width} > 8")));
                 }
                 Ok(IndexCoding::Raw { width })
-            }
-            1 => {
-                let k = r.u8("rice parameter")?;
-                if k > MAX_RICE_K {
-                    return Err(CodecError::Malformed(format!(
-                        "rice parameter {k} > {MAX_RICE_K}"
-                    )));
-                }
-                Ok(IndexCoding::Rice { k })
-            }
-            2 => {
-                let k = r.u8("rice parameter")?;
-                if k > MAX_RICE_K {
-                    return Err(CodecError::Malformed(format!(
-                        "rice parameter {k} > {MAX_RICE_K}"
-                    )));
-                }
-                let len = r.varint("remap table length")? as usize;
-                if len == 0 || len > 256 {
-                    return Err(CodecError::Malformed(format!("remap table of {len} entries")));
-                }
-                let table = r.take(len, "remap table")?.to_vec();
-                Ok(IndexCoding::RiceRemap { k, table })
             }
             3 => {
                 let len = r.varint("ans frequency table length")? as usize;
@@ -1077,84 +697,28 @@ impl IndexCoding {
         }
     }
 
-    fn encode_stream(&self, indices: &[u8]) -> Vec<u8> {
-        if let IndexCoding::Ans { freqs } = self {
-            return ans::encode(indices, freqs);
-        }
-        let mut w = BitWriter::new();
-        match self {
-            IndexCoding::Ans { .. } => unreachable!("handled above"),
-            IndexCoding::Raw { width } => {
-                for &v in indices {
-                    w.write_bits(u64::from(v), u32::from(*width));
-                }
-            }
-            IndexCoding::Rice { k } => {
-                for &v in indices {
-                    w.write_rice(u32::from(v), u32::from(*k));
-                }
-            }
-            IndexCoding::RiceRemap { k, table } => {
-                let mut rank_of = [0u8; 256];
-                for (rank, &v) in table.iter().enumerate() {
-                    rank_of[v as usize] = rank as u8;
-                }
-                for &v in indices {
-                    w.write_rice(u32::from(rank_of[v as usize]), u32::from(*k));
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
     fn decode_stream(&self, stream: &[u8], count: usize) -> Result<Vec<u8>, CodecError> {
-        if let IndexCoding::Ans { freqs } = self {
-            let mut out = Vec::with_capacity(count);
-            ans::decode_into(stream, freqs, count, &mut out)?;
-            return Ok(out);
-        }
-        let mut b = BitReader::new(stream);
         let mut out = Vec::with_capacity(count);
         match self {
-            IndexCoding::Ans { .. } => unreachable!("handled above"),
             IndexCoding::Raw { width } => {
+                let mut b = BitReader::new(stream);
                 for _ in 0..count {
                     out.push(b.read_bits(u32::from(*width), "raw index")? as u8);
                 }
             }
-            IndexCoding::Rice { k } => {
-                for _ in 0..count {
-                    let v = b.read_rice(u32::from(*k), "index")?;
-                    let v = u8::try_from(v).map_err(|_| {
-                        CodecError::Malformed(format!("rice-coded index {v} exceeds a byte"))
-                    })?;
-                    out.push(v);
-                }
-            }
-            IndexCoding::RiceRemap { k, table } => {
-                for _ in 0..count {
-                    let rank = b.read_rice(u32::from(*k), "index rank")? as usize;
-                    let v = *table.get(rank).ok_or_else(|| {
-                        CodecError::Malformed(format!(
-                            "index rank {rank} outside the {}-entry remap table",
-                            table.len()
-                        ))
-                    })?;
-                    out.push(v);
-                }
-            }
+            IndexCoding::Ans { freqs } => ans::decode_into(stream, freqs, count, &mut out)?,
         }
         Ok(out)
     }
 }
 
-/// Sum of Rice-coded bit lengths over a value histogram.
-fn rice_cost(hist: &[u64; 256], k: u32) -> u64 {
-    hist.iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(v, &c)| c * ((v as u64 >> k) + 1 + u64::from(k)))
-        .sum()
+/// Appends an ANS frequency table: varint length, then one varint per
+/// entry.
+fn write_freqs(out: &mut Vec<u8>, freqs: &[u16]) {
+    write_varint(out, freqs.len() as u64);
+    for &f in freqs {
+        write_varint(out, u64::from(f));
+    }
 }
 
 /// Bits needed to represent `max` (0 for 0).
@@ -1184,9 +748,10 @@ pub struct IndexStreamStats {
     pub count: usize,
     /// Empirical entropy in bits per index ([`stream_entropy_bits`]).
     pub entropy_bits: f64,
-    /// WPB coded size in bits per index (remap table amortized in).
+    /// WPB coded size in bits per index (ANS frequency table amortized
+    /// in).
     pub coded_bits: f64,
-    /// The chosen coding, human readable.
+    /// The coding WPB writes for this layer, human readable.
     pub coding: String,
 }
 
@@ -1199,8 +764,8 @@ pub fn index_stream_stats(bundle: &DeployBundle) -> Vec<IndexStreamStats> {
         .enumerate()
         .filter_map(|(conv, payload)| match payload {
             ConvPayload::Pooled { indices } => {
-                let coding = IndexCoding::choose(indices);
-                let coded = coding.coded_bits(indices);
+                let (coding, stream) = IndexCoding::encode(indices);
+                let coded = coding.coded_bits(indices.len(), stream.len());
                 let per_index =
                     if indices.is_empty() { 0.0 } else { coded as f64 / indices.len() as f64 };
                 Some(IndexStreamStats {
@@ -1397,16 +962,6 @@ impl BitWriter {
         }
     }
 
-    /// Rice code: quotient `v >> k` in unary (ones, zero-terminated),
-    /// then the low `k` remainder bits.
-    fn write_rice(&mut self, v: u32, k: u32) {
-        for _ in 0..(v >> k) {
-            self.push_bit(true);
-        }
-        self.push_bit(false);
-        self.write_bits(u64::from(v), k);
-    }
-
     fn into_bytes(self) -> Vec<u8> {
         self.bytes
     }
@@ -1442,18 +997,6 @@ impl<'a> BitReader<'a> {
         }
         Ok(v)
     }
-
-    fn read_rice(&mut self, k: u32, what: &'static str) -> Result<u32, CodecError> {
-        let mut q = 0u32;
-        while self.read_bit(what)? {
-            q += 1;
-            if q > 4096 {
-                return Err(CodecError::Malformed(format!("runaway rice quotient reading {what}")));
-            }
-        }
-        let r = self.read_bits(k, what)? as u32;
-        Ok((q << k) | r)
-    }
 }
 
 #[cfg(test)]
@@ -1464,7 +1007,9 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// A hand-built bundle exercising both payload kinds and a controllable
-    /// index distribution (`skew` 0 = uniform, larger = more peaked).
+    /// index distribution (`skew` 0 = uniform, larger = more peaked). Its
+    /// 144 indices code raw for the fixed seeds used here; see
+    /// [`with_hot_vector`] for a stream that codes as ANS.
     fn fabricated_bundle(seed: u64, pool_size: usize, order: LutOrder, skew: u32) -> DeployBundle {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let group = 8usize;
@@ -1520,15 +1065,48 @@ mod tests {
         }
     }
 
+    /// The fabricated bundle's pooled index map.
+    fn pooled_indices(b: &mut DeployBundle) -> &mut Vec<u8> {
+        match &mut b.convs[1] {
+            ConvPayload::Pooled { indices } => indices,
+            ConvPayload::Direct { .. } => panic!("fabricated conv 1 is pooled"),
+        }
+    }
+
+    /// Points about 7 in 8 of the pooled indices at one hot vector: a
+    /// low-entropy stream that codes as ANS on a 16- or 32-vector pool.
+    fn with_hot_vector(mut b: DeployBundle, seed: u64) -> DeployBundle {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+        let hot = rng.gen_range(0..b.pool.len()) as u8;
+        for v in pooled_indices(&mut b) {
+            if rng.gen_range(0..8) != 0 {
+                *v = hot;
+            }
+        }
+        b
+    }
+
+    /// The coding WPB writes for the fabricated bundle's pooled conv.
+    fn pooled_coding(b: &DeployBundle) -> IndexCoding {
+        let ConvPayload::Pooled { indices } = &b.convs[1] else {
+            panic!("fabricated conv 1 is pooled");
+        };
+        IndexCoding::choose(indices)
+    }
+
+    fn is_ans(coding: &IndexCoding) -> bool {
+        matches!(coding, IndexCoding::Ans { .. })
+    }
+
     #[test]
     fn wpb_round_trips_both_orders_and_payload_kinds() {
         for order in [LutOrder::InputOriented, LutOrder::WeightOriented] {
-            for skew in [0, 3] {
-                let b = fabricated_bundle(7, 16, order, skew);
-                let bytes = WpbCodec::default().encode(&b).unwrap();
+            let hot = with_hot_vector(fabricated_bundle(7, 16, order, 0), 7);
+            assert!(is_ans(&pooled_coding(&hot)));
+            for b in [fabricated_bundle(7, 16, order, 0), fabricated_bundle(7, 16, order, 3), hot] {
+                let bytes = b.to_bytes(Format::Wpb).unwrap();
                 assert_eq!(Format::sniff(&bytes), Format::Wpb);
-                let back = WpbCodec::default().decode(&bytes).unwrap();
-                assert_eq!(b, back);
+                assert_eq!(DeployBundle::from_bytes(&bytes).unwrap(), b);
             }
         }
     }
@@ -1536,18 +1114,26 @@ mod tests {
     #[test]
     fn json_and_wpb_decode_to_the_same_bundle() {
         let b = fabricated_bundle(9, 8, LutOrder::InputOriented, 2);
-        let json = JsonCodec.encode(&b).unwrap();
-        let wpb = WpbCodec::default().encode(&b).unwrap();
-        assert_eq!(JsonCodec.decode(&json).unwrap(), WpbCodec::default().decode(&wpb).unwrap());
+        let json = b.to_bytes(Format::Json).unwrap();
+        let wpb = b.to_bytes(Format::Wpb).unwrap();
+        assert_eq!(
+            DeployBundle::from_bytes(&json).unwrap(),
+            DeployBundle::from_bytes(&wpb).unwrap()
+        );
         assert!(wpb.len() < json.len(), "wpb {} vs json {}", wpb.len(), json.len());
     }
 
     #[test]
     fn empty_index_stream_round_trips() {
+        // An empty stream codes as zero-width raw with no stream bytes.
+        assert_eq!(IndexCoding::encode(&[]), (IndexCoding::Raw { width: 0 }, Vec::new()));
+        // A pooled conv with no filters needs no indices, and round trips.
         let mut b = fabricated_bundle(3, 4, LutOrder::InputOriented, 0);
-        b.convs[1] = ConvPayload::Pooled { indices: Vec::new() };
-        let bytes = WpbCodec::default().encode(&b).unwrap();
-        assert_eq!(WpbCodec::default().decode(&bytes).unwrap(), b);
+        let LayerSpec::Conv(cs) = &mut b.spec.layers[1] else { panic!("layer 1 is a conv") };
+        cs.out_ch = 0;
+        pooled_indices(&mut b).clear();
+        let bytes = b.to_bytes(Format::Wpb).unwrap();
+        assert_eq!(DeployBundle::from_bytes(&bytes).unwrap(), b);
     }
 
     #[test]
@@ -1561,16 +1147,30 @@ mod tests {
     fn uniform_streams_fall_back_to_raw_fixed_width() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let uniform: Vec<u8> = (0..4096).map(|_| rng.gen_range(0..16) as u8).collect();
-        let coding = IndexCoding::choose(&uniform);
+        let (coding, stream) = IndexCoding::encode(&uniform);
         assert_eq!(coding, IndexCoding::Raw { width: 4 }, "uniform: {}", coding.describe());
-        assert_eq!(coding.coded_bits(&uniform), 4 * 4096);
+        assert_eq!(coding.coded_bits(uniform.len(), stream.len()), 4 * 4096);
+        assert_eq!(coding.decode_stream(&stream, uniform.len()).unwrap(), uniform);
+    }
+
+    /// Encodes a skewed `stream`, asserts it takes ANS, beats `fixed`
+    /// bits per index, lands within 15% (plus `slack`) of its entropy,
+    /// and decodes back bit-identically.
+    fn assert_ans_beats_fixed_width(stream: &[u8], fixed: f64, slack: f64) {
+        let (coding, bytes) = IndexCoding::encode(stream);
+        assert!(is_ans(&coding), "skewed stream should take ans, chose {}", coding.describe());
+        let coded = coding.coded_bits(stream.len(), bytes.len()) as f64 / stream.len() as f64;
+        let entropy = stream_entropy_bits(stream);
+        assert!(coded < fixed, "coded {coded:.3} must beat fixed {fixed}");
+        assert!(coded <= entropy * 1.15 + slack, "coded {coded:.3} vs entropy {entropy:.3}");
+        assert_eq!(coding.decode_stream(&bytes, stream.len()).unwrap(), stream);
     }
 
     #[test]
-    fn skewed_streams_choose_rice_and_beat_fixed_width() {
+    fn skewed_streams_choose_ans_and_beat_fixed_width() {
         // Geometric-ish: symbol v with probability ~2^-v.
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let skewed: Vec<u8> = (0..4096)
+        let geometric: Vec<u8> = (0..4096)
             .map(|_| {
                 let mut v = 0u8;
                 while v < 15 && rng.gen_range(0..2) == 0 {
@@ -1579,45 +1179,26 @@ mod tests {
                 v
             })
             .collect();
-        let coding = IndexCoding::choose(&skewed);
-        assert!(
-            matches!(coding, IndexCoding::Rice { .. } | IndexCoding::RiceRemap { .. }),
-            "skewed stream should entropy-code, chose {}",
-            coding.describe()
-        );
-        let coded = coding.coded_bits(&skewed) as f64 / skewed.len() as f64;
-        let fixed = 4.0;
-        let entropy = stream_entropy_bits(&skewed);
-        assert!(coded < fixed, "coded {coded:.3} must beat fixed {fixed}");
-        assert!(coded <= entropy * 1.15 + 0.2, "coded {coded:.3} vs entropy {entropy:.3}");
+        assert_ans_beats_fixed_width(&geometric, 4.0, 0.2);
     }
 
     #[test]
-    fn remap_handles_skew_on_arbitrary_symbols() {
-        // Heavy mass on a *high* index: plain Rice on raw values is poor,
-        // the rank remap makes it geometric again.
+    fn ans_handles_skew_on_arbitrary_symbols() {
+        // Heavy mass on high, arbitrary symbols: the frequency table
+        // carries the 201 entries up to symbol 200 and still pays off.
         let mut stream = vec![200u8; 1000];
         stream.extend(std::iter::repeat_n(13u8, 100));
         stream.extend(std::iter::repeat_n(77u8, 10));
-        let coding = IndexCoding::choose(&stream);
-        assert!(
-            matches!(coding, IndexCoding::RiceRemap { .. }),
-            "expected remap, chose {}",
-            coding.describe()
-        );
-        // Round trip through the actual bitstream.
-        let stream_bytes = coding.encode_stream(&stream);
-        let back = coding.decode_stream(&stream_bytes, stream.len()).unwrap();
-        assert_eq!(back, stream);
+        assert_ans_beats_fixed_width(&stream, 8.0, 2.0);
     }
 
     #[test]
     fn truncated_files_fail_loudly() {
         let b = fabricated_bundle(5, 8, LutOrder::WeightOriented, 1);
-        let bytes = WpbCodec::default().encode(&b).unwrap();
+        let bytes = b.to_bytes(Format::Wpb).unwrap();
         // Every proper prefix must error, never yield a bundle.
         for cut in [3, 5, 7, bytes.len() / 4, bytes.len() / 2, bytes.len() - 5, bytes.len() - 1] {
-            let err = WpbCodec::default().decode(&bytes[..cut]);
+            let err = DeployBundle::from_bytes(&bytes[..cut]);
             assert!(err.is_err(), "prefix of {cut} bytes decoded successfully");
         }
     }
@@ -1625,12 +1206,12 @@ mod tests {
     #[test]
     fn corrupted_payload_fails_the_checksum() {
         let b = fabricated_bundle(6, 8, LutOrder::InputOriented, 0);
-        let mut bytes = WpbCodec::default().encode(&b).unwrap();
+        let mut bytes = b.to_bytes(Format::Wpb).unwrap();
         // Flip a bit inside the convs payload (late in the buffer, past
         // every header byte).
         let at = bytes.len() - 40;
         bytes[at] ^= 0x10;
-        match WpbCodec::default().decode(&bytes) {
+        match DeployBundle::from_bytes(&bytes) {
             Err(CodecError::Checksum(_)) | Err(CodecError::Malformed(_)) => {}
             other => panic!("corruption must fail, got {other:?}"),
         }
@@ -1641,9 +1222,9 @@ mod tests {
         // act_bits lives outside every section; a flipped bit there must
         // not decode into a quietly wrong bundle.
         let b = fabricated_bundle(6, 8, LutOrder::InputOriented, 0);
-        let mut bytes = WpbCodec::default().encode(&b).unwrap();
+        let mut bytes = b.to_bytes(Format::Wpb).unwrap();
         bytes[5] ^= 0x04; // act_bits
-        assert!(matches!(WpbCodec::default().decode(&bytes), Err(CodecError::Checksum("header"))));
+        assert!(matches!(DeployBundle::from_bytes(&bytes), Err(CodecError::Checksum("header"))));
     }
 
     #[test]
@@ -1670,9 +1251,16 @@ mod tests {
         };
         assert!(decode_lut(&huge_lut).is_err());
 
+        // Convs are decoded against the spec and pool sections: the spec
+        // fixes the conv count and every pooled index count.
+        let b = fabricated_bundle(4, 16, LutOrder::InputOriented, 0);
+        let ctx = ConvContext::new(&b.spec, &b.pool).unwrap();
         let huge_convs = {
             let mut p = Vec::new();
-            write_varint(&mut p, 1); // one conv
+            write_varint(&mut p, 2); // the spec's two convs
+            p.push(1); // direct, no weights
+            write_varint(&mut p, 0);
+            p.extend_from_slice(&1.0f32.to_bits().to_le_bytes());
             p.push(0); // pooled
             write_varint(&mut p, 1 << 50); // indices "count"
             p.push(0); // raw mode
@@ -1680,33 +1268,67 @@ mod tests {
             write_varint(&mut p, 0); // empty stream
             p
         };
-        assert!(decode_convs(&huge_convs, None).is_err());
+        assert!(matches!(decode_convs(&huge_convs, &ctx), Err(CodecError::Malformed(_))));
 
         let many_convs = {
             let mut p = Vec::new();
             write_varint(&mut p, 1 << 55);
             p
         };
-        assert!(decode_convs(&many_convs, None).is_err());
+        assert!(matches!(decode_convs(&many_convs, &ctx), Err(CodecError::Malformed(_))));
+
+        // A CRC-valid file whose convs section comes first: three pooled
+        // convs, each a 4-byte one-symbol ANS stream claiming 959,000
+        // indices. Before the spec is known, nothing bounds such a count
+        // but what the stream could hold, which for a one-symbol table is
+        // about 10^4 indices per stream bit.
+        let crafted_convs = {
+            let mut p = Vec::new();
+            write_varint(&mut p, 3);
+            for _ in 0..3 {
+                p.push(0); // pooled
+                write_varint(&mut p, 959_000);
+                p.push(3); // ans
+                write_varint(&mut p, 1); // one-entry frequency table
+                write_varint(&mut p, u64::from(ans::ANS_TOTAL));
+                write_varint(&mut p, 4); // stream: the seed state alone
+                p.extend_from_slice(&ans::ANS_LOWER_BOUND.to_le_bytes());
+            }
+            p
+        };
+        let mut crafted = b.to_bytes(Format::Wpb).unwrap()[..10].to_vec(); // header
+        write_section(&mut crafted, SEC_CONVS, &crafted_convs);
+        write_section(&mut crafted, SEC_SPEC, &encode_spec(&b.spec).unwrap());
+        write_section(&mut crafted, SEC_POOL, &encode_pool(&b.pool));
+        write_section(&mut crafted, SEC_LUT, &encode_lut(&b.lut).unwrap());
+        let expect = "convs section before the spec and pool sections";
+        for result in [DeployBundle::from_bytes(&crafted), DeployBundle::from_reader(&crafted[..])]
+        {
+            match result {
+                Err(CodecError::Malformed(m)) => assert_eq!(m, expect),
+                other => panic!("expected a malformed-bundle error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn bad_magic_and_version_are_typed_errors() {
         let b = fabricated_bundle(8, 4, LutOrder::InputOriented, 0);
-        let bytes = WpbCodec::default().encode(&b).unwrap();
-        assert!(matches!(WpbCodec::default().decode(b"JSON{}"), Err(CodecError::BadMagic)));
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert!(matches!(
-            WpbCodec::default().decode(&wrong_version),
-            Err(CodecError::UnsupportedVersion(99))
-        ));
-        // The first version past the readable range; the message names
-        // the whole range, not just the newest version.
-        wrong_version[4] = 3;
-        let err = WpbCodec::default().decode(&wrong_version).unwrap_err();
-        assert!(matches!(err, CodecError::UnsupportedVersion(3)), "{err:?}");
-        assert_eq!(err.to_string(), "unsupported WPB version 3 (this codec reads versions 1-2)");
+        let bytes = b.to_bytes(Format::Wpb).unwrap();
+        let mut reader = SectionReader::new(&b"JSON{}"[..]);
+        assert!(matches!(read_wpb_prologue(&mut reader), Err(CodecError::BadMagic)));
+        // Any version byte but 2 is refused, and the message names the
+        // one version this codec reads.
+        for version in [99, 3, 1] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4] = version;
+            let err = DeployBundle::from_bytes(&wrong_version).unwrap_err();
+            assert!(matches!(err, CodecError::UnsupportedVersion(v) if v == version), "{err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported WPB version {version} (this codec reads version 2)")
+            );
+        }
     }
 
     /// A pooled index past the pool encodes fine (the codecs are
@@ -1715,10 +1337,7 @@ mod tests {
     #[test]
     fn out_of_pool_indices_are_malformed_in_both_formats() {
         let mut b = fabricated_bundle(21, 16, LutOrder::InputOriented, 2);
-        let ConvPayload::Pooled { indices } = &mut b.convs[1] else {
-            panic!("fabricated conv 1 is pooled");
-        };
-        indices[7] = 16;
+        pooled_indices(&mut b)[7] = 16;
         let expect = "conv 1 uses pool index 16; the pool holds 16 vectors";
         for format in [Format::Json, Format::Wpb] {
             let bytes = b.to_bytes(format).unwrap();
@@ -1732,6 +1351,47 @@ mod tests {
         }
     }
 
+    /// Conv payloads must match the spec one for one, a pooled one must
+    /// hold exactly the `out_ch·(in_ch/G)·k²` indices its shape needs,
+    /// and pool and LUT must agree on `G` — or the engine panics
+    /// compiling the bundle. Each violation is the same malformed-bundle
+    /// error in both formats, buffered and streamed.
+    #[test]
+    fn pooled_counts_must_match_the_spec_in_both_formats() {
+        let base = fabricated_bundle(22, 16, LutOrder::InputOriented, 2);
+        let mut short = base.clone();
+        pooled_indices(&mut short).truncate(135);
+        let mut long = base.clone();
+        pooled_indices(&mut long).extend([0; 9]);
+        let mut extra = base.clone();
+        extra.convs.push(base.convs[1].clone());
+        let mut ungrouped = base.clone();
+        ungrouped.convs[0] = ConvPayload::Pooled { indices: vec![0; 8 * 9] };
+        let mut regrouped = base.clone();
+        let narrow = WeightPool::from_vectors(vec![vec![0.1; 4]; 16]);
+        regrouped.lut = LookupTable::build(&narrow, 8, LutOrder::InputOriented);
+        let cases = [
+            (short, "conv 1 holds 135 pool indices; its spec shape needs 144"),
+            (long, "conv 1 holds 153 pool indices; its spec shape needs 144"),
+            (extra, "3 conv payloads but the spec declares 2 convs"),
+            (ungrouped, "conv 0 is pooled, but its 3 input channels do not split into groups of 8"),
+            (regrouped, "the pool's vectors have 8 weights but the lut is built for groups of 4"),
+        ];
+        for (bundle, expect) in cases {
+            for format in [Format::Json, Format::Wpb] {
+                let bytes = bundle.to_bytes(format).unwrap();
+                for result in
+                    [DeployBundle::from_bytes(&bytes), DeployBundle::from_reader(&bytes[..])]
+                {
+                    match result {
+                        Err(CodecError::Malformed(m)) => assert_eq!(m, expect, "{format:?}"),
+                        other => panic!("{format:?} {expect:?}: got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn format_sniffing_and_extensions() {
         assert_eq!(Format::sniff(b"WPB1...."), Format::Wpb);
@@ -1740,8 +1400,6 @@ mod tests {
         assert_eq!(Format::for_path(Path::new("m.WPB")), Format::Wpb);
         assert_eq!(Format::for_path(Path::new("m.json")), Format::Json);
         assert_eq!(Format::for_path(Path::new("m")), Format::Json);
-        assert_eq!(Format::Wpb.codec().format(), Format::Wpb);
-        assert_eq!(Format::Json.codec().format(), Format::Json);
     }
 
     #[test]
@@ -1756,35 +1414,39 @@ mod tests {
     }
 
     #[test]
-    fn rice_only_bundles_keep_wire_version_1() {
-        // Old readers must keep working as long as no layer actually uses
-        // the v2 ANS coding: the version byte is data-dependent.
-        let b = fabricated_bundle(7, 16, LutOrder::InputOriented, 0);
-        let rice = WpbCodec::with_pref(IndexCodecPref::Rice).encode(&b).unwrap();
-        assert_eq!(rice[4], WPB_MIN_VERSION, "rice-only bundle must stay readable by v1");
-        let ans = WpbCodec::with_pref(IndexCodecPref::Ans).encode(&b).unwrap();
-        assert_eq!(ans[4], WPB_VERSION, "ans bundle needs the v2 reader");
-        assert_eq!(WpbCodec::decode_from(ans.as_slice()).unwrap(), b);
+    fn wpb_writer_always_stamps_version_2() {
+        // Raw and ANS streams both belong to version 2, whose mode tags
+        // (raw 0, ANS 3) every version-2 reader knows.
+        let raw = fabricated_bundle(7, 16, LutOrder::InputOriented, 0);
+        let hot = with_hot_vector(raw.clone(), 7);
+        assert_eq!(pooled_coding(&raw), IndexCoding::Raw { width: 4 });
+        assert!(is_ans(&pooled_coding(&hot)));
+        for b in [raw, hot] {
+            let bytes = b.to_bytes(Format::Wpb).unwrap();
+            assert_eq!(bytes[4], WPB_VERSION);
+            assert_eq!(DeployBundle::from_bytes(&bytes).unwrap(), b);
+        }
     }
 
     #[test]
     fn truncated_and_corrupted_ans_bundles_fail_loudly() {
-        // Mirror of the Rice corruption suite under the forced-ANS codec:
-        // every truncation and byte flip is a typed error, never a panic
-        // or a partial bundle.
-        let b = fabricated_bundle(13, 16, LutOrder::WeightOriented, 3);
-        let bytes = WpbCodec::with_pref(IndexCodecPref::Ans).encode(&b).unwrap();
-        assert_eq!(WpbCodec::decode_from(bytes.as_slice()).unwrap(), b);
+        // Every truncation and byte flip of a bundle whose pooled stream
+        // is ANS coded is a typed error, never a panic or a partial
+        // bundle.
+        let b = with_hot_vector(fabricated_bundle(13, 16, LutOrder::WeightOriented, 3), 13);
+        assert!(is_ans(&pooled_coding(&b)));
+        let bytes = b.to_bytes(Format::Wpb).unwrap();
+        assert_eq!(DeployBundle::from_reader(bytes.as_slice()).unwrap(), b);
         for cut in [3, 5, 7, bytes.len() / 4, bytes.len() / 2, bytes.len() - 5, bytes.len() - 1] {
             assert!(
-                WpbCodec::decode_from(&bytes[..cut]).is_err(),
+                DeployBundle::from_reader(&bytes[..cut]).is_err(),
                 "ans prefix of {cut} bytes decoded successfully"
             );
         }
         for at in (10..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[at] ^= 0x20;
-            match WpbCodec::decode_from(bad.as_slice()) {
+            match DeployBundle::from_reader(bad.as_slice()) {
                 Ok(decoded) => assert_eq!(decoded, b, "accepted corruption must be harmless"),
                 Err(
                     CodecError::Checksum(_)
@@ -1804,7 +1466,7 @@ mod tests {
         // CRC-checked and skipped without buffering — both through the
         // buffer path and the streaming path.
         let b = fabricated_bundle(17, 8, LutOrder::InputOriented, 1);
-        let bytes = WpbCodec::default().encode(&b).unwrap();
+        let bytes = b.to_bytes(Format::Wpb).unwrap();
         let mut with_extra = bytes[..10].to_vec(); // magic+version+act_bits+crc
         let payload = [1u8, 2, 3, 4, 5];
         with_extra.push(200); // tag from the unknown range
@@ -1813,8 +1475,8 @@ mod tests {
         with_extra.extend_from_slice(&crc32(&payload).to_le_bytes());
         with_extra.extend_from_slice(&bytes[10..]);
 
-        assert_eq!(WpbCodec::decode_from(with_extra.as_slice()).unwrap(), b);
-        let (decoded, stats) = WpbCodec::decode_from_with_stats(with_extra.as_slice()).unwrap();
+        assert_eq!(DeployBundle::from_bytes(&with_extra).unwrap(), b);
+        let (decoded, stats) = DeployBundle::from_reader_with_stats(with_extra.as_slice()).unwrap();
         assert_eq!(decoded, b);
         assert_eq!(stats.total_bytes as usize, with_extra.len());
 
@@ -1822,18 +1484,21 @@ mod tests {
         let mut bad = with_extra.clone();
         bad[12] ^= 0xFF;
         assert!(matches!(
-            WpbCodec::decode_from(bad.as_slice()),
+            DeployBundle::from_reader(bad.as_slice()),
             Err(CodecError::Checksum("unknown"))
         ));
     }
 
     #[test]
     fn streaming_decode_matches_buffer_decode_with_bounded_scratch() {
-        for pref in [IndexCodecPref::Auto, IndexCodecPref::Rice, IndexCodecPref::Ans] {
-            let b = fabricated_bundle(23, 32, LutOrder::WeightOriented, 2);
-            let bytes = WpbCodec::with_pref(pref).encode(&b).unwrap();
-            let buffered = WpbCodec::default().decode(&bytes).unwrap();
-            let (streamed, stats) = WpbCodec::decode_from_with_stats(bytes.as_slice()).unwrap();
+        let raw = fabricated_bundle(23, 32, LutOrder::WeightOriented, 2);
+        let hot = with_hot_vector(raw.clone(), 23);
+        assert!(matches!(pooled_coding(&raw), IndexCoding::Raw { .. }));
+        assert!(is_ans(&pooled_coding(&hot)));
+        for b in [raw, hot] {
+            let bytes = b.to_bytes(Format::Wpb).unwrap();
+            let buffered = DeployBundle::from_bytes(&bytes).unwrap();
+            let (streamed, stats) = DeployBundle::from_reader_with_stats(bytes.as_slice()).unwrap();
             assert_eq!(buffered, streamed);
             assert_eq!(streamed, b);
             assert!(stats.peak_transient_bytes <= stats.largest_section_bytes);
@@ -1844,22 +1509,18 @@ mod tests {
 
     #[test]
     fn low_entropy_streams_choose_ans_below_rice_floor() {
-        // Rice spends >= 1 bit per symbol; a heavily repeated stream has
-        // sub-bit entropy, which only ANS can reach. The chooser must pick
-        // it and actually land below 1 bit/symbol.
+        // Any whole-bit-per-index code (fixed width, Rice) spends at least
+        // 1 bit per index; a heavily repeated stream has sub-bit entropy,
+        // which only ANS can reach. The chooser must pick it and actually
+        // land below 1 bit/index.
         let mut indices = vec![3u8; 6000];
         for i in 0..200 {
             indices[i * 30] = (i % 5) as u8;
         }
-        let coding = IndexCoding::choose(&indices);
-        assert!(
-            matches!(coding, IndexCoding::Ans { .. }),
-            "sub-bit stream should pick ans, chose {}",
-            coding.describe()
-        );
-        let per_sym = coding.coded_bits(&indices) as f64 / indices.len() as f64;
-        assert!(per_sym < 1.0, "ans must beat the 1 bit/sym rice floor, got {per_sym:.3}");
-        let stream = coding.encode_stream(&indices);
+        let (coding, stream) = IndexCoding::encode(&indices);
+        assert!(is_ans(&coding), "sub-bit stream should pick ans, chose {}", coding.describe());
+        let per_sym = coding.coded_bits(indices.len(), stream.len()) as f64 / indices.len() as f64;
+        assert!(per_sym < 1.0, "ans must go below 1 bit/index, got {per_sym:.3}");
         assert_eq!(coding.decode_stream(&stream, indices.len()).unwrap(), indices);
     }
 
@@ -1873,14 +1534,12 @@ mod tests {
     fn bitstream_primitives_round_trip() {
         let mut w = BitWriter::new();
         w.write_bits(0b1011, 4);
-        w.write_rice(37, 3);
-        w.write_rice(0, 0);
+        w.write_bits(0, 0);
         w.write_bits(0x5A5A, 16);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(4, "t").unwrap(), 0b1011);
-        assert_eq!(r.read_rice(3, "t").unwrap(), 37);
-        assert_eq!(r.read_rice(0, "t").unwrap(), 0);
+        assert_eq!(r.read_bits(0, "t").unwrap(), 0);
         assert_eq!(r.read_bits(16, "t").unwrap(), 0x5A5A);
         assert!(r.read_bits(64, "past the end").is_err());
     }
@@ -1897,24 +1556,46 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// WPB and JSON reconstruct the identical bundle for arbitrary
-        /// pools, orders, skews and payload mixes.
+        /// pools, orders, skews and payload mixes, whichever coding each
+        /// stream takes.
         #[test]
         fn prop_wpb_round_trip_equals_json(
             seed in 0u64..1000,
             pool_size in 2usize..32,
             order_bit in 0u8..2,
-            skew in 0u32..5,
+            skew in 0u32..6,
+            hot in 0u8..2,
         ) {
             let order = if order_bit == 0 {
                 LutOrder::InputOriented
             } else {
                 LutOrder::WeightOriented
             };
-            let b = fabricated_bundle(seed, pool_size, order, skew);
-            let wpb = WpbCodec::default().encode(&b).unwrap();
-            let json = JsonCodec.encode(&b).unwrap();
-            prop_assert_eq!(&WpbCodec::default().decode(&wpb).unwrap(), &b);
-            prop_assert_eq!(&JsonCodec.decode(&json).unwrap(), &b);
+            let mut b = fabricated_bundle(seed, pool_size, order, skew);
+            if hot == 1 {
+                b = with_hot_vector(b, seed);
+            }
+            let wpb = b.to_bytes(Format::Wpb).unwrap();
+            let json = b.to_bytes(Format::Json).unwrap();
+            prop_assert_eq!(&DeployBundle::from_bytes(&wpb).unwrap(), &b);
+            prop_assert_eq!(&DeployBundle::from_bytes(&json).unwrap(), &b);
+        }
+
+        /// The same seed and pool coded raw (uniform stream) and as ANS
+        /// (hot-vector stream) both reconstruct exactly: the coding is a
+        /// size concern, never a fidelity one. Pools of 3 or more keep
+        /// the hot stream on ANS for every seed in range.
+        #[test]
+        fn prop_ans_and_raw_decode_identically(seed in 0u64..1000, pool_size in 3usize..32) {
+            let raw = fabricated_bundle(seed, pool_size, LutOrder::InputOriented, 0);
+            let ans = with_hot_vector(raw.clone(), seed);
+            prop_assert!(!is_ans(&pooled_coding(&raw)));
+            prop_assert!(is_ans(&pooled_coding(&ans)));
+            for b in [raw, ans] {
+                let bytes = b.to_bytes(Format::Wpb).unwrap();
+                prop_assert_eq!(&DeployBundle::from_bytes(&bytes).unwrap(), &b);
+                prop_assert_eq!(&DeployBundle::from_reader(bytes.as_slice()).unwrap(), &b);
+            }
         }
 
         /// Every index coding the chooser can emit decodes its own stream
@@ -1931,8 +1612,7 @@ mod tests {
                     v as u8
                 })
                 .collect();
-            let coding = IndexCoding::choose(&indices);
-            let stream = coding.encode_stream(&indices);
+            let (coding, stream) = IndexCoding::encode(&indices);
             let back = coding.decode_stream(&stream, indices.len()).unwrap();
             prop_assert_eq!(back, indices);
         }
@@ -1952,57 +1632,40 @@ mod tests {
                 .collect();
             let max = indices.iter().copied().max().unwrap_or(0);
             let raw_bits = indices.len() as u64 * u64::from(bits_for(u32::from(max)));
-            let coding = IndexCoding::choose(&indices);
-            prop_assert!(coding.coded_bits(&indices) <= raw_bits);
-        }
-
-        /// Forced-ANS and forced-Rice bundles reconstruct the identical
-        /// bundle on fuzzed skewed and uniform index streams — codec
-        /// choice is a size concern, never a fidelity one.
-        #[test]
-        fn prop_ans_and_rice_decode_identically(
-            seed in 0u64..1000,
-            pool_size in 2usize..32,
-            skew in 0u32..6,
-        ) {
-            let b = fabricated_bundle(seed, pool_size, LutOrder::InputOriented, skew);
-            let rice = WpbCodec::with_pref(IndexCodecPref::Rice).encode(&b).unwrap();
-            let ans = WpbCodec::with_pref(IndexCodecPref::Ans).encode(&b).unwrap();
-            prop_assert_eq!(&WpbCodec::decode_from(rice.as_slice()).unwrap(), &b);
-            prop_assert_eq!(&WpbCodec::decode_from(ans.as_slice()).unwrap(), &b);
+            let (coding, stream) = IndexCoding::encode(&indices);
+            prop_assert!(coding.coded_bits(indices.len(), stream.len()) <= raw_bits);
         }
 
         /// The streaming section pipeline reconstructs exactly what the
         /// buffer decode does, with transient scratch bounded by the
-        /// largest section — for every codec preference.
+        /// largest section — for raw and ANS streams alike.
         #[test]
         fn prop_streaming_equals_buffer_decode(
             seed in 0u64..1000,
             pool_size in 2usize..32,
             skew in 0u32..6,
-            pref_bit in 0u8..3,
+            hot in 0u8..2,
         ) {
-            let pref = match pref_bit {
-                0 => IndexCodecPref::Auto,
-                1 => IndexCodecPref::Rice,
-                _ => IndexCodecPref::Ans,
-            };
-            let b = fabricated_bundle(seed, pool_size, LutOrder::WeightOriented, skew);
-            let bytes = WpbCodec::with_pref(pref).encode(&b).unwrap();
-            let buffered = WpbCodec::default().decode(&bytes).unwrap();
-            let (streamed, stats) = WpbCodec::decode_from_with_stats(bytes.as_slice()).unwrap();
+            let mut b = fabricated_bundle(seed, pool_size, LutOrder::WeightOriented, skew);
+            if hot == 1 {
+                b = with_hot_vector(b, seed);
+            }
+            let bytes = b.to_bytes(Format::Wpb).unwrap();
+            let buffered = DeployBundle::from_bytes(&bytes).unwrap();
+            let (streamed, stats) = DeployBundle::from_reader_with_stats(bytes.as_slice()).unwrap();
             prop_assert_eq!(&buffered, &streamed);
             prop_assert!(stats.peak_transient_bytes <= stats.largest_section_bytes);
         }
 
-        /// Truncating a forced-ANS bundle anywhere yields a typed error,
-        /// never a panic or a partial bundle.
+        /// Truncating a bundle whose pooled stream is ANS coded anywhere
+        /// yields a typed error, never a panic or a partial bundle.
         #[test]
         fn prop_truncated_ans_bundles_error(seed in 0u64..300, frac in 0.0f64..1.0) {
-            let b = fabricated_bundle(seed, 16, LutOrder::InputOriented, 4);
-            let bytes = WpbCodec::with_pref(IndexCodecPref::Ans).encode(&b).unwrap();
+            let b = with_hot_vector(fabricated_bundle(seed, 16, LutOrder::InputOriented, 4), seed);
+            prop_assert!(is_ans(&pooled_coding(&b)));
+            let bytes = b.to_bytes(Format::Wpb).unwrap();
             let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-            prop_assert!(WpbCodec::decode_from(&bytes[..cut]).is_err());
+            prop_assert!(DeployBundle::from_reader(&bytes[..cut]).is_err());
         }
     }
 }

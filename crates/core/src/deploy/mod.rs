@@ -19,7 +19,7 @@ pub mod stream;
 use crate::compress::{self, is_compressible};
 use crate::netspec::{LayerSpec, NetSpec};
 use crate::{LookupTable, PoolConfig, WeightPool};
-use codec::{CodecError, EncodeOptions, Format, WpbCodec};
+use codec::{CodecError, Format};
 use serde::{Deserialize, Serialize};
 use std::io::Read;
 use std::path::Path;
@@ -154,28 +154,16 @@ impl DeployBundle {
         h
     }
 
-    /// Saves the bundle with the path's default encode options
-    /// ([`EncodeOptions::for_path`]): `.wpb` writes the entropy-coded
-    /// binary format ([`codec::WpbCodec`]) with automatic per-layer
-    /// index-codec selection, anything else JSON.
+    /// Saves the bundle in the format its path names
+    /// ([`Format::for_path`]): `.wpb` writes the entropy-coded binary
+    /// format, anything else JSON.
     ///
     /// # Errors
     ///
     /// Returns any I/O or serialization error.
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
-        self.save_with(path, &EncodeOptions::for_path(path))
-    }
-
-    /// Saves the bundle under explicit [`EncodeOptions`] — the same
-    /// selection helper `save`, `to_bytes`, the CLI, and the registry
-    /// all route through, so they can't disagree about codec choice.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save_with(&self, path: impl AsRef<Path>, opts: &EncodeOptions) -> std::io::Result<()> {
-        let bytes = self.to_bytes_with(opts).map_err(std::io::Error::other)?;
+        let bytes = self.to_bytes(Format::for_path(path)).map_err(std::io::Error::other)?;
         std::fs::write(path, bytes)
     }
 
@@ -200,24 +188,17 @@ impl DeployBundle {
         })
     }
 
-    /// Serializes the bundle with the given format's codec (automatic
-    /// index-codec selection; use [`DeployBundle::to_bytes_with`] to
-    /// force one).
+    /// Serializes the bundle in `format`.
     ///
     /// # Errors
     ///
-    /// Returns any [`CodecError`] from the codec.
+    /// [`CodecError::Malformed`] when the bundle violates the format's
+    /// representable range (a LUT code outside its stated bitwidth).
     pub fn to_bytes(&self, format: Format) -> Result<Vec<u8>, CodecError> {
-        self.to_bytes_with(&EncodeOptions::new(format))
-    }
-
-    /// Serializes the bundle under explicit [`EncodeOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CodecError`] from the codec.
-    pub fn to_bytes_with(&self, opts: &EncodeOptions) -> Result<Vec<u8>, CodecError> {
-        opts.encode(self)
+        match format {
+            Format::Json => codec::encode_json(self),
+            Format::Wpb => codec::encode_wpb(self),
+        }
     }
 
     /// Reconstructs a bundle from serialized bytes in either format
@@ -225,9 +206,13 @@ impl DeployBundle {
     ///
     /// # Errors
     ///
-    /// Returns any [`CodecError`] from the sniffed codec.
+    /// A typed [`CodecError`]; truncated or corrupted input fails loudly
+    /// rather than yielding a partial bundle.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        Format::sniff(bytes).codec().decode(bytes)
+        match Format::sniff(bytes) {
+            Format::Wpb => codec::decode_wpb(bytes).map(|(bundle, _)| bundle),
+            Format::Json => codec::decode_json(bytes),
+        }
     }
 
     /// Reads a bundle from any [`Read`] stream, sniffing the format from
@@ -271,12 +256,12 @@ impl DeployBundle {
         }
         let head = &head[..got];
         if Format::sniff(head) == Format::Wpb {
-            WpbCodec::decode_from_with_stats(head.chain(reader))
+            codec::decode_wpb(head.chain(reader))
         } else {
             let mut bytes = head.to_vec();
             reader.read_to_end(&mut bytes).map_err(CodecError::Io)?;
             let n = bytes.len();
-            let bundle = Format::Json.codec().decode(&bytes)?;
+            let bundle = codec::decode_json(&bytes)?;
             let stats = DecodeStats {
                 sections: 1,
                 largest_section_bytes: n,

@@ -682,18 +682,32 @@ mod tests {
     fn from_reader_compiles_bit_identically_to_buffer_path() {
         // The streaming section pipeline and the in-memory buffer decode
         // must produce byte-for-byte the same bundle — and therefore the
-        // same compiled plan — for both index codecs.
-        use wp_core::deploy::codec::{EncodeOptions, Format, IndexCodecPref};
-        let bundle = toy_bundle(LutOrder::InputOriented);
+        // same compiled plan — for both index codings: the toy bundle's
+        // uniform indices code raw, and pointing most of them at one pool
+        // vector makes them code as ANS.
+        use wp_core::deploy::codec::{Format, IndexCoding};
+        let raw = toy_bundle(LutOrder::InputOriented);
+        let mut ans = raw.clone();
+        let ConvPayload::Pooled { indices } = &mut ans.convs[1] else {
+            panic!("toy conv 1 is pooled");
+        };
+        for (i, v) in indices.iter_mut().enumerate() {
+            if i % 8 != 0 {
+                *v = 2;
+            }
+        }
         let opts = EngineOptions::default();
-        let direct = PreparedNet::from_bundle(&bundle, &opts);
-        for pref in [IndexCodecPref::Auto, IndexCodecPref::Rice, IndexCodecPref::Ans] {
-            let bytes = bundle
-                .to_bytes_with(&EncodeOptions::new(Format::Wpb).with_index_codec(pref))
-                .unwrap();
+        for (bundle, want_ans) in [(raw, false), (ans, true)] {
+            let ConvPayload::Pooled { indices } = &bundle.convs[1] else {
+                panic!("toy conv 1 is pooled");
+            };
+            let coding = IndexCoding::choose(indices);
+            assert_eq!(matches!(coding, IndexCoding::Ans { .. }), want_ans, "{coding:?}");
+            let direct = PreparedNet::from_bundle(&bundle, &opts);
+            let bytes = bundle.to_bytes(Format::Wpb).unwrap();
             let buffered = DeployBundle::from_bytes(&bytes).unwrap();
             let streamed = DeployBundle::from_reader(bytes.as_slice()).unwrap();
-            assert_eq!(buffered, streamed, "streamed bundle differs under {pref}");
+            assert_eq!(buffered, streamed, "streamed bundle differs under {}", coding.describe());
             let net = PreparedNet::from_reader(bytes.as_slice(), &opts).unwrap();
             for input in direct.fabricate_inputs(2, 41) {
                 assert_eq!(net.run_one(&input), direct.run_one(&input));

@@ -542,17 +542,23 @@ mod tests {
 
     #[test]
     fn truncated_ans_bundle_reload_keeps_old_plan_serving() {
-        // Force the ANS index codec, then truncate the file mid-stream:
-        // the reload must fail with a typed error and the previously
-        // deployed plan must keep answering, bit-identically.
-        use wp_core::deploy::codec::{EncodeOptions, Format, IndexCodecPref};
+        // demo-tiny's pooled layer codes as ANS; truncate the file
+        // mid-stream: the reload must fail with a typed error and the
+        // previously deployed plan must keep answering, bit-identically.
+        use wp_core::deploy::codec::IndexCoding;
+        use wp_core::deploy::ConvPayload;
 
         let dir = std::env::temp_dir().join("wp_registry_ans_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.wpb");
         let (bundle, opts) = demo_deployment(DemoSize::Tiny, 1);
-        let ans = EncodeOptions::new(Format::Wpb).with_index_codec(IndexCodecPref::Ans);
-        bundle.save_with(&path, &ans).unwrap();
+        for conv in &bundle.convs {
+            if let ConvPayload::Pooled { indices } = conv {
+                let coding = IndexCoding::choose(indices);
+                assert!(matches!(coding, IndexCoding::Ans { .. }), "{}", coding.describe());
+            }
+        }
+        bundle.save(&path).unwrap();
 
         let reg = registry();
         reg.insert_file("m", &path, opts).unwrap();
