@@ -10,7 +10,10 @@
 //! 4. **Backend tiers**: the same serving demos A/B'd across the
 //!    `scalar` / `swar` / `avx2` kernel tiers, outputs verified
 //!    bit-identical, with the ≥2x swar-over-scalar acceptance gate
-//!    (pooled-conv and batched tile sections) enforced at exit.
+//!    (pooled-conv and batched tile sections) enforced at exit. The
+//!    pooled demo also runs one image per call on every tier, and where
+//!    the CPU has AVX2 the register-resident pooled scatter is gated at
+//!    ≥2x swar solo and ≥1.5x swar batched.
 //! 5. **Batched popcount vs int8 tiles**: both serving demos at
 //!    `act_bits` {1, 2, 3, 4}, the same tier with the bit-plane popcount
 //!    routing disabled vs enabled, outputs verified bit-identical, with
@@ -165,22 +168,26 @@ fn main() {
     // reference per-element loops per image; swar adds the bit-plane
     // fills, the weight-stationary batched tile kernels with fused
     // bias+requant write-out, and batched pooling; avx2 routes popcount
-    // inner loops through 256-bit lanes. Outputs must be bit-identical
+    // inner loops through 256-bit lanes and runs the pooled demo's convs
+    // on the register-resident scatter. Outputs must be bit-identical
     // across every tier, and the acceptance gate pins swar >= 2x scalar
-    // on both serving regimes.
+    // on both serving regimes. The pooled demo also runs one image per
+    // call (the solo serving path and calibration) on every tier.
     let ab_batch = if effort.fast { 16 } else { 64 };
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Swar];
     if avx2_available() {
         kinds.push(BackendKind::Avx2);
     }
-    let mut sections = Vec::new(); // (key, Vec<(name, img/s)>)
-    for (label, key, size) in [
-        ("pooled-conv serving demo", "pooled_conv", wp_server::demo::DemoSize::Serve),
-        ("batched tile (stem) demo", "tile_kernels", wp_server::demo::DemoSize::Stem),
+    // (key, batched (tier, img/s), solo (tier, img/s), avx2 over swar)
+    let mut sections = Vec::new();
+    for (label, key, size, solo_rows) in [
+        ("pooled-conv serving demo", "pooled_conv", wp_server::demo::DemoSize::Serve, true),
+        ("batched tile (stem) demo", "tile_kernels", wp_server::demo::DemoSize::Stem, false),
     ] {
         let (bundle, opts) = wp_server::demo::demo_deployment(size, 1);
         println!("== Backend tiers ({label}, batch {ab_batch}, 1 thread) ==");
         let mut rates: Vec<(&'static str, f64)> = Vec::new();
+        let mut solo_rates: Vec<(&'static str, f64)> = Vec::new();
         let mut reference: Option<Vec<Vec<i32>>> = None;
         for &kind in &kinds {
             let net = PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind));
@@ -192,21 +199,45 @@ fn main() {
                 Some(r) => assert_eq!(&out, r, "{} outputs must be bit-identical", kind),
             }
             let mut best = f64::INFINITY;
+            let mut solo_best = f64::INFINITY;
             for _ in 0..reps.min(5) {
                 let t = Instant::now();
                 std::hint::black_box(net.run(&refs, &mut Scratch::new()));
                 best = best.min(t.elapsed().as_secs_f64());
+                if solo_rows {
+                    let mut scratch = Scratch::new();
+                    let t = Instant::now();
+                    for one in refs.chunks(1) {
+                        let out = std::hint::black_box(net.run(one, &mut scratch));
+                        scratch.put_planes(out);
+                    }
+                    solo_best = solo_best.min(t.elapsed().as_secs_f64());
+                }
             }
             let name = net.backend_kind().name();
             let ips = ab_batch as f64 / best;
-            println!("{name:>7}: {ips:>10.1} images/sec");
+            if solo_rows {
+                let solo_ips = ab_batch as f64 / solo_best;
+                println!("{name:>7}: {ips:>10.1} images/sec batched  {solo_ips:>10.1} solo");
+                solo_rates.push((name, solo_ips));
+            } else {
+                println!("{name:>7}: {ips:>10.1} images/sec");
+            }
             rates.push((name, ips));
         }
         let scalar = rates[0].1;
         let swar = rates[1].1;
         println!("swar vs scalar: {:.2}x  (outputs verified identical)", swar / scalar);
+        // (solo, batched), where both the avx2 tier and solo rows ran.
+        let avx2_over_swar = match (rates.get(2), solo_rates.get(2)) {
+            (Some(avx2), Some(avx2_solo)) => Some((avx2_solo.1 / solo_rates[1].1, avx2.1 / swar)),
+            _ => None,
+        };
+        if let Some((solo, batched)) = avx2_over_swar {
+            println!("avx2 vs swar:   {solo:.2}x solo, {batched:.2}x batched");
+        }
         println!();
-        sections.push((key, rates));
+        sections.push((key, rates, solo_rates, avx2_over_swar));
     }
 
     // --- 5. Batched bit-plane popcount vs int8 tiles ----------------------
@@ -335,16 +366,28 @@ fn main() {
     println!();
 
     if let Some(path) = &out_path {
+        let tiers = |rates: &[(&str, f64)]| -> String {
+            rates
+                .iter()
+                .map(|(name, ips)| format!("\"{name}\":{ips:.1}"))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
         let body: Vec<String> = sections
             .iter()
-            .map(|(key, rates)| {
-                let tiers: Vec<String> = rates
-                    .iter()
-                    .map(|(name, ips)| format!("\"{name}\":{ips:.1}"))
-                    .collect();
+            .map(|(key, rates, solo_rates, avx2_over_swar)| {
+                let mut extra = String::new();
+                if !solo_rates.is_empty() {
+                    extra += &format!(",\"solo_images_per_sec\":{{{}}}", tiers(solo_rates));
+                }
+                if let Some((solo, batched)) = avx2_over_swar {
+                    extra += &format!(
+                        ",\"avx2_over_swar\":{{\"solo\":{solo:.2},\"batched\":{batched:.2}}}"
+                    );
+                }
                 format!(
-                    "\"{key}\":{{\"batch\":{ab_batch},\"images_per_sec\":{{{}}},\"swar_over_scalar\":{:.2}}}",
-                    tiers.join(","),
+                    "\"{key}\":{{\"batch\":{ab_batch},\"images_per_sec\":{{{}}},\"swar_over_scalar\":{:.2}{extra}}}",
+                    tiers(rates),
                     rates[1].1 / rates[0].1
                 )
             })
@@ -360,12 +403,13 @@ fn main() {
             })
             .collect();
         let report = format!(
-            "{{\"bench\":\"engine_backends\",{},\
+            "{{\"bench\":\"engine_backends\",{},{},\
              \"popcount_batched\":{{\"batch\":{ab_batch},\"best_ratio\":{popcount_best:.2},\"regimes\":{{{}}}}},\
              \"trace_overhead\":{{\"batch\":{ab_batch},\"backend\":\"{tier}\",\
              \"images_per_sec\":{{\"disabled\":{disabled_ips:.1},\"profiled\":{profiled_ips:.1}}},\
              \"disabled_vs_baseline_pct\":{vs_baseline_pct:.2},\"profiled_overhead_pct\":{overhead_pct:.2}}},\
              \"profile\":{{\"model\":\"demo-serve\",\"share_sum\":{share_sum:.4},\"layers\":[{}]}}}}\n",
+            fingerprint(),
             body.join(","),
             popcount_rows.join(","),
             layer_rows.join(",")
@@ -377,11 +421,22 @@ fn main() {
     // Acceptance gates: the swar tier must hold >=2x over scalar on both
     // serving regimes (floor well under the typical measured margin, so
     // shared-runner scheduler noise cannot flake CI).
-    for (key, rates) in &sections {
+    for (key, rates, _, _) in &sections {
         let ratio = rates[1].1 / rates[0].1;
         assert!(
             ratio >= 2.0,
             "swar backend only {ratio:.2}x over scalar on the {key} section (gate: >=2x)"
+        );
+    }
+    // Where the CPU has AVX2, the register-resident pooled scatter must
+    // hold >=2x over the swar tier's gather on solo calls and >=1.5x on
+    // batched ones (the batched gather already amortizes its index
+    // decode across the tile).
+    if let Some((solo, batched)) = sections[0].3 {
+        assert!(solo >= 2.0, "avx2 only {solo:.2}x over swar solo on the pooled demo (gate: >=2x)");
+        assert!(
+            batched >= 1.5,
+            "avx2 only {batched:.2}x over swar batched on the pooled demo (gate: >=1.5x)"
         );
     }
     // And the batched popcount tiles must beat the int8 tiles by >=1.5x
@@ -390,4 +445,32 @@ fn main() {
         popcount_best >= 1.5,
         "batched popcount only {popcount_best:.2}x over int8 tiles at best (gate: >=1.5x)"
     );
+}
+
+/// The machine fingerprint every BENCH file carries: the commit measured
+/// (suffixed `-dirty` when the tree has uncommitted changes; "unknown"
+/// outside a checkout), the CPU model and the core count.
+fn fingerprint() -> String {
+    let sha = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    format!(
+        "\"git_sha\":\"{sha}\",\"cpu_model\":\"{}\",\"nproc\":{nproc}",
+        cpu.replace(['"', '\\'], "")
+    )
 }

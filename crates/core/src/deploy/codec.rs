@@ -274,11 +274,12 @@ fn read_wpb_prologue<R: Read>(r: &mut SectionReader<R>) -> Result<u8, CodecError
 
 /// The checks every decoded bundle passes, whichever format it came in:
 /// one conv payload per spec conv, each pooled payload holding exactly
-/// the indices its spec shape needs, pool and LUT agreeing on the group
-/// size, and every index inside the pool (and the LUT, should the two
-/// disagree on size). The engine would otherwise panic compiling the
-/// bundle or, for an out-of-pool index, have its batched scatter read a
-/// neighbouring position's partials.
+/// the indices its spec shape needs and each direct one exactly its
+/// weights, pool and LUT agreeing on the group size, and every index
+/// inside the pool (and the LUT, should the two disagree on size). The
+/// engine would otherwise panic compiling the bundle or, for an
+/// out-of-pool index, have its batched scatter read a neighbouring
+/// position's partials.
 fn check_pool_indices(bundle: &DeployBundle) -> Result<(), CodecError> {
     let ctx = ConvContext::new(&bundle.spec, &bundle.pool)?;
     ctx.check_len(bundle.convs.len())?;
@@ -291,7 +292,13 @@ fn check_pool_indices(bundle: &DeployBundle) -> Result<(), CodecError> {
     }
     let pool = bundle.pool.len().min(bundle.lut.pool_size());
     for (position, conv) in bundle.convs.iter().enumerate() {
-        let ConvPayload::Pooled { indices } = conv else { continue };
+        let indices = match conv {
+            ConvPayload::Pooled { indices } => indices,
+            ConvPayload::Direct { weights, .. } => {
+                ctx.check_weights(position, weights.len())?;
+                continue;
+            }
+        };
         ctx.check_count(position, indices.len())?;
         if let Some(&bad) = indices.iter().find(|&&i| usize::from(i) >= pool) {
             return Err(CodecError::Malformed(format!(
@@ -466,7 +473,8 @@ fn encode_convs(convs: &[ConvPayload]) -> Vec<u8> {
 }
 
 /// What the spec and pool require of the conv payloads: one per spec
-/// conv and, for each pooled one, exactly `out_ch·(in_ch/G)·k²` indices.
+/// conv and, for each pooled one, exactly `out_ch·(in_ch/G)·k²` indices
+/// (each direct one, exactly `out_ch·in_ch·k²` weights).
 /// The WPB decoder checks a convs section against it before allocating;
 /// [`check_pool_indices`] runs the same checks on every decoded bundle,
 /// so both formats fail with the same message.
@@ -530,6 +538,26 @@ impl<'a> ConvContext<'a> {
         }
         Ok(())
     }
+
+    /// Checks a direct payload's weight count at `position` (which
+    /// [`ConvContext::check_len`] has bounded).
+    fn check_weights(&self, position: usize, count: usize) -> Result<(), CodecError> {
+        let cs = self.convs[position];
+        let expected = cs
+            .out_ch
+            .checked_mul(cs.in_ch)
+            .and_then(|n| n.checked_mul(cs.kernel))
+            .and_then(|n| n.checked_mul(cs.kernel))
+            .ok_or_else(|| {
+                CodecError::Malformed(format!("conv {position}'s spec shape overflows"))
+            })?;
+        if count != expected {
+            return Err(CodecError::Malformed(format!(
+                "conv {position} holds {count} direct weights; its spec shape needs {expected}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 fn decode_convs(payload: &[u8], ctx: &ConvContext<'_>) -> Result<Vec<ConvPayload>, CodecError> {
@@ -553,6 +581,7 @@ fn decode_convs(payload: &[u8], ctx: &ConvContext<'_>) -> Result<Vec<ConvPayload
             }
             1 => {
                 let count = r.varint("weight count")? as usize;
+                ctx.check_weights(position, count)?;
                 let scale = f32::from_bits(r.u32le("weight scale")?);
                 let bytes = r.take(count, "direct weights")?;
                 let weights = bytes.iter().map(|&b| b as i8).collect();
@@ -1352,10 +1381,11 @@ mod tests {
     }
 
     /// Conv payloads must match the spec one for one, a pooled one must
-    /// hold exactly the `out_ch·(in_ch/G)·k²` indices its shape needs,
-    /// and pool and LUT must agree on `G` — or the engine panics
-    /// compiling the bundle. Each violation is the same malformed-bundle
-    /// error in both formats, buffered and streamed.
+    /// hold exactly the `out_ch·(in_ch/G)·k²` indices its shape needs, a
+    /// direct one exactly its `out_ch·in_ch·k²` weights, and pool and LUT
+    /// must agree on `G` — or the engine panics compiling the bundle.
+    /// Each violation is the same malformed-bundle error in both formats,
+    /// buffered and streamed.
     #[test]
     fn pooled_counts_must_match_the_spec_in_both_formats() {
         let base = fabricated_bundle(22, 16, LutOrder::InputOriented, 2);
@@ -1370,9 +1400,19 @@ mod tests {
         let mut regrouped = base.clone();
         let narrow = WeightPool::from_vectors(vec![vec![0.1; 4]; 16]);
         regrouped.lut = LookupTable::build(&narrow, 8, LutOrder::InputOriented);
+        let with_direct = |len: usize| {
+            let mut b = base.clone();
+            let ConvPayload::Direct { weights, .. } = &mut b.convs[0] else {
+                panic!("fabricated conv 0 is direct")
+            };
+            weights.resize(len, 1);
+            b
+        };
         let cases = [
             (short, "conv 1 holds 135 pool indices; its spec shape needs 144"),
             (long, "conv 1 holds 153 pool indices; its spec shape needs 144"),
+            (with_direct(207), "conv 0 holds 207 direct weights; its spec shape needs 216"),
+            (with_direct(225), "conv 0 holds 225 direct weights; its spec shape needs 216"),
             (extra, "3 conv payloads but the spec declares 2 convs"),
             (ungrouped, "conv 0 is pooled, but its 3 input channels do not split into groups of 8"),
             (regrouped, "the pool's vectors have 8 weights but the lut is built for groups of 4"),

@@ -2,16 +2,29 @@
 //!
 //! [`NativeBackend::conv_pooled`] restructures the reference bit-serial
 //! loop for host speed while keeping the integer arithmetic untouched. It
-//! runs in two phases: an **input-stationary** pass bit-unpacks each
+//! runs in two phases: an **input-stationary** fill bit-unpacks each
 //! activation group once (§4.1 input reuse, hoisted across the overlapping
 //! windows that revisit it) and computes every pool vector's `M`-bit
 //! partial dot product per input position as dense sweeps over the
 //! pattern-major [`LutCache`] slabs (§4.3 precomputation taken to its
 //! host-side limit); a **scatter** pass then sums each output pixel's taps
-//! through the per-filter index map. Because all of this merely
-//! reassociates an integer sum, the accumulators are bit-identical to
-//! [`wp_core::reference::bitserial_conv_acc`] — a property pinned down by
-//! the parity tests in `tests/parity.rs`.
+//! through the per-filter index map, `acc[k] += partials[pos][idx[k, t]]`.
+//!
+//! [`NativeBackend::prepare_indices`] fixes each layer's scatter route at
+//! plan time ([`ScatterRoute`]). On the avx2 tier, a layer whose pool
+//! holds at most 16 vectors and whose partials provably fit `i16` takes
+//! the **register** route: the fill stores each position's 16 partials
+//! as a low-byte and a high-byte 16-byte table, and the scatter looks up
+//! 32 filters per tap with one `vpshufb` pair, widening into `i32`
+//! accumulators — the paper's §4.2 "LUT block in fast memory" pushed one
+//! level up, into a register. Every other layer (scalar and swar tiers,
+//! larger pools, LUTs past the `i16` bound) takes the **gather** route:
+//! one indexed load per filter and tap, swept across batch-minor partial
+//! columns on batched calls. Both routes merely reassociate an integer
+//! sum whose every partial sum is proven in range at plan time, so the
+//! accumulators are bit-identical to
+//! [`wp_core::reference::bitserial_conv_acc`] — pinned by the parity
+//! tests in `tests/parity.rs` and `tests/scatter_route.rs`.
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
@@ -31,6 +44,11 @@ use wp_kernels::OutputQuant;
 /// bit row selects one contiguous slab, which the partial-dot sweep walks
 /// linearly (and the compiler vectorizes). The cache is read-only at run
 /// time, so [`crate::BatchRunner`] workers all read the plan's one copy.
+///
+/// A table the register route can serve (at most 16 vectors, every code
+/// within `i16`) also keeps each pattern's block as one 16-lane `i16`
+/// vector, zero past the pool: the register route's fill sums a
+/// position's bit rows with one 256-bit multiply-add per row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutCache {
     pool_size: usize,
@@ -38,6 +56,9 @@ pub struct LutCache {
     group: usize,
     codes: Vec<i32>,
     max_abs_code: i64,
+    /// Pattern `m`'s block at index `m`; empty unless the register route
+    /// can serve this table.
+    blocks16: Vec<[i16; REGISTER_POOL_MAX]>,
 }
 
 impl LutCache {
@@ -52,7 +73,21 @@ impl LutCache {
             }
         }
         let max_abs_code = codes.iter().map(|&c| (c as i64).abs()).max().unwrap_or(0);
-        Self { pool_size, patterns, group: lut.group_size(), codes, max_abs_code }
+        let blocks16 = if pool_size <= REGISTER_POOL_MAX && max_abs_code <= i16::MAX as i64 {
+            codes
+                .chunks(pool_size.max(1))
+                .map(|block| {
+                    let mut lanes = [0i16; REGISTER_POOL_MAX];
+                    for (lane, &c) in lanes.iter_mut().zip(block) {
+                        *lane = c as i16;
+                    }
+                    lanes
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Self { pool_size, patterns, group: lut.group_size(), codes, max_abs_code, blocks16 }
     }
 
     /// Largest absolute code in the table (used to prove accumulator
@@ -95,25 +130,95 @@ impl LutCache {
     }
 }
 
-/// A layer's pool-index map transposed to tap-major order by
-/// [`NativeBackend::prepare_indices`], ready for repeated
-/// [`NativeBackend::conv_pooled_prepared`] calls with no per-call setup.
+/// Largest pool the register route serves: each byte plane of a
+/// position's partial block is one 16-entry `vpshufb` table.
+const REGISTER_POOL_MAX: usize = 16;
+
+/// Filters one `vpshufb` pair serves (a 256-bit register of index
+/// bytes). Register-route index rows are padded to a multiple of this.
+const REGISTER_LANES: usize = 32;
+
+/// Which scatter a prepared pooled layer runs, fixed by
+/// [`NativeBackend::prepare_indices`] (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScatterRoute {
+    /// Register-resident: each input position's partials are one `i16`
+    /// `vpshufb` table pair and 32 filters share each lookup (avx2 tier,
+    /// pools of at most 16 vectors, partials within `i16`).
+    Registers,
+    /// One indexed load per filter and tap (every tier, any pool).
+    Gather,
+}
+
+/// A layer's pool-index map rearranged by
+/// [`NativeBackend::prepare_indices`] for its scatter route, ready for
+/// repeated [`NativeBackend::conv_pooled_prepared`] calls with no
+/// per-call setup, together with the layer's plan-time range proof.
 #[derive(Debug, Clone)]
 pub struct PreparedIndices {
     k_count: usize,
     idx_stride: usize,
-    /// `[g][r][s][k]` order: the **solo** scatter iterates taps outermost
-    /// and reads one tap's indices for every filter as a contiguous run.
-    tap_major: Vec<u8>,
-    /// The canonical `[k][g][r][s]` order, kept alongside the transpose —
-    /// both layouts are load-bearing: the **batched** scatter iterates
-    /// filters outermost (so each filter's accumulator row stays in
-    /// registers across all of its taps) and walks that filter's taps
-    /// contiguously in this layout, while the solo scatter streams
-    /// `tap_major`. Dropping either would force one path through a
-    /// strided walk of the other's layout; the duplicate costs one byte
-    /// per index, paid once at prepare time.
-    canonical: Vec<u8>,
+    /// Largest `|partial|` any input position can produce: the largest
+    /// `|LUT code|` times `Σ|bit weight| = 2^M − 1` (both encodings).
+    max_partial: i64,
+    /// `idx_stride × max_partial` (saturating): bounds every partial sum
+    /// of an output pixel's taps, in any summation order.
+    max_acc: i64,
+    /// The index layout the route reads — and only that one.
+    layout: IndexLayout,
+}
+
+/// The index layouts, one per [`ScatterRoute`].
+#[derive(Debug, Clone)]
+enum IndexLayout {
+    /// One row of [`REGISTER_LANES`] filters' index bytes per tap, in
+    /// `[chunk][ky][kx][grp]` order: a 32-filter chunk's taps are
+    /// contiguous, and within a kernel offset the groups run in the
+    /// same order as the position-major `vpshufb` tables, so the scatter
+    /// streams both. The last chunk's missing filters point at vector 0
+    /// and are never written out.
+    Registers(Vec<[u8; REGISTER_LANES]>),
+    /// Both gather layouts are load-bearing: the **solo** gather iterates
+    /// taps outermost and reads one tap's indices for every filter as a
+    /// contiguous run of `tap_major` (`[g][r][s][k]`), while the
+    /// **batched** gather iterates filters outermost (so each filter's
+    /// accumulator row stays in registers across all of its taps) and
+    /// walks that filter's taps contiguously in the canonical
+    /// `[k][g][r][s]` order. Dropping either would force one path
+    /// through a strided walk of the other's layout; the duplicate costs
+    /// one byte per index, paid once at prepare time.
+    Gather { tap_major: Vec<u8>, canonical: Vec<u8> },
+}
+
+impl PreparedIndices {
+    /// The scatter this layer runs.
+    pub fn route(&self) -> ScatterRoute {
+        match self.layout {
+            IndexLayout::Registers(_) => ScatterRoute::Registers,
+            IndexLayout::Gather { .. } => ScatterRoute::Gather,
+        }
+    }
+
+    /// Whether the plan-time bound proves every accumulator fits `i32`
+    /// in any summation order (the batched gather's accumulator width;
+    /// always true on the register route).
+    fn fits_i32(&self) -> bool {
+        self.max_acc <= i32::MAX as i64
+    }
+
+    /// The gather layouts `(tap_major, canonical)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a register-route preparation (the dispatch never asks).
+    fn gather_layouts(&self) -> (&[u8], &[u8]) {
+        match &self.layout {
+            IndexLayout::Gather { tap_major, canonical } => (tap_major, canonical),
+            IndexLayout::Registers(_) => {
+                unreachable!("register-route indices have no gather layout")
+            }
+        }
+    }
 }
 
 /// Host-speed executor of the bit-serial weight-pool arithmetic.
@@ -143,12 +248,14 @@ pub struct NativeBackend {
 }
 
 impl NativeBackend {
-    /// Largest number of images a batched conv processes per internal tile
+    /// Largest number of images a batched tile kernel processes at once
     /// (outputs are identical for any tiling because images are
-    /// independent). Sized so the batched scatter's accumulator block
-    /// (`out_ch × BATCH_TILE × 8` bytes) stays L1-resident for typical
-    /// filter counts — larger tiles push it to L2 and lose more to memory
-    /// traffic than the wider sweeps gain.
+    /// independent). Each tile kernel holds one filter's `BATCH_TILE`-lane
+    /// accumulator row in registers across all of that filter's taps, and
+    /// its batch-minor columns cost `BATCH_TILE×` the solo working set —
+    /// eight lanes fill two 256-bit `i32` vectors while the columns stay
+    /// cache-resident. The register-route pooled scatter does not tile:
+    /// it runs every image through the per-image kernel.
     pub const BATCH_TILE: usize = 8;
 
     /// Builds a backend executing at `act_bits`-bit activations under
@@ -251,21 +358,38 @@ impl NativeBackend {
         &self.lut
     }
 
-    /// Accumulates one bit row's weighted LUT block into the per-position
-    /// partials (Algorithm 1 lines 11–13, reassociated into a dense sweep
-    /// over the pattern's contiguous pool-vector slab).
-    #[inline]
-    fn sweep_row(&self, dst: &mut [i32], row: usize, weight: i32) {
-        for (d, &c) in dst.iter_mut().zip(self.lut.block(row)) {
-            *d += weight * c;
+    /// Largest `|partial|` of one input position at this backend's LUT and
+    /// activation bitwidth: `max |code| × (2^M − 1)`, since the bit
+    /// weights' magnitudes sum to `2^M − 1` under both encodings.
+    fn max_partial(&self) -> i64 {
+        self.lut.max_abs_code * ((1i64 << self.act_bits) - 1)
+    }
+
+    /// The route this backend runs a layer with this range proof on (the
+    /// rule [`NativeBackend::prepare_indices`] documents).
+    fn scatter_route(&self, max_partial: i64, max_acc: i64) -> ScatterRoute {
+        if self.simd == ResolvedBackend::Avx2
+            && self.lut.pool_size <= REGISTER_POOL_MAX
+            && max_partial <= i16::MAX as i64
+            && max_acc <= i32::MAX as i64
+        {
+            ScatterRoute::Registers
+        } else {
+            ScatterRoute::Gather
         }
     }
 
-    /// Transposes a canonical `[k][g][r][s]` index map into the tap-major
-    /// `[g][r][s][k]` layout the scatter pass reads sequentially. The
-    /// transpose depends only on the layer's static index map, so callers
-    /// executing a layer repeatedly (e.g. [`crate::PreparedNet`]) do it
-    /// once and pass the result to [`NativeBackend::conv_pooled_prepared`].
+    /// Rearranges a canonical `[k][g][r][s]` index map into the layout
+    /// its scatter route reads, after fixing the layer's plan-time range
+    /// proof and [`ScatterRoute`]. All of it depends only on the layer's
+    /// static index map, so callers executing a layer repeatedly (e.g.
+    /// [`crate::PreparedNet`]) do it once and pass the result to
+    /// [`NativeBackend::conv_pooled_prepared`].
+    ///
+    /// The register route is taken on the avx2 tier when the pool holds
+    /// at most 16 vectors, every partial fits `i16`
+    /// (`max |code| × (2^M − 1) ≤ 32,767`) and every accumulator fits
+    /// `i32` (`taps × max_partial ≤ i32::MAX`); anything else gathers.
     ///
     /// # Panics
     ///
@@ -281,13 +405,34 @@ impl NativeBackend {
         }
         let k_count = shape.out_ch;
         let idx_stride = groups * shape.kernel * shape.kernel;
-        let mut tap_major = vec![0u8; indices.len()];
-        for k in 0..k_count {
-            for t in 0..idx_stride {
-                tap_major[t * k_count + k] = indices[k * idx_stride + t];
+        let max_partial = self.max_partial();
+        let max_acc = (idx_stride as i64).saturating_mul(max_partial);
+        let layout = match self.scatter_route(max_partial, max_acc) {
+            ScatterRoute::Registers => {
+                let taps = shape.kernel * shape.kernel;
+                let chunks = k_count.div_ceil(REGISTER_LANES);
+                let mut rows = vec![[0u8; REGISTER_LANES]; chunks * idx_stride];
+                for k in 0..k_count {
+                    let chunk = &mut rows[k / REGISTER_LANES * idx_stride..][..idx_stride];
+                    for (t, &idx) in indices[k * idx_stride..][..idx_stride].iter().enumerate() {
+                        // Canonical tap `grp·k² + (ky·k + kx)` moves to
+                        // `(ky·k + kx)·groups + grp`.
+                        chunk[t % taps * groups + t / taps][k % REGISTER_LANES] = idx;
+                    }
+                }
+                IndexLayout::Registers(rows)
             }
-        }
-        PreparedIndices { k_count, idx_stride, tap_major, canonical: indices.to_vec() }
+            ScatterRoute::Gather => {
+                let mut tap_major = vec![0u8; indices.len()];
+                for k in 0..k_count {
+                    for t in 0..idx_stride {
+                        tap_major[t * k_count + k] = indices[k * idx_stride + t];
+                    }
+                }
+                IndexLayout::Gather { tap_major, canonical: indices.to_vec() }
+            }
+        };
+        PreparedIndices { k_count, idx_stride, max_partial, max_acc, layout }
     }
 
     /// Native bit-serial LUT convolution: returns `[K, OH, OW]` raw
@@ -307,7 +452,7 @@ impl NativeBackend {
     }
 
     /// Validates one image's activations and prepared indices against
-    /// `shape`, returning the group count.
+    /// `shape` and this backend, returning the group count.
     fn check_pooled_args(
         &self,
         codes: &[i32],
@@ -321,6 +466,14 @@ impl NativeBackend {
             (shape.out_ch, groups * shape.kernel * shape.kernel),
             "prepared indices do not match shape"
         );
+        // The range proof and the route belong to the backend that built
+        // `prep`: a different LUT or bitwidth would void the proof, and
+        // the register route needs this backend's avx2 tier and `i16` LUT.
+        assert!(
+            prep.max_partial == self.max_partial()
+                && prep.route() == self.scatter_route(prep.max_partial, prep.max_acc),
+            "prepared indices were built for a different backend"
+        );
         let (lo, hi) = self.encoding.code_range(self.act_bits);
         assert!(
             codes.iter().all(|&c| (lo..=hi).contains(&c)),
@@ -329,24 +482,23 @@ impl NativeBackend {
         groups
     }
 
-    /// Phase 1 — input-stationary precomputation: for every (group, input
-    /// position), bit-unpack the activation group once (§4.1) and compute
-    /// every pool vector's M-bit partial dot product once (§4.3
-    /// precomputation, hoisted out of the output loop entirely: a 3x3
-    /// kernel revisits each input position up to nine times, and every
-    /// filter sharing a pool vector reuses the same partial). Each bit row
-    /// selects one contiguous pattern-major LUT slab, so the inner sweep is
-    /// a dense multiply-accumulate the compiler can vectorize. Partials are
-    /// exact in `i32` (see `bit_weights`). Table layout: partial of vector
-    /// `s` at `(grp, iy, ix)` lives at
-    /// `((grp * in_h + iy) * in_w + ix) * s_count + s`.
-    fn fill_partials(&self, codes: &[i32], shape: &PooledConvShape, partials: &mut [i32]) {
+    /// Phase 1's bit-unpack — input-stationary precomputation: visits
+    /// every group `grp` at every input pixel `pix = iy * in_w + ix` once,
+    /// group-major, and hands `visit` that position's `act_bits` bit rows
+    /// (row `j` is the LUT pattern formed by bit `j` of the group's `G`
+    /// codes; §4.1). A 3x3 kernel revisits each input position up to nine
+    /// times and every filter sharing a pool vector reuses its partial, so
+    /// this is hoisted out of the output loop entirely (§4.3).
+    fn for_each_bit_rows(
+        &self,
+        codes: &[i32],
+        shape: &PooledConvShape,
+        mut visit: impl FnMut(usize, usize, &[usize]),
+    ) {
         let g = self.lut.group;
         let groups = shape.groups(g);
         let (in_h, in_w) = (shape.in_h, shape.in_w);
         let m_bits = self.act_bits as usize;
-        partials.fill(0);
-        let mut chunks = partials.chunks_mut(self.lut.pool_size);
         for grp in 0..groups {
             let base = grp * g;
             for iy in 0..in_h {
@@ -377,24 +529,45 @@ impl NativeBackend {
                             }
                         }
                     }
-                    let dst = chunks.next().expect("partial table sized to positions");
-                    for (&row, &w) in rows.iter().zip(&self.bit_weights).take(m_bits) {
-                        self.sweep_row(dst, row, w);
-                    }
+                    visit(grp, iy * in_w + ix, &rows[..m_bits]);
                 }
             }
         }
     }
 
-    /// [`NativeBackend::conv_pooled`] with the index transpose hoisted out:
-    /// `prep` must come from [`NativeBackend::prepare_indices`] for the
-    /// same shape.
+    /// Sums one position's weighted LUT slabs into its `S` partials
+    /// (Algorithm 1 lines 11–13, reassociated into a dense sweep over each
+    /// bit row's contiguous pool-vector slab, which the compiler
+    /// vectorizes). Exact in `i32` (see `bit_weights`).
+    #[inline]
+    fn sweep_rows(&self, rows: &[usize], dst: &mut [i32]) {
+        for (&row, &w) in rows.iter().zip(&self.bit_weights) {
+            for (d, &c) in dst.iter_mut().zip(self.lut.block(row)) {
+                *d += w * c;
+            }
+        }
+    }
+
+    /// The gather route's phase 1: the partial of vector `s` at
+    /// `(grp, iy, ix)` lands at `((grp * in_h + iy) * in_w + ix) * S + s`.
+    fn fill_partials(&self, codes: &[i32], shape: &PooledConvShape, partials: &mut [i32]) {
+        partials.fill(0);
+        let mut blocks = partials.chunks_mut(self.lut.pool_size);
+        self.for_each_bit_rows(codes, shape, |_, _, rows| {
+            self.sweep_rows(rows, blocks.next().expect("partial table sized to positions"));
+        });
+    }
+
+    /// [`NativeBackend::conv_pooled`] with the index rearrangement hoisted
+    /// out: `prep` must come from this backend's
+    /// [`NativeBackend::prepare_indices`] for the same shape.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch (including `prep` built for a different
-    /// shape) or if a code is outside the encoding's range for the
-    /// backend's activation bitwidth.
+    /// shape or by a backend with a different LUT, bitwidth or route) or if
+    /// a code is outside the encoding's range for the backend's activation
+    /// bitwidth.
     pub fn conv_pooled_prepared(
         &self,
         codes: &[i32],
@@ -415,6 +588,66 @@ impl NativeBackend {
         prep: &PreparedIndices,
         scratch: &mut Scratch,
     ) -> Vec<i32> {
+        match prep.route() {
+            ScatterRoute::Registers => self.conv_pooled_registers(codes, shape, prep, scratch),
+            ScatterRoute::Gather => self.conv_pooled_gather(codes, shape, prep, scratch),
+        }
+    }
+
+    /// One image through the register route: phase 1 into `vpshufb`
+    /// table pairs, then the AVX2 scatter. Solo calls, batched calls and
+    /// calibration all run this one kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn conv_pooled_registers(
+        &self,
+        codes: &[i32],
+        shape: &PooledConvShape,
+        prep: &PreparedIndices,
+        scratch: &mut Scratch,
+    ) -> Vec<i32> {
+        let groups = self.check_pooled_args(codes, shape, prep);
+        let IndexLayout::Registers(rows) = &prep.layout else {
+            unreachable!("register route without a register layout")
+        };
+        let mut tables = scratch.take_u8(groups * shape.in_h * shape.in_w * REGISTER_LANES);
+        let geo = shape.geometry();
+        let mut out = scratch.take_i32(shape.out_ch * geo.out_h() * geo.out_w());
+        // SAFETY: `check_pooled_args` asserted that this backend itself
+        // routes `prep` to registers: it is on the avx2 tier, which
+        // `BackendKind::resolve` yields only when the CPU reports AVX2 at
+        // run time, and its LUT has `i16` blocks and meets the range
+        // proof. `prep` matches `shape` (also asserted there), and
+        // `tables` holds one 32-byte pair per input position of `shape`.
+        unsafe {
+            registers::fill(self, codes, shape, tables.as_chunks_mut().0);
+            registers::scatter(tables.as_chunks().0, rows, shape, groups, &mut out);
+        }
+        scratch.put_u8(tables);
+        out
+    }
+
+    /// Without x86-64 there is no avx2 tier, so no plan takes the
+    /// register route.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn conv_pooled_registers(
+        &self,
+        _: &[i32],
+        _: &PooledConvShape,
+        _: &PreparedIndices,
+        _: &mut Scratch,
+    ) -> Vec<i32> {
+        unreachable!("the register route is only chosen on the avx2 tier")
+    }
+
+    /// One image through the gather route (today's solo scatter, `i64`
+    /// accumulators).
+    fn conv_pooled_gather(
+        &self,
+        codes: &[i32],
+        shape: &PooledConvShape,
+        prep: &PreparedIndices,
+        scratch: &mut Scratch,
+    ) -> Vec<i32> {
         let groups = self.check_pooled_args(codes, shape, prep);
 
         let geo = shape.geometry();
@@ -424,6 +657,7 @@ impl NativeBackend {
         let s_count = self.lut.pool_size;
         let kernel = shape.kernel;
 
+        let (tap_major, _) = prep.gather_layouts();
         let mut partials = scratch.take_i32(groups * in_h * in_w * s_count);
         self.fill_partials(codes, shape, &mut partials);
 
@@ -444,8 +678,7 @@ impl NativeBackend {
                             let block_at = ((grp * in_h + iy) * in_w + ix) * s_count;
                             let block = &partials[block_at..block_at + s_count];
                             let idx_base = (grp * kernel + ky) * kernel + kx;
-                            let taps =
-                                &prep.tap_major[idx_base * k_count..(idx_base + 1) * k_count];
+                            let taps = &tap_major[idx_base * k_count..(idx_base + 1) * k_count];
                             for (a, &idx) in acc.iter_mut().zip(taps) {
                                 *a += block[idx as usize] as i64;
                             }
@@ -515,15 +748,17 @@ impl NativeBackend {
     ) {
         let (in_h, in_w) = (shape.in_h, shape.in_w);
         let s_count = self.lut.pool_size;
-        let kernel = shape.kernel;
         let geo = shape.geometry();
         let out_plane = geo.out_h() * geo.out_w();
 
         for tile in batch.chunks(Self::BATCH_TILE) {
             let b_count = tile.len();
-            if b_count < Self::BATCH_TILE {
-                // Partial tail tile: the batch-minor layout only pays for
-                // itself at full width, so run the remainder solo (the
+            if b_count < Self::BATCH_TILE || prep.route() == ScatterRoute::Registers {
+                // The batch-minor layout only pays for itself on the
+                // gather route and at full width: partial tail tiles, and
+                // every image on the register route (whose scatter gains
+                // nothing from a transpose), run the solo kernel, with
+                // bias and requant applied over each finished plane (the
                 // outputs are identical either way).
                 for codes in tile {
                     let mut acc =
@@ -557,22 +792,16 @@ impl NativeBackend {
             // every image's accumulator row. Per image this sums the same
             // taps in the same order as the solo path. Full tiles go
             // through a const-width kernel so the row updates compile to
-            // fixed-size vector adds — in `i32` when the worst case
-            // (every tap at the largest LUT code and the largest
-            // activation) provably fits, which doubles the SIMD width and
-            // is exact precisely because it cannot overflow.
-            let taps_total = (kernel * kernel * groups) as i64;
-            let act_max = (1i64 << self.act_bits) - 1;
-            let fits_i32 = taps_total
-                .checked_mul(act_max)
-                .and_then(|v| v.checked_mul(self.lut.max_abs_code))
-                .is_some_and(|v| v <= i32::MAX as i64);
+            // fixed-size vector adds — in `i32` when the plan-time range
+            // proof (every tap at the largest partial) fits, which doubles
+            // the SIMD width and is exact precisely because it cannot
+            // overflow.
             let base = outs.len();
             for _ in 0..Self::BATCH_TILE {
                 outs.push(scratch.take_i32(shape.out_ch * out_plane));
             }
             let mut taps = scratch.take_pairs();
-            if fits_i32 {
+            if prep.fits_i32() {
                 scatter_tile::<i32, { Self::BATCH_TILE }>(
                     &columns,
                     shape,
@@ -669,12 +898,13 @@ fn scatter_tile<A: TileAcc, const B: usize>(
     let (cols, rest) = columns.as_chunks::<B>();
     debug_assert!(rest.is_empty());
     debug_assert_eq!(tile_outs.len(), B);
+    let (_, canonical) = prep.gather_layouts();
 
     for oy in 0..oh {
         for ox in 0..ow {
             valid_taps(&geo, shape, groups, s_count, oy, ox, taps);
             for k in 0..k_count {
-                let krow = &prep.canonical[k * prep.idx_stride..(k + 1) * prep.idx_stride];
+                let krow = &canonical[k * prep.idx_stride..(k + 1) * prep.idx_stride];
                 let mut row = [A::default(); B];
                 for &(t, base) in taps.iter() {
                     let col = &cols[base + krow[t] as usize];
@@ -685,6 +915,202 @@ fn scatter_tile<A: TileAcc, const B: usize>(
                 let o = (k * oh + oy) * ow + ox;
                 for (out, &a) in tile_outs.iter_mut().zip(&row) {
                     out[o] = w_out.emit(k, a.widen());
+                }
+            }
+        }
+    }
+}
+
+/// The register route's AVX2 kernels (see [`ScatterRoute::Registers`]).
+#[cfg(target_arch = "x86_64")]
+mod registers {
+    use super::{NativeBackend, REGISTER_LANES, REGISTER_POOL_MAX};
+    use std::arch::x86_64::*;
+    use wp_core::reference::PooledConvShape;
+
+    /// The filter each stored accumulator lane holds within its 32-filter
+    /// chunk. The byte unpacks interleave low/high bytes per 128-bit half
+    /// (`unpacklo`: filters 0–7 and 16–23, `unpackhi`: 8–15 and 24–31) and
+    /// the `i16 → i32` widening splits even from odd lanes, so lane `q` of
+    /// accumulator `a` (stored at `8a + q`) holds filter
+    /// `16·(q/4) + 8·(a/2) + 2·(q%4) + a%2`.
+    const FILTER_OF: [usize; REGISTER_LANES] = {
+        let mut map = [0usize; REGISTER_LANES];
+        let mut p = 0;
+        while p < REGISTER_LANES {
+            let (a, q) = (p / 8, p % 8);
+            map[p] = 16 * (q / 4) + 8 * (a / 2) + 2 * (q % 4) + a % 2;
+            p += 1;
+        }
+        map
+    };
+
+    /// Phase 1 on the register route: each input position's partials
+    /// as `i16`, split into two 16-byte planes — low bytes at `[0, 16)`,
+    /// high bytes at `[16, 32)`, vector `s` at offset `s` (zero past the
+    /// pool) — the `vpshufb` table pair the scatter broadcasts. Tables
+    /// are position-major (`pix * groups + grp`), so one kernel offset's
+    /// groups are contiguous. A position's partial is one 16-lane `i16`
+    /// multiply-add per bit row over the LUT's `i16` blocks; the range
+    /// proof behind this route (`max |code| × (2^M − 1) ≤ i16::MAX`)
+    /// bounds every product and every partial sum of them, so the `i16`
+    /// arithmetic is exact.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every memory access is bounds-checked:
+    /// a LUT without `i16` blocks or a `tables` shorter than the input
+    /// positions of `shape` panics. The result is exact only when
+    /// `backend` meets the range proof.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill(
+        backend: &NativeBackend,
+        codes: &[i32],
+        shape: &PooledConvShape,
+        tables: &mut [[u8; 32]],
+    ) {
+        let blocks = &backend.lut.blocks16;
+        let groups = shape.groups(backend.lut.group);
+        let mut weights = [_mm256_setzero_si256(); 8];
+        for (v, &w) in weights.iter_mut().zip(&backend.bit_weights) {
+            *v = _mm256_set1_epi16(w as i16);
+        }
+        // Per 128-bit half: even (low) bytes to the first 8 slots, odd
+        // (high) bytes to the last 8.
+        #[rustfmt::skip]
+        let split = _mm256_setr_epi8(
+            0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15,
+            0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15,
+        );
+        backend.for_each_bit_rows(codes, shape, |grp, pix, rows| {
+            let mut acc = _mm256_setzero_si256();
+            for (&row, &w) in rows.iter().zip(&weights) {
+                // SAFETY: `blocks[row]` is a bounds-checked 16-lane `i16`
+                // array, exactly one 256-bit load.
+                let block = unsafe { _mm256_loadu_si256(blocks[row].as_ptr().cast()) };
+                acc = _mm256_add_epi16(acc, _mm256_mullo_epi16(block, w));
+            }
+            // Quadwords (lo 0–7, hi 0–7, lo 8–15, hi 8–15) → (lo, lo, hi, hi).
+            let table = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_shuffle_epi8(acc, split));
+            let dst = &mut tables[pix * groups + grp];
+            // SAFETY: `dst` is a bounds-checked 32-byte array, exactly one
+            // 256-bit store.
+            unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), table) };
+        });
+    }
+
+    /// Phase 2 on the register route. Per pair of 32-filter chunks and
+    /// output pixel, `i32` accumulator registers (four per chunk) sum the
+    /// pixel's valid taps: each tap broadcasts its position's low- and
+    /// high-byte tables into both 128-bit halves, looks up each chunk's 32
+    /// filters' partials with one `vpshufb` pair on the tap's index bytes
+    /// (indices are below 16, so the shuffle's zeroing bit is never set),
+    /// re-forms the `i16` partials by interleaving the byte planes and
+    /// widens them into the accumulators. Taps are summed in the solo
+    /// gather's `(ky, kx, grp)` order, and the route's range proof
+    /// (`taps · max_partial ≤ i32::MAX`) means no partial sum can
+    /// overflow, so each `i32` result equals the widened gather's
+    /// exactly. A chunk pair's index rows stay cache-resident across
+    /// every pixel.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every load goes through bounds-checked
+    /// slices of 32-byte arrays, so `tables` (one pair per input position
+    /// of `shape`, as [`fill`] writes them) or `rows` (a register-route
+    /// layout for `shape`) that do not match panic rather than read out
+    /// of bounds.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scatter(
+        tables: &[[u8; 32]],
+        rows: &[[u8; REGISTER_LANES]],
+        shape: &PooledConvShape,
+        groups: usize,
+        out: &mut [i32],
+    ) {
+        let per_chunk = (shape.kernel * shape.kernel * groups).max(1);
+        let mut chunks = rows.chunks_exact(per_chunk).enumerate();
+        while let Some((c, first)) = chunks.next() {
+            match chunks.next() {
+                Some((_, second)) => chunk_pass([first, second], c, tables, shape, groups, out),
+                None => chunk_pass([first], c, tables, shape, groups, out),
+            }
+        }
+    }
+
+    /// [`scatter`] for `N` consecutive chunks starting at chunk `c0`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn chunk_pass<const N: usize>(
+        chunks: [&[[u8; REGISTER_LANES]]; N],
+        c0: usize,
+        tables: &[[u8; 32]],
+        shape: &PooledConvShape,
+        groups: usize,
+        out: &mut [i32],
+    ) {
+        let geo = shape.geometry();
+        let (oh, ow) = (geo.out_h(), geo.out_w());
+        let (kernel, in_w, k_count) = (shape.kernel, shape.in_w, shape.out_ch);
+        // As `i16` pairs this is (1, 0): `madd` keeps each pair's low
+        // (even) lane, sign-extended to `i32`.
+        let even = _mm256_set1_epi32(1);
+        let mut sums = [0i32; REGISTER_LANES];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut acc = [[_mm256_setzero_si256(); 4]; N];
+                for ky in 0..kernel {
+                    let Some(iy) = geo.input_row(oy, ky) else { continue };
+                    for kx in 0..kernel {
+                        let Some(ix) = geo.input_col(ox, kx) else { continue };
+                        let t0 = (ky * kernel + kx) * groups;
+                        let mut taps = [&chunks[0][..0]; N];
+                        for (tap, chunk) in taps.iter_mut().zip(chunks) {
+                            *tap = &chunk[t0..t0 + groups];
+                        }
+                        let cells = &tables[(iy * in_w + ix) * groups..][..groups];
+                        for (g, table) in cells.iter().enumerate() {
+                            // SAFETY: `table` is a 32-byte array; the
+                            // loads read its bytes [0, 16) and [16, 32).
+                            let (lo, hi) = unsafe {
+                                (
+                                    _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                                        table.as_ptr().cast(),
+                                    )),
+                                    _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                                        table.as_ptr().add(REGISTER_POOL_MAX).cast(),
+                                    )),
+                                )
+                            };
+                            for (sum, tap) in acc.iter_mut().zip(&taps) {
+                                // SAFETY: `tap[g]` is a bounds-checked
+                                // 32-byte array, exactly one 256-bit load.
+                                let idx = unsafe { _mm256_loadu_si256(tap[g].as_ptr().cast()) };
+                                let l = _mm256_shuffle_epi8(lo, idx);
+                                let h = _mm256_shuffle_epi8(hi, idx);
+                                let a = _mm256_unpacklo_epi8(l, h);
+                                let b = _mm256_unpackhi_epi8(l, h);
+                                sum[0] = _mm256_add_epi32(sum[0], _mm256_madd_epi16(a, even));
+                                sum[1] = _mm256_add_epi32(sum[1], _mm256_srai_epi32::<16>(a));
+                                sum[2] = _mm256_add_epi32(sum[2], _mm256_madd_epi16(b, even));
+                                sum[3] = _mm256_add_epi32(sum[3], _mm256_srai_epi32::<16>(b));
+                            }
+                        }
+                    }
+                }
+                for (n, chunk_acc) in acc.iter().enumerate() {
+                    for (dst, a) in sums.as_chunks_mut::<8>().0.iter_mut().zip(chunk_acc) {
+                        // SAFETY: `dst` is an 8-lane `i32` array, exactly
+                        // one 256-bit store.
+                        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), *a) };
+                    }
+                    let k_base = (c0 + n) * REGISTER_LANES;
+                    for (&sum, &f) in sums.iter().zip(&FILTER_OF) {
+                        let k = k_base + f;
+                        if k < k_count {
+                            out[(k * oh + oy) * ow + ox] = sum;
+                        }
+                    }
                 }
             }
         }
@@ -1834,6 +2260,63 @@ mod tests {
             for (img, out) in images.iter().zip(&batched) {
                 assert_eq!(&backend.conv_pooled_prepared(img, &shape, &prep), out, "M={act_bits}");
             }
+        }
+    }
+
+    /// The plan-time `i16` edge at 8-bit activations: a LUT whose largest
+    /// `|code|` is 128 proves `128 · 255 = 32,640 ≤ 32,767` and takes the
+    /// register route (on AVX2 hosts); 129 (`32,895`) falls back to the
+    /// gather. Both match the reference, solo and batched.
+    #[test]
+    fn i16_edge_routes_on_max_abs_code() {
+        use crate::options::avx2_available;
+        use wp_core::reference::bitserial_conv_acc;
+
+        let shape = PooledConvShape {
+            in_ch: 16,
+            out_ch: 40,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+            in_h: 4,
+            in_w: 3,
+        };
+        let (pool, patterns) = (4usize, 256usize);
+        let mut s = 0xED6E;
+        for (extreme, bits, registers) in [(-128, 8u8, true), (-129, 9, false), (129, 9, false)] {
+            // Pattern 0 (no bit set) codes 0, as in any pool-built table;
+            // every other code but the extreme one stays within ±127.
+            let mut codes: Vec<i32> = (0..pool * patterns)
+                .map(|i| if i < pool { 0 } else { lcg(&mut s, 255) - 127 })
+                .collect();
+            codes[pool * 77 + 2] = extreme;
+            let lut = LookupTable::from_parts(8, pool, bits, 0.01, LutOrder::InputOriented, codes)
+                .expect("valid lut parts");
+            let backend =
+                NativeBackend::new_with(&lut, 8, ActEncoding::Unsigned, BackendKind::Avx2);
+            let indices: Vec<u8> =
+                (0..shape.index_count(8)).map(|_| lcg(&mut s, pool as i32) as u8).collect();
+            let prep = backend.prepare_indices(&shape, &indices);
+            assert_eq!(prep.max_partial, i64::from(extreme).abs() * 255);
+            let want = if registers && avx2_available() {
+                ScatterRoute::Registers
+            } else {
+                ScatterRoute::Gather
+            };
+            assert_eq!(prep.route(), want, "max |code| {}", extreme.abs());
+            let images: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE + 1)
+                .map(|_| (0..16 * 4 * 3).map(|_| lcg(&mut s, 256)).collect())
+                .collect();
+            let expect: Vec<Vec<i32>> = images
+                .iter()
+                .map(|img| {
+                    bitserial_conv_acc(img, &shape, &indices, &lut, 8, ActEncoding::Unsigned)
+                })
+                .collect();
+            for (img, e) in images.iter().zip(&expect) {
+                assert_eq!(&backend.conv_pooled_prepared(img, &shape, &prep), e);
+            }
+            assert_eq!(backend.conv_pooled_prepared_batch(&images, &shape, &prep), expect);
         }
     }
 

@@ -11,7 +11,7 @@
 //! `wp_kernels::network::run_network`, which makes side-by-side throughput
 //! comparisons apples-to-apples.
 
-use crate::backend::{LutCache, NativeBackend};
+use crate::backend::{LutCache, NativeBackend, ScatterRoute};
 use crate::kernel::{
     AvgPoolKernel, DenseKernel, DirectConvKernel, DwConvKernel, GlobalAvgPoolKernel, Kernel,
     KernelCtx, MaxPoolKernel, PooledConvKernel, ResidualAddKernel,
@@ -244,6 +244,11 @@ impl PreparedNet {
     /// `/metrics`.
     pub fn backend_kind(&self) -> ResolvedBackend {
         self.backend.simd()
+    }
+
+    /// Each pooled conv layer's [`ScatterRoute`], in walk order.
+    pub fn scatter_routes(&self) -> Vec<ScatterRoute> {
+        self.layers.iter().filter_map(|layer| layer.kernel.scatter_route()).collect()
     }
 
     /// Deterministic synthetic input batch with codes in the encoding's

@@ -15,7 +15,9 @@
 //! and each weight/tap is decoded once per tile instead of once per
 //! image, which only reassociates *independent* per-image sums — see
 //! [`crate::backend`] for each kernel's exactness argument. Images past
-//! the last full tile run the solo kernels. At low activation bitwidths
+//! the last full tile run the solo kernels, and so does every image of a
+//! pooled conv on the register route, whose per-image `vpshufb` scatter
+//! gains nothing from the transpose. At low activation bitwidths
 //! the direct-conv and dense kernels route batches through the bit-plane
 //! popcount tiles instead
 //! ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
@@ -34,7 +36,7 @@
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
-use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices};
+use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices, ScatterRoute};
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use crate::swar;
@@ -113,6 +115,12 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// variant so profiles distinguish it from the int8 tile path.
     fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
         trace::tier_code(ctx.backend.simd())
+    }
+
+    /// The scatter route a pooled conv was prepared for; `None` for every
+    /// other kernel.
+    fn scatter_route(&self) -> Option<ScatterRoute> {
+        None
     }
 
     /// Raw accumulators for one image plus the spatial positions per
@@ -199,6 +207,10 @@ pub struct PooledConvKernel {
 impl Kernel for PooledConvKernel {
     fn name(&self) -> &'static str {
         "pooled_conv"
+    }
+
+    fn scatter_route(&self) -> Option<ScatterRoute> {
+        Some(self.indices.route())
     }
 
     fn accumulate(

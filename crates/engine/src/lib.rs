@@ -61,7 +61,7 @@ pub mod scratch;
 pub mod swar;
 pub mod trace;
 
-pub use backend::{LutCache, NativeBackend, PreparedIndices};
+pub use backend::{LutCache, NativeBackend, PreparedIndices, ScatterRoute};
 pub use batch::BatchRunner;
 pub use bundle::PreparedNet;
 pub use kernel::{Kernel, KernelCtx};

@@ -13,8 +13,10 @@
 //!   write-out. Portable Rust; no CPU features required.
 //! * **avx2** — the swar tier with its popcount inner loops routed
 //!   through `std::arch` AVX2 (SSSE3-style nibble-shuffle population
-//!   count over 256-bit lanes), selected only when the CPU reports AVX2
-//!   at run time.
+//!   count over 256-bit lanes) and, for pooled convs whose pool and LUT
+//!   fit it, the register-resident `vpshufb` scatter
+//!   ([`crate::backend::ScatterRoute`]), selected only when the CPU
+//!   reports AVX2 at run time.
 //!
 //! Callers pick a tier through [`BackendKind`] on the [`EngineOptions`]
 //! builder; `Auto` resolves via runtime CPU detection (and honors the
@@ -40,7 +42,8 @@ pub enum BackendKind {
     Scalar,
     /// Bit-plane `u64` SWAR kernels + batched tile kernels.
     Swar,
-    /// Swar with `std::arch` AVX2 popcount inner loops.
+    /// Swar with `std::arch` AVX2 popcount inner loops and the
+    /// register-resident pooled scatter.
     Avx2,
 }
 
@@ -126,7 +129,8 @@ pub enum ResolvedBackend {
     Scalar,
     /// Portable `u64` bit-plane / batched tile kernels.
     Swar,
-    /// Swar with AVX2 popcount inner loops.
+    /// Swar with AVX2 popcount inner loops and the register-resident
+    /// pooled scatter.
     Avx2,
 }
 

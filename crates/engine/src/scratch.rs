@@ -44,6 +44,31 @@ fn class_for_cap(cap: usize) -> usize {
     (usize::BITS - 1 - cap.leading_zeros()) as usize
 }
 
+/// One element type's buffers, pooled by power-of-two size class (see
+/// the module docs).
+#[derive(Debug)]
+struct SizeClasses<T>([Vec<Vec<T>>; BUCKETS]);
+
+impl<T: Copy + Default> SizeClasses<T> {
+    fn new() -> Self {
+        Self(std::array::from_fn(|_| Vec::new()))
+    }
+
+    fn take(&mut self, len: usize) -> Vec<T> {
+        let class = class_for_len(len);
+        let mut buf = self.0[class].pop().unwrap_or_else(|| Vec::with_capacity(1usize << class));
+        buf.clear();
+        buf.resize(len, T::default());
+        buf
+    }
+
+    fn put(&mut self, buf: Vec<T>) {
+        if buf.capacity() > 0 {
+            self.0[class_for_cap(buf.capacity())].push(buf);
+        }
+    }
+}
+
 /// Reusable buffer pools for one worker's hot path (see module docs).
 ///
 /// `take_*` hands out a buffer sized and zeroed for immediate use;
@@ -53,8 +78,11 @@ fn class_for_cap(cap: usize) -> usize {
 /// steady state.
 #[derive(Debug)]
 pub struct Scratch {
-    i32_classes: [Vec<Vec<i32>>; BUCKETS],
-    i64_classes: [Vec<Vec<i64>>; BUCKETS],
+    i32_classes: SizeClasses<i32>,
+    i64_classes: SizeClasses<i64>,
+    /// Byte buffers: the register-resident pooled scatter's per-position
+    /// `vpshufb` table pairs.
+    u8_classes: SizeClasses<u8>,
     /// Tap/index pair lists (capacity grows to each site's peak demand).
     pairs: Vec<Vec<(usize, usize)>>,
     /// Outer containers for batched plane sets (inners live in the `i32`
@@ -77,8 +105,9 @@ impl Scratch {
     /// An empty arena. Allocation-free: pools fill lazily on first use.
     pub fn new() -> Self {
         Self {
-            i32_classes: std::array::from_fn(|_| Vec::new()),
-            i64_classes: std::array::from_fn(|_| Vec::new()),
+            i32_classes: SizeClasses::new(),
+            i64_classes: SizeClasses::new(),
+            u8_classes: SizeClasses::new(),
             pairs: Vec::new(),
             planes: Vec::new(),
             bitplanes: Vec::new(),
@@ -88,36 +117,32 @@ impl Scratch {
 
     /// Checks out an `i32` buffer of exactly `len` zeroed elements.
     pub fn take_i32(&mut self, len: usize) -> Vec<i32> {
-        let class = class_for_len(len);
-        let mut buf =
-            self.i32_classes[class].pop().unwrap_or_else(|| Vec::with_capacity(1usize << class));
-        buf.clear();
-        buf.resize(len, 0);
-        buf
+        self.i32_classes.take(len)
     }
 
     /// Returns an `i32` buffer to its size class.
     pub fn put_i32(&mut self, buf: Vec<i32>) {
-        if buf.capacity() > 0 {
-            self.i32_classes[class_for_cap(buf.capacity())].push(buf);
-        }
+        self.i32_classes.put(buf);
     }
 
     /// Checks out an `i64` buffer of exactly `len` zeroed elements.
     pub fn take_i64(&mut self, len: usize) -> Vec<i64> {
-        let class = class_for_len(len);
-        let mut buf =
-            self.i64_classes[class].pop().unwrap_or_else(|| Vec::with_capacity(1usize << class));
-        buf.clear();
-        buf.resize(len, 0);
-        buf
+        self.i64_classes.take(len)
     }
 
     /// Returns an `i64` buffer to its size class.
     pub fn put_i64(&mut self, buf: Vec<i64>) {
-        if buf.capacity() > 0 {
-            self.i64_classes[class_for_cap(buf.capacity())].push(buf);
-        }
+        self.i64_classes.put(buf);
+    }
+
+    /// Checks out a byte buffer of exactly `len` zeroed bytes.
+    pub fn take_u8(&mut self, len: usize) -> Vec<u8> {
+        self.u8_classes.take(len)
+    }
+
+    /// Returns a byte buffer to its size class.
+    pub fn put_u8(&mut self, buf: Vec<u8>) {
+        self.u8_classes.put(buf);
     }
 
     /// Checks out an empty tap/index pair list.
@@ -236,5 +261,8 @@ mod tests {
         let w = s.take_i64(0);
         assert!(w.is_empty());
         s.put_i64(w);
+        let b = s.take_u8(0);
+        assert!(b.is_empty());
+        s.put_u8(b);
     }
 }

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{BackendKind, EngineOptions, PreparedNet, Scratch};
+use wp_engine::{avx2_available, BackendKind, EngineOptions, PreparedNet, ScatterRoute, Scratch};
 
 /// Counts allocator entries (alloc/realloc) while armed; frees are not
 /// counted — a steady state may still *return* warmup memory, it just
@@ -126,13 +126,24 @@ fn all_kinds_bundle() -> DeployBundle {
 #[test]
 fn warmed_runs_do_not_allocate() {
     // The swar tier at a popcount-routable bitwidth: the steady state
-    // covers the batched tile kernels, the bit-plane popcount paths and
-    // the fused write-out. Untraced — the traced path is allowed to
-    // allocate in its observers.
-    let opts = EngineOptions::new().with_act_bits(2).with_backend(BackendKind::Swar);
-    let net = PreparedNet::from_bundle(&all_kinds_bundle(), &opts);
-    let mut scratch = Scratch::new();
+    // covers the batched tile kernels, the bit-plane popcount paths, the
+    // pooled gather and the fused write-out. The avx2 tier (where the CPU
+    // has it) adds the register-resident pooled scatter. Untraced — the
+    // traced path is allowed to allocate in its observers.
+    let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather)];
+    if avx2_available() {
+        tiers.push((BackendKind::Avx2, ScatterRoute::Registers));
+    }
+    for (tier, route) in tiers {
+        let opts = EngineOptions::new().with_act_bits(2).with_backend(tier);
+        let net = PreparedNet::from_bundle(&all_kinds_bundle(), &opts);
+        assert_eq!(net.scatter_routes(), [route], "{tier}");
+        assert_steady_state_is_allocation_free(&net, tier);
+    }
+}
 
+fn assert_steady_state_is_allocation_free(net: &PreparedNet, tier: BackendKind) {
+    let mut scratch = Scratch::new();
     let inputs = net.fabricate_inputs(11, 7);
     let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
     let want_solo = vec![net.run_one(&inputs[0])];
@@ -162,9 +173,9 @@ fn warmed_runs_do_not_allocate() {
     });
 
     // The runs must still compute the right thing...
-    assert!(solo_ok, "warmed solo run diverged from run_one");
-    assert!(batch_ok, "warmed batched run diverged from run_one");
+    assert!(solo_ok, "{tier}: warmed solo run diverged from run_one");
+    assert!(batch_ok, "{tier}: warmed batched run diverged from run_one");
     // ...without ever entering the allocator.
-    assert_eq!(solo_allocs, 0, "solo steady state must not allocate");
-    assert_eq!(batch_allocs, 0, "batched steady state must not allocate");
+    assert_eq!(solo_allocs, 0, "{tier}: solo steady state must not allocate");
+    assert_eq!(batch_allocs, 0, "{tier}: batched steady state must not allocate");
 }

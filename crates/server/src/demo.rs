@@ -5,8 +5,8 @@
 //! convention as the engine's fabricated depthwise/dense weights. The
 //! serving demo is deliberately **scatter-heavy** (many filters over a
 //! small shared pool): that is the regime the paper compresses best, and
-//! the one where the engine's batched scatter amortizes most, so it shows
-//! the micro-batcher's value honestly. Its counterpart,
+//! at 8-bit activations every one of its pooled layers fits the engine's
+//! register-resident scatter (16 vectors, 8-bit LUT). Its counterpart,
 //! [`DemoSize::Stem`], is **stem-heavy** (direct convs, depthwise, dense
 //! — no pooled convs), exercising the weight-stationary batched
 //! direct/depthwise/dense kernels end to end instead.
@@ -189,6 +189,24 @@ mod tests {
         let solo: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
         let batched = net.run(&refs, &mut wp_engine::Scratch::new());
         assert_eq!(batched, solo, "stem batched path must be bit-identical");
+    }
+
+    /// A silent fallback to the memory gather would cost the demo most of
+    /// its pooled-conv speed, so it fails here rather than only in the
+    /// benchmark.
+    #[test]
+    fn serve_demo_pooled_layers_take_the_register_route() {
+        if !wp_engine::avx2_available() {
+            return;
+        }
+        for seed in [1, 2, 3, 42] {
+            let bundle = demo_bundle(DemoSize::Serve, seed);
+            let opts = EngineOptions::default()
+                .with_act_bits(8)
+                .with_backend(wp_engine::BackendKind::Avx2);
+            let routes = PreparedNet::from_bundle(&bundle, &opts).scatter_routes();
+            assert_eq!(routes, [wp_engine::ScatterRoute::Registers; 3], "seed {seed}");
+        }
     }
 
     #[test]
