@@ -1,28 +1,34 @@
 //! The dynamic micro-batcher: coalesces concurrent inference requests
 //! into batches for the native engine.
 //!
-//! Every plane is submitted with a completion callback
-//! ([`Batcher::submit_callback`], what the event-driven front uses): it
-//! never blocks, and the result reaches the callback exactly once.
-//! [`Batcher::submit`] and [`Batcher::infer`] are thin blocking wrappers
-//! whose callback is a channel send, for tests and tools. A dedicated
-//! flusher thread drains
-//! the queue into batches, flushing as soon as **either** `max_batch`
-//! planes are waiting **or** the oldest plane has waited `max_wait`
-//! (whichever comes first — a solo request on an idle server pays at most
-//! `max_wait`, a busy server packs full batches back to back). Each batch
-//! executes through [`wp_engine::BatchRunner::run_refs`], whose batched
-//! kernels are bit-identical to solo execution, so coalescing never
-//! changes a response.
+//! The unit of work is a request: its planes and one completion callback
+//! ([`Batcher::submit_callback`], what the event-driven front uses).
+//! Submission never blocks. Every plane is checked against the plan in
+//! the slot, and the request is admitted whole or refused whole under one
+//! queue lock with one wake-up, so a refused request costs no engine
+//! work. The result reaches the callback exactly once. [`Batcher::submit`]
+//! and [`Batcher::infer`] are one-plane blocking wrappers whose callback
+//! is a channel send, for tests and tools.
 //!
-//! The prepared network lives behind an [`RwLock`]'d [`Arc`] slot; the
-//! flusher clones the `Arc` per batch, which is what makes registry
-//! hot-swaps atomic: every batch runs entirely on one plan, and in-flight
-//! batches finish on the plan they started with.
+//! A dedicated flusher thread drains the queue into batches, flushing as
+//! soon as **either** `max_batch` planes are waiting **or** the oldest
+//! request has waited `max_wait` (whichever comes first — a solo request
+//! on an idle server pays at most `max_wait`, a busy server packs full
+//! batches back to back). Planes are carved in arrival order; a request
+//! that does not fit the room left continues in the next flush, and its
+//! callback fires after its last plane. Each batch executes through
+//! [`wp_engine::BatchRunner::run_refs`], whose batched kernels are
+//! bit-identical to solo execution, so coalescing never changes a
+//! response.
+//!
+//! The prepared network lives behind an [`RwLock`]'d [`Arc`] slot. A
+//! request is pinned at submit to the plan it was checked against, and a
+//! batch ends at the first request pinned to a different plan. That is
+//! what makes registry hot-swaps atomic: every request runs wholly on one
+//! plan, even when its planes span two batches with a swap in between.
 
 use crate::metrics::ModelMetrics;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -37,14 +43,14 @@ pub type ModelSlot = RwLock<Arc<PreparedNet>>;
 pub struct BatcherConfig {
     /// Flush as soon as this many planes are queued.
     pub max_batch: usize,
-    /// Flush once the oldest queued plane has waited this long.
+    /// Flush once the oldest queued request has waited this long.
     pub max_wait: Duration,
     /// Worker threads for batch execution (see
     /// [`wp_engine::BatchRunner`]); defaults to available parallelism.
     pub threads: usize,
-    /// Hard cap on queued planes; submits beyond it are rejected with
-    /// [`InferError::Overloaded`] instead of growing the queue without
-    /// bound.
+    /// Hard cap on queued planes; a request that would exceed it is
+    /// refused whole with [`InferError::Overloaded`] instead of growing
+    /// the queue without bound.
     pub max_queue: usize,
 }
 
@@ -59,12 +65,12 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Why a submitted plane was not served.
+/// Why a submitted request was not served.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferError {
-    /// The plane's length does not match the model input.
+    /// A plane's length or codes do not match the model input.
     BadInput(String),
-    /// The queue is at `max_queue`.
+    /// The request does not fit under `max_queue`.
     Overloaded,
     /// The batcher is shutting down.
     ShuttingDown,
@@ -82,16 +88,20 @@ impl std::fmt::Display for InferError {
 
 impl std::error::Error for InferError {}
 
-/// How a served (or failed) plane's result reaches its submitter:
-/// invoked on the flusher thread right after the batch executes, or
-/// synchronously at submit time on a validation/overload failure. Must
-/// be cheap and must not block — the event front hands the result to an
-/// event thread's completion queue and wakes its eventfd.
-type Responder = Box<dyn FnOnce(Result<Vec<i32>, InferError>) + Send>;
+/// How a served (or refused) request's result reaches its submitter:
+/// invoked on the flusher thread right after the batch holding the
+/// request's last plane executes, or synchronously at submit time on a
+/// refusal. Must be cheap and must not block — the event front hands the
+/// result to an event thread's completion queue and wakes its eventfd.
+type Responder = Box<dyn FnOnce(Result<Vec<Vec<i32>>, InferError>) + Send>;
 
-/// One queued plane and the responder its result goes back through.
+/// One admitted request.
 struct Pending {
-    input: Vec<i32>,
+    /// The plan every plane was checked against, and the one it runs on.
+    net: Arc<PreparedNet>,
+    inputs: Vec<Vec<i32>>,
+    /// Outputs of the planes executed so far, in order.
+    outputs: Vec<Vec<i32>>,
     enqueued: Instant,
     /// Request trace id ([`trace::span_id_from`] of the HTTP
     /// `X-Request-Id`); 0 for untraced submissions.
@@ -102,6 +112,8 @@ struct Pending {
 /// Queue state behind the mutex.
 struct QueueState {
     pending: VecDeque<Pending>,
+    /// Planes admitted and not yet carved into a batch.
+    planes: usize,
     shutdown: bool,
 }
 
@@ -134,7 +146,6 @@ pub struct Batcher {
     slot: Arc<ModelSlot>,
     config: BatcherConfig,
     flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    batches_flushed: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for Batcher {
@@ -154,20 +165,17 @@ impl Batcher {
             max_queue: config.max_queue.max(1),
         };
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState { pending: VecDeque::new(), shutdown: false }),
+            state: Mutex::new(QueueState { pending: VecDeque::new(), planes: 0, shutdown: false }),
             wake_flusher: Condvar::new(),
         });
-        let batches_flushed = Arc::new(AtomicU64::new(0));
         let flusher = {
             let shared = Arc::clone(&shared);
-            let slot = Arc::clone(&slot);
-            let batches_flushed = Arc::clone(&batches_flushed);
             std::thread::Builder::new()
                 .name("wp-batcher".into())
-                .spawn(move || flusher_loop(&shared, &slot, config, &metrics, &batches_flushed))
+                .spawn(move || flusher_loop(&shared, config, &metrics))
                 .expect("spawn batcher flusher")
         };
-        Self { shared, slot, config, flusher: Mutex::new(Some(flusher)), batches_flushed }
+        Self { shared, slot, config, flusher: Mutex::new(Some(flusher)) }
     }
 
     /// The batcher's configuration (normalized: zeroes clamped to one).
@@ -180,32 +188,27 @@ impl Batcher {
         &self.slot
     }
 
-    /// Batches flushed so far (test/diagnostic aid).
-    pub fn batches_flushed(&self) -> u64 {
-        self.batches_flushed.load(Ordering::Relaxed)
-    }
-
-    /// Validates and enqueues one plane; `done` is invoked with the
-    /// result — on the flusher thread once the plane's batch executes,
-    /// or synchronously *before this returns* when validation fails, the
-    /// queue is at capacity, or the batcher is shutting down. Exactly one
-    /// invocation either way, so callers never poll and never block.
+    /// Admits one request; `done` is invoked once with its outputs, in
+    /// plane order — on the flusher thread after the request's last plane
+    /// executes, or synchronously *before this returns* when the request
+    /// is refused. Callers never poll and never block.
     ///
-    /// Validation happens here, against the *current* plan, so the
-    /// flusher can execute whole batches without per-plane error paths:
+    /// Every plane is checked here, against the plan in the slot, and the
+    /// request runs on that plan whatever the registry swaps in later:
     /// [`InferError::BadInput`] for a wrong-size plane or out-of-range
-    /// code, [`InferError::Overloaded`] at the queue cap, and
-    /// [`InferError::ShuttingDown`] after [`Batcher::shutdown`].
+    /// code, [`InferError::Overloaded`] when the request's planes do not
+    /// fit under `max_queue`, and [`InferError::ShuttingDown`] after
+    /// [`Batcher::shutdown`]. A refused request runs none of its planes.
     /// `span_id` (a [`trace::span_id_from`] of the request id, 0 when
-    /// untraced) is stamped on the queue-wait span the flusher emits for
-    /// this plane.
+    /// untraced) is stamped on the queue-wait spans the flusher emits for
+    /// this request.
     pub fn submit_callback(
         &self,
-        input: Vec<i32>,
+        inputs: Vec<Vec<i32>>,
         span_id: u64,
-        done: impl FnOnce(Result<Vec<i32>, InferError>) + Send + 'static,
+        done: impl FnOnce(Result<Vec<Vec<i32>>, InferError>) + Send + 'static,
     ) {
-        if let Err((error, done)) = self.enqueue(input, span_id, Box::new(done)) {
+        if let Err((error, done)) = self.enqueue(inputs, span_id, Box::new(done)) {
             done(Err(error));
         }
     }
@@ -219,36 +222,39 @@ impl Batcher {
     /// The submit-time rejections of [`Batcher::submit_callback`].
     pub fn submit(&self, input: Vec<i32>) -> Result<Ticket, InferError> {
         let (tx, rx) = mpsc::channel();
-        // A dropped ticket (caller gone) makes the send fail; ignore it.
         let done: Responder = Box::new(move |result| {
-            let _ = tx.send(result);
+            let plane = result.map(|mut outputs| outputs.pop().expect("one output per plane"));
+            // A dropped ticket (caller gone) makes the send fail; ignore it.
+            let _ = tx.send(plane);
         });
-        self.enqueue(input, 0, done).map_err(|(error, _)| error)?;
+        self.enqueue(vec![input], 0, done).map_err(|(error, _)| error)?;
         Ok(Ticket { rx })
     }
 
-    /// Validates and enqueues one plane. On failure the responder is
-    /// handed back un-invoked so the caller decides delivery.
+    /// Checks every plane and admits the request whole. On failure the
+    /// responder is handed back un-invoked so the caller decides delivery.
     fn enqueue(
         &self,
-        input: Vec<i32>,
+        inputs: Vec<Vec<i32>>,
         span_id: u64,
         responder: Responder,
     ) -> Result<(), (InferError, Responder)> {
         let net = self.slot.read().expect("model slot poisoned").clone();
         let (c, h, w) = net.input_shape();
-        if input.len() != c * h * w {
-            let error = InferError::BadInput(format!(
-                "expected {} activation codes ({c}x{h}x{w}), got {}",
-                c * h * w,
-                input.len()
-            ));
-            return Err((error, responder));
-        }
         let (lo, hi) = net.backend().encoding().code_range(net.act_bits());
-        if let Some(&bad) = input.iter().find(|&&v| !(lo..=hi).contains(&v)) {
-            let error = InferError::BadInput(format!("activation code {bad} outside [{lo}, {hi}]"));
-            return Err((error, responder));
+        for input in &inputs {
+            let message = if input.len() != c * h * w {
+                format!(
+                    "expected {} activation codes ({c}x{h}x{w}), got {}",
+                    c * h * w,
+                    input.len()
+                )
+            } else if let Some(&bad) = input.iter().find(|&&v| !(lo..=hi).contains(&v)) {
+                format!("activation code {bad} outside [{lo}, {hi}]")
+            } else {
+                continue;
+            };
+            return Err((InferError::BadInput(message), responder));
         }
 
         {
@@ -256,11 +262,14 @@ impl Batcher {
             if state.shutdown {
                 return Err((InferError::ShuttingDown, responder));
             }
-            if state.pending.len() >= self.config.max_queue {
+            if state.planes + inputs.len() > self.config.max_queue {
                 return Err((InferError::Overloaded, responder));
             }
+            state.planes += inputs.len();
             state.pending.push_back(Pending {
-                input,
+                net,
+                outputs: Vec::with_capacity(inputs.len()),
+                inputs,
                 enqueued: Instant::now(),
                 span_id,
                 responder,
@@ -280,7 +289,7 @@ impl Batcher {
         self.submit(input)?.wait()
     }
 
-    /// Stops accepting new planes, drains the queue, and joins the
+    /// Stops accepting new requests, drains the queue, and joins the
     /// flusher. Idempotent.
     pub fn shutdown(&self) {
         {
@@ -301,27 +310,23 @@ impl Drop for Batcher {
 }
 
 /// The flusher: waits for work, carves batches, executes, replies.
-fn flusher_loop(
-    shared: &Shared,
-    slot: &ModelSlot,
-    config: BatcherConfig,
-    metrics: &ModelMetrics,
-    batches_flushed: &AtomicU64,
-) {
+fn flusher_loop(shared: &Shared, config: BatcherConfig, metrics: &ModelMetrics) {
     let runner = BatchRunner::new(config.threads);
     let mut state = shared.state.lock().expect("batcher queue poisoned");
     loop {
-        if state.pending.is_empty() {
+        let Some(oldest) = state.pending.front() else {
             if state.shutdown {
                 return;
             }
             state = shared.wake_flusher.wait(state).expect("batcher queue poisoned");
             continue;
-        }
+        };
 
         // A batch is pending; wait for it to fill or its deadline to pass.
-        let deadline = state.pending.front().expect("non-empty").enqueued + config.max_wait;
-        while state.pending.len() < config.max_batch && !state.shutdown {
+        // Only this thread pops, so the oldest request stays at the front.
+        let deadline = oldest.enqueued + config.max_wait;
+        let net = Arc::clone(&oldest.net);
+        while state.planes < config.max_batch && !state.shutdown {
             let now = Instant::now();
             let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
             else {
@@ -335,25 +340,40 @@ fn flusher_loop(
             }
         }
 
-        let take = state.pending.len().min(config.max_batch);
-        let batch: Vec<Pending> = state.pending.drain(..take).collect();
+        // Carve up to `max_batch` planes in arrival order, ending at the
+        // first request pinned to a different plan. Each entry is a
+        // request and how many of its remaining planes this batch runs.
+        let mut batch: Vec<(Pending, usize)> = Vec::new();
+        let mut room = config.max_batch;
+        while let Some(p) = state.pending.front() {
+            if room == 0 || !Arc::ptr_eq(&p.net, &net) {
+                break;
+            }
+            let take = (p.inputs.len() - p.outputs.len()).min(room);
+            room -= take;
+            state.planes -= take;
+            batch.push((state.pending.pop_front().expect("front checked"), take));
+        }
         drop(state);
 
         let started = Instant::now();
-        for p in &batch {
-            metrics.queue_latency.record_micros(started.duration_since(p.enqueued));
+        let refs: Vec<&[i32]> = batch
+            .iter()
+            .flat_map(|(p, take)| p.inputs[p.outputs.len()..][..*take].iter().map(Vec::as_slice))
+            .collect();
+        for (p, take) in &batch {
+            for _ in 0..*take {
+                metrics.queue_latency.record_micros(started.duration_since(p.enqueued));
+            }
         }
-        // One Arc clone per batch: the whole batch runs on one plan even
-        // if the registry swaps the slot mid-flight.
-        let net = slot.read().expect("model slot poisoned").clone();
         if let Some(sink) = net.trace_sink() {
-            // One queue-wait span per plane, ending at batch start and
-            // carrying the submitting request's trace id.
+            // One queue-wait span per request, ending at batch start and
+            // carrying the request's trace id.
             let batch_start_ns = trace::now_ns();
             let track = trace::current_track();
             let tier = trace::tier_code(net.backend().simd());
-            let size = u16::try_from(batch.len()).unwrap_or(u16::MAX);
-            for p in &batch {
+            let size = u16::try_from(refs.len()).unwrap_or(u16::MAX);
+            for (p, _) in &batch {
                 let wait_ns = u64::try_from(started.duration_since(p.enqueued).as_nanos())
                     .unwrap_or(u64::MAX);
                 sink.record_span(&TraceEvent {
@@ -368,42 +388,26 @@ fn flusher_loop(
                 });
             }
         }
-        // Re-validate against the plan actually being run: submit-time
-        // validation used whatever plan was deployed then, and a hot swap
-        // in between may have changed the input shape or code range. A
-        // stale plane gets an error reply; it must never panic the
-        // flusher (that would strand every future request of this model).
-        let (c, h, w) = net.input_shape();
-        let expected_len = c * h * w;
-        let (lo, hi) = net.backend().encoding().code_range(net.act_bits());
-        let valid: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| {
-                p.input.len() == expected_len && p.input.iter().all(|v| (lo..=hi).contains(v))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let refs: Vec<&[i32]> = valid.iter().map(|&i| batch[i].input.as_slice()).collect();
-        let outputs = runner.run_refs(&net, &refs);
-        if !valid.is_empty() {
-            metrics.record_batch(valid.len());
-            batches_flushed.fetch_add(1, Ordering::Relaxed);
+        let mut outputs = runner.run_refs(&net, &refs).into_iter();
+        if !refs.is_empty() {
+            metrics.record_batch(refs.len());
         }
-        let mut results: Vec<Option<Vec<i32>>> = vec![None; batch.len()];
-        for (&i, out) in valid.iter().zip(outputs) {
-            results[i] = Some(out);
-        }
-        for (p, result) in batch.into_iter().zip(results) {
-            let reply = result.ok_or_else(|| {
-                InferError::BadInput(
-                    "plane no longer matches the deployed model (hot-swapped mid-queue?)".into(),
-                )
-            });
-            (p.responder)(reply);
+        // Only the batch's last request can have planes left; it goes back
+        // to the front of the queue to continue in the next flush.
+        let mut unfinished = None;
+        for (mut p, take) in batch {
+            p.outputs.extend(outputs.by_ref().take(take));
+            if p.outputs.len() == p.inputs.len() {
+                (p.responder)(Ok(p.outputs));
+            } else {
+                unfinished = Some(p);
+            }
         }
 
         state = shared.state.lock().expect("batcher queue poisoned");
+        if let Some(p) = unfinished {
+            state.pending.push_front(p);
+        }
     }
 }
 
@@ -411,6 +415,7 @@ fn flusher_loop(
 mod tests {
     use super::*;
     use crate::demo;
+    use std::sync::atomic::Ordering;
     use wp_engine::PreparedNet;
 
     fn slot() -> (Arc<ModelSlot>, Arc<PreparedNet>) {
@@ -418,9 +423,14 @@ mod tests {
         (Arc::new(RwLock::new(Arc::clone(&net))), net)
     }
 
-    fn start(slot: Arc<ModelSlot>, max_batch: usize, max_wait: Duration) -> Batcher {
+    fn start(
+        slot: Arc<ModelSlot>,
+        max_batch: usize,
+        max_wait: Duration,
+    ) -> (Batcher, Arc<ModelMetrics>) {
         let config = BatcherConfig { max_batch, max_wait, threads: 2, max_queue: 1024 };
-        Batcher::start(slot, config, Arc::new(ModelMetrics::new()))
+        let metrics = Arc::new(ModelMetrics::new());
+        (Batcher::start(slot, config, Arc::clone(&metrics)), metrics)
     }
 
     /// Satellite pin: solo, coalesced-full-batch, and timeout-flushed
@@ -432,7 +442,7 @@ mod tests {
         let inputs = net.fabricate_inputs(24, 99);
         let expected: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
         for max_batch in [1usize, 4, 32] {
-            let batcher = start(Arc::clone(&slot), max_batch, Duration::from_millis(1));
+            let (batcher, _) = start(Arc::clone(&slot), max_batch, Duration::from_millis(1));
             // Concurrent submission from one thread per request: requests
             // coalesce into whatever batches the flusher carves.
             let outputs: Vec<Vec<i32>> = std::thread::scope(|scope| {
@@ -456,12 +466,12 @@ mod tests {
     fn timeout_flush_serves_solo_request() {
         let (slot, net) = slot();
         let input = net.fabricate_inputs(1, 5).pop().unwrap();
-        let batcher = start(slot, 32, Duration::from_millis(5));
+        let (batcher, metrics) = start(slot, 32, Duration::from_millis(5));
         let started = Instant::now();
         let out = batcher.infer(input.clone()).expect("served");
         assert_eq!(out, net.run_one(&input));
         assert!(started.elapsed() >= Duration::from_millis(4), "flushed only after max_wait");
-        assert_eq!(batcher.batches_flushed(), 1);
+        assert_eq!(metrics.batches.load(Ordering::Relaxed), 1);
         batcher.shutdown();
     }
 
@@ -470,18 +480,18 @@ mod tests {
     fn max_batch_one_never_coalesces() {
         let (slot, net) = slot();
         let inputs = net.fabricate_inputs(6, 3);
-        let batcher = start(slot, 1, Duration::from_secs(5));
+        let (batcher, metrics) = start(slot, 1, Duration::from_secs(5));
         for input in &inputs {
             assert_eq!(batcher.infer(input.clone()).unwrap(), net.run_one(input));
         }
-        assert_eq!(batcher.batches_flushed(), 6, "one batch per request");
+        assert_eq!(metrics.batches.load(Ordering::Relaxed), 6, "one batch per request");
         batcher.shutdown();
     }
 
     #[test]
     fn bad_inputs_rejected_at_submit() {
         let (slot, net) = slot();
-        let batcher = start(slot, 4, Duration::from_millis(1));
+        let (batcher, _) = start(slot, 4, Duration::from_millis(1));
         assert!(matches!(batcher.infer(vec![0i32; 3]), Err(InferError::BadInput(_))));
         let (c, h, w) = net.input_shape();
         let mut bad = vec![0i32; c * h * w];
@@ -490,39 +500,40 @@ mod tests {
         batcher.shutdown();
     }
 
-    /// Callback submission is bit-identical to solo execution, and
-    /// failure paths (bad input, shutdown) invoke the callback instead of
-    /// dropping it.
+    /// Callback submission is bit-identical to solo execution — also for
+    /// requests whose planes span two batches (3 + 3 + 2 planes under
+    /// `max_batch` 4) — and failure paths (bad input, shutdown) invoke the
+    /// callback instead of dropping it.
     #[test]
     fn callback_submission_is_bit_identical_and_always_invoked() {
         let (slot, net) = slot();
         let inputs = net.fabricate_inputs(8, 42);
         let expected: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-        let batcher = start(Arc::clone(&slot), 4, Duration::from_millis(1));
+        let (batcher, _) = start(Arc::clone(&slot), 4, Duration::from_millis(1));
 
         let (tx, rx) = mpsc::channel();
-        for (i, input) in inputs.iter().enumerate() {
+        let requests: Vec<&[Vec<i32>]> = inputs.chunks(3).collect();
+        for (i, request) in requests.iter().enumerate() {
             let tx = tx.clone();
-            batcher.submit_callback(input.clone(), 0, move |r| {
+            batcher.submit_callback(request.to_vec(), 0, move |r| {
                 tx.send((i, r)).unwrap();
             });
         }
-        let mut outputs: Vec<Option<Vec<i32>>> = vec![None; inputs.len()];
-        for _ in 0..inputs.len() {
+        let mut outputs: Vec<Vec<Vec<i32>>> = vec![Vec::new(); requests.len()];
+        for _ in 0..requests.len() {
             let (i, r) = rx.recv_timeout(Duration::from_secs(10)).expect("callback fired");
-            outputs[i] = Some(r.expect("served"));
+            outputs[i] = r.expect("served");
         }
-        let outputs: Vec<Vec<i32>> = outputs.into_iter().map(|o| o.unwrap()).collect();
-        assert_eq!(outputs, expected);
+        assert_eq!(outputs.concat(), expected);
 
         // Validation failure: callback fires synchronously with the error.
         let (tx, rx) = mpsc::channel();
-        batcher.submit_callback(vec![0i32; 3], 0, move |r| tx.send(r).unwrap());
+        batcher.submit_callback(vec![vec![0i32; 3]], 0, move |r| tx.send(r).unwrap());
         assert!(matches!(rx.try_recv(), Ok(Err(InferError::BadInput(_)))));
 
         batcher.shutdown();
         let (tx, rx) = mpsc::channel();
-        batcher.submit_callback(inputs[0].clone(), 0, move |r| tx.send(r).unwrap());
+        batcher.submit_callback(vec![inputs[0].clone()], 0, move |r| tx.send(r).unwrap());
         assert!(matches!(rx.try_recv(), Ok(Err(InferError::ShuttingDown))));
     }
 
@@ -530,32 +541,32 @@ mod tests {
     fn shutdown_rejects_new_submits_and_is_idempotent() {
         let (slot, net) = slot();
         let input = net.fabricate_inputs(1, 1).pop().unwrap();
-        let batcher = start(slot, 4, Duration::from_millis(1));
+        let (batcher, _) = start(slot, 4, Duration::from_millis(1));
         batcher.shutdown();
         batcher.shutdown();
         assert_eq!(batcher.infer(input), Err(InferError::ShuttingDown));
     }
 
-    /// An incompatible hot swap while planes are queued must error those
-    /// planes, not panic the flusher — and the batcher must keep serving
-    /// afterwards.
+    /// An incompatible hot swap while a plane is queued must not panic the
+    /// flusher: the plane runs on the 8-bit plan it was checked against,
+    /// and the batcher keeps serving the new plan afterwards.
     #[test]
     fn incompatible_hot_swap_mid_queue_does_not_kill_the_flusher() {
         let (slot, net) = slot();
         // Long deadline + wide batch: the submitted plane sits queued
         // while we swap the model underneath it.
-        let batcher = start(Arc::clone(&slot), 32, Duration::from_millis(100));
+        let (batcher, _) = start(Arc::clone(&slot), 32, Duration::from_millis(100));
         let mut input = net.fabricate_inputs(1, 2).pop().unwrap();
         input[0] = 200; // valid at 8 bits, out of range at 4
-        let ticket = batcher.submit(input).expect("valid for the current plan");
+        let ticket = batcher.submit(input.clone()).expect("valid for the current plan");
 
-        // Swap to a 4-bit plan: the queued 8-bit plane no longer fits.
+        // Swap to a 4-bit plan the queued 8-bit plane would not fit.
         let bundle = demo::demo_bundle(demo::DemoSize::Tiny, 7);
         let opts = wp_engine::EngineOptions::new().with_act_bits(4);
         let swapped = Arc::new(PreparedNet::from_bundle(&bundle, &opts));
         *slot.write().unwrap() = Arc::clone(&swapped);
 
-        assert!(matches!(ticket.wait(), Err(InferError::BadInput(_))));
+        assert_eq!(ticket.wait().unwrap(), net.run_one(&input));
         // The flusher survived: a plane valid for the new plan is served.
         let ok = swapped.fabricate_inputs(1, 3).pop().unwrap();
         assert_eq!(batcher.infer(ok.clone()).unwrap(), swapped.run_one(&ok));
@@ -566,7 +577,7 @@ mod tests {
     fn hot_swap_takes_effect_for_new_batches() {
         let (slot, net) = slot();
         let input = net.fabricate_inputs(1, 11).pop().unwrap();
-        let batcher = start(Arc::clone(&slot), 1, Duration::from_millis(1));
+        let (batcher, _) = start(Arc::clone(&slot), 1, Duration::from_millis(1));
         let before = batcher.infer(input.clone()).unwrap();
         assert_eq!(before, net.run_one(&input));
 

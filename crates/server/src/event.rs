@@ -8,7 +8,8 @@
 //!                                  ├── readiness: nonblocking read → RequestParser
 //!                                  │     sync endpoints: route() inline
 //!                                  │     POST /v1/infer: Batcher::submit_callback
-//!                                  │        (flusher thread → completion queue → eventfd)
+//!                                  │        (whole request, one callback: flusher
+//!                                  │         thread → completion queue → eventfd)
 //!                                  ├── completions: encode response → WriteBuf
 //!                                  │     (chunked transfer encoding ≥ 32 KiB)
 //!                                  └── deadline wheel sweep: idle reap /
@@ -24,11 +25,13 @@
 //! * **Level-triggered** events: simpler invariants than edge-triggered
 //!   (a missed wakeup self-heals on the next `epoll_wait`), and the
 //!   syscall savings of edge mode are noise next to inference work.
-//! * **Blocking is banned on event threads.** Inference hands off through
-//!   [`crate::batcher::Batcher::submit_callback`]; the completion path
-//!   (flusher thread) pushes onto this thread's completion queue and
-//!   writes its eventfd. A connection with an inference in flight parses
-//!   no further pipelined requests, which is what guarantees in-order
+//! * **Blocking is banned on event threads.** Inference hands the whole
+//!   request off through [`crate::batcher::Batcher::submit_callback`]
+//!   with one callback; the batcher invokes it once — on the flusher
+//!   thread after the request's last plane, or inline on a refusal — and
+//!   it pushes the reply onto this thread's completion queue and writes
+//!   its eventfd. A connection with an inference in flight parses no
+//!   further pipelined requests, which is what guarantees in-order
 //!   responses on a pipelined connection.
 //! * **One wheel entry per connection** ([`DeadlineWheel`] lazy
 //!   semantics): deadlines rearm by rewriting `Connection::deadline`;
@@ -42,7 +45,7 @@ use crate::conn::{Connection, DeadlinePhase, DeadlineWheel, Slab, Timeouts, Toke
 use crate::http::{self, HttpError, Request, Status};
 use crate::metrics::{LatencyHistogram, Metrics};
 use crate::protocol::{ErrorResponse, InferResponse};
-use crate::registry::{ModelEntry, ModelRegistry};
+use crate::registry::ModelRegistry;
 use crate::server::{self, FrontRuntime, Reply, ServerConfig};
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -285,71 +288,6 @@ struct ThreadShared {
     wake: EventFd,
 }
 
-/// Aggregates one infer request's plane callbacks back into a single
-/// [`Reply`]; the last plane to complete (success or failure) builds the
-/// reply on the flusher thread and mails it to the owning event thread.
-struct InferJob {
-    state: Mutex<JobState>,
-    entry: Arc<ModelEntry>,
-    shared: Arc<ThreadShared>,
-    token: Token,
-    rid: String,
-    keep_alive: bool,
-    started: Instant,
-    submitted: Instant,
-}
-
-struct JobState {
-    outputs: Vec<Option<Vec<i32>>>,
-    error: Option<InferError>,
-    remaining: usize,
-}
-
-impl InferJob {
-    fn complete(&self, index: usize, result: Result<Vec<i32>, InferError>) {
-        let reply = {
-            let mut st = self.state.lock().expect("infer job poisoned");
-            match result {
-                Ok(out) => st.outputs[index] = Some(out),
-                Err(e) => {
-                    // First error wins: the reply reports the first plane
-                    // that failed.
-                    if st.error.is_none() {
-                        st.error = Some(e);
-                    }
-                }
-            }
-            st.remaining -= 1;
-            if st.remaining > 0 {
-                return;
-            }
-            match &st.error {
-                Some(e) => server::infer_error(e, &self.rid),
-                None => {
-                    self.entry.metrics().request_latency.record_micros(self.submitted.elapsed());
-                    let outputs: Vec<Vec<i32>> = st
-                        .outputs
-                        .drain(..)
-                        .map(|o| o.expect("all planes completed without error"))
-                        .collect();
-                    server::ok(
-                        &InferResponse { model: self.entry.name().to_string(), outputs },
-                        &self.rid,
-                    )
-                }
-            }
-        };
-        self.shared.completions.lock().expect("completion queue poisoned").push(Completion {
-            token: self.token,
-            reply,
-            rid: self.rid.clone(),
-            keep_alive: self.keep_alive,
-            started: self.started,
-        });
-        self.shared.wake.wake();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Front startup
 // ---------------------------------------------------------------------------
@@ -580,26 +518,29 @@ impl EventLoop {
                     if let Some(conn) = self.slab.get_mut(token) {
                         conn.inflight = true;
                     }
-                    let job = Arc::new(InferJob {
-                        state: Mutex::new(JobState {
-                            outputs: vec![None; plan.inputs.len()],
-                            error: None,
-                            remaining: plan.inputs.len(),
-                        }),
-                        entry: plan.entry,
-                        shared: Arc::clone(&self.shared),
-                        token,
-                        rid,
-                        keep_alive,
-                        started,
-                        submitted: Instant::now(),
-                    });
-                    for (i, input) in plan.inputs.into_iter().enumerate() {
-                        let cb = Arc::clone(&job);
-                        job.entry
-                            .batcher()
-                            .submit_callback(input, plan.span_id, move |r| cb.complete(i, r));
-                    }
+                    let entry = Arc::clone(&plan.entry);
+                    let shared = Arc::clone(&self.shared);
+                    let submitted = Instant::now();
+                    // Runs once: on the flusher thread after the request's
+                    // last plane, or right here if the request is refused.
+                    let done = move |result: Result<Vec<Vec<i32>>, InferError>| {
+                        let reply = match result {
+                            Ok(outputs) => {
+                                entry.metrics().request_latency.record_micros(submitted.elapsed());
+                                let model = entry.name().to_string();
+                                server::ok(&InferResponse { model, outputs }, &rid)
+                            }
+                            Err(e) => server::infer_error(&e, &rid),
+                        };
+                        let completion = Completion { token, reply, rid, keep_alive, started };
+                        shared
+                            .completions
+                            .lock()
+                            .expect("completion queue poisoned")
+                            .push(completion);
+                        shared.wake.wake();
+                    };
+                    plan.entry.batcher().submit_callback(plan.inputs, plan.span_id, done);
                 }
             }
         } else {

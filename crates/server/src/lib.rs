@@ -17,9 +17,10 @@
 //! * [`http`] — incremental HTTP/1.1 request parsing and response
 //!   encoding, with hard limits.
 //! * [`protocol`] — the JSON request/response types.
-//! * [`batcher`] — [`Batcher`]: flush on `max_batch` or `max_wait`,
+//! * [`batcher`] — [`Batcher`]: admits a request's planes whole or not
+//!   at all, pinned to one plan; flushes on `max_batch` or `max_wait`,
 //!   whichever first; results return through one completion callback
-//!   per plane.
+//!   per request.
 //! * [`registry`] — [`ModelRegistry`]: named models, atomic hot-swap
 //!   reload.
 //! * [`metrics`] — global HTTP [`Metrics`] + per-model

@@ -4,9 +4,10 @@
 //! and one [`ModelSlot`] holding the compiled plan. Reloading rebuilds
 //! the plan — from the original bundle file for file-backed models, or
 //! from a caller-provided bundle — and swaps the slot's `Arc` under a
-//! write lock. Requests already queued keep flowing: the batcher reads
-//! the slot per batch, so every batch executes wholly on one plan and the
-//! swap is atomic from the client's point of view.
+//! write lock. Requests already queued keep flowing: the batcher pins
+//! each request at submit to the plan its planes were checked against, so
+//! every request executes wholly on one plan — even one whose planes span
+//! two batches — and the swap is atomic from the client's point of view.
 
 use crate::batcher::{Batcher, BatcherConfig, ModelSlot};
 use crate::metrics::{Metrics, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
@@ -65,7 +66,7 @@ pub struct ModelEntry {
 }
 
 impl ModelEntry {
-    /// The model's batcher (submit planes here).
+    /// The model's batcher (submit requests here).
     pub fn batcher(&self) -> &Batcher {
         &self.batcher
     }
@@ -266,8 +267,9 @@ impl ModelRegistry {
     }
 
     /// Atomically hot-swaps `name` to a freshly compiled copy of its
-    /// bundle file. The batcher, its queue, and in-flight batches are
-    /// untouched; new batches pick up the new plan. If the model was
+    /// bundle file. The batcher and its queue are untouched: requests
+    /// already admitted finish on the plan they were checked against, and
+    /// requests admitted afterwards run on the new one. If the model was
     /// deployed with calibrated per-layer requant multipliers, calibration
     /// is re-run against the new bundle — multipliers fitted to the old
     /// weights' accumulator peaks would silently saturate or zero the new

@@ -4,10 +4,12 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+use wp_engine::trace::{TraceEvent, TraceSink};
+use wp_engine::PreparedNet;
 use wp_server::batcher::BatcherConfig;
-use wp_server::demo::{demo_deployment, DemoSize};
+use wp_server::demo::{demo_deployment, demo_prepared, DemoSize};
 use wp_server::metrics::Metrics;
 use wp_server::protocol::{InferRequest, InferResponse};
 use wp_server::registry::ModelRegistry;
@@ -262,6 +264,18 @@ fn error_paths_speak_json() {
     assert_eq!(status, 400, "wrong input size: {body}");
     assert!(body.contains("288"), "mentions expected size: {body}");
 
+    // One wrong-size plane refuses the whole request: the valid planes
+    // around it never reach the engine.
+    let mut planes = handle.registry().get("demo").unwrap().net().fabricate_inputs(2, 5);
+    planes.insert(1, vec![0; 7]);
+    let req = serde_json::to_string(&InferRequest { model: None, inputs: planes }).unwrap();
+    let (status, body) = client.request("POST", "/v1/infer", Some(&req));
+    assert_eq!(status, 400, "wrong middle plane: {body}");
+    assert!(body.contains("288"), "mentions expected size: {body}");
+    let (_, body) = client.request("GET", "/metrics", None);
+    let snap: MetricsSnapshot = serde_json::from_str(&body).expect("metrics json");
+    assert_eq!(snap.inferences, 0, "refused requests ran planes: {snap:?}");
+
     let (status, _) = client.request("POST", "/v1/models/ghost/reload", None);
     assert_eq!(status, 404);
 
@@ -349,6 +363,67 @@ fn file_backed_reload_over_http_accepts_wpb() {
     assert_ne!(before, after, "wpb hot swap must change responses");
 
     std::fs::remove_file(&path).ok();
+    handle.shutdown();
+}
+
+/// A trace sink that parks whichever thread records the first span:
+/// it reports `parked`, then blocks until `release` fires.
+#[derive(Debug)]
+struct ParkOnFirstSpan {
+    parked: Mutex<Option<mpsc::Sender<()>>>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl TraceSink for ParkOnFirstSpan {
+    fn record_span(&self, _: &TraceEvent) {
+        let Some(parked) = self.parked.lock().unwrap().take() else { return };
+        // A failed test drops its channel ends; the flusher then carries
+        // on instead of wedging shutdown.
+        let _ = parked.send(());
+        let _ = self.release.lock().unwrap().recv();
+    }
+}
+
+/// A reload between the two batches of one request must not split its
+/// answer: a 40-plane request under `max_batch` 32 is parked in its first
+/// batch while the slot swaps to another plan, and all 40 outputs must
+/// still come from the plan the request was admitted against.
+#[test]
+fn hot_swap_between_batches_never_splits_a_request() {
+    let mut handle = start_server(32);
+    let entry = handle.registry().get("demo").unwrap();
+    let slot = entry.batcher().slot();
+    let (bundle, opts) = demo_deployment(DemoSize::Tiny, 3);
+    let first = PreparedNet::from_bundle(&bundle, &opts);
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let mut parking = PreparedNet::from_bundle(&bundle, &opts);
+    parking.set_trace_sink(Some(Arc::new(ParkOnFirstSpan {
+        parked: Mutex::new(Some(parked_tx)),
+        release: Mutex::new(release_rx),
+    })));
+    *slot.write().unwrap() = Arc::new(parking);
+
+    let inputs = first.fabricate_inputs(40, 17);
+    let expected: Vec<Vec<i32>> = inputs.iter().map(|x| first.run_one(x)).collect();
+    let second = Arc::new(demo_prepared(DemoSize::Tiny, 4));
+    assert!(
+        inputs[32..].iter().zip(&expected[32..]).any(|(x, e)| &second.run_one(x) != e),
+        "the swapped-in plan must answer the second batch differently"
+    );
+
+    let req = serde_json::to_string(&InferRequest { model: None, inputs }).unwrap();
+    let (status, body) = std::thread::scope(|scope| {
+        let client =
+            scope.spawn(|| Client::connect(&handle).request("POST", "/v1/infer", Some(&req)));
+        parked_rx.recv_timeout(Duration::from_secs(30)).expect("flusher parked in its first batch");
+        *slot.write().unwrap() = second;
+        release_tx.send(()).unwrap();
+        client.join().unwrap()
+    });
+    assert_eq!(status, 200, "{body}");
+    let resp: InferResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(resp.outputs, expected, "every output must come from the admitting plan");
     handle.shutdown();
 }
 

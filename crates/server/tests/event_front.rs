@@ -265,11 +265,11 @@ fn dead_peer_write_timeout_closes() {
 }
 
 /// Queue saturation answers `503` with a `Retry-After` header instead of
-/// wedging the request.
+/// wedging the request, and the refused request runs none of its planes.
 #[test]
 fn overload_gets_503_with_retry_after() {
-    // max_queue 2 with a single 4-plane request: planes 3 and 4 are
-    // rejected at submit, deterministically.
+    // max_queue 2 with a single 4-plane request: it does not fit, so it
+    // is refused whole, deterministically.
     let batcher = BatcherConfig {
         max_batch: 64,
         max_wait: Duration::from_millis(50),
@@ -289,9 +289,9 @@ fn overload_gets_503_with_retry_after() {
         .map(|(_, v)| v.as_str());
     assert_eq!(retry, Some("1"), "Retry-After missing: {headers:?}");
     assert!(String::from_utf8_lossy(&body).contains("queue full"));
+    assert_eq!(metrics_snapshot(&handle).inferences, 0, "the refused request ran planes");
 
-    // The server recovers once the stranded planes flush (≤ max_wait
-    // later): a sane request must succeed again.
+    // A request that fits is served again.
     let ok_input = handle.registry().get("demo").unwrap().net().fabricate_inputs(1, 8);
     let recovered = Instant::now();
     loop {
