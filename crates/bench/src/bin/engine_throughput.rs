@@ -8,16 +8,20 @@
 //!    `wp_engine::BatchRunner` at increasing worker-thread counts.
 //! 3. **Batched vs solo** whole-network execution on one thread.
 //! 4. **Backend tiers**: the same serving demos A/B'd across the
-//!    `scalar` / `swar` / `avx2` kernel tiers, outputs verified
-//!    bit-identical, with the ≥2x swar-over-scalar acceptance gate
-//!    (pooled-conv and batched tile sections) enforced at exit. The
-//!    pooled demo also runs one image per call on every tier, and where
-//!    the CPU has AVX2 the register-resident pooled scatter is gated at
-//!    ≥2x swar solo and ≥1.5x swar batched.
+//!    `scalar` / `swar` / `avx2` kernel tiers, batched and one image per
+//!    call, outputs verified bit-identical, with the ≥2x
+//!    swar-over-scalar acceptance gate (pooled-conv and batched tile
+//!    sections) enforced at exit. Where the CPU has AVX2, the
+//!    register-resident pooled scatter is gated at ≥2x swar solo and
+//!    ≥1.5x swar batched on the pooled demo, and the madd direct,
+//!    depthwise and dense kernels at ≥2x swar solo and batched on the
+//!    stem demo.
 //! 5. **Batched popcount vs int8 tiles**: both serving demos at
-//!    `act_bits` {1, 2, 3, 4}, the same tier with the bit-plane popcount
-//!    routing disabled vs enabled, outputs verified bit-identical, with
-//!    a ≥1.5x popcount-over-int8 gate on the best regime.
+//!    `act_bits` {1, 2, 3, 4} on the swar tier (the only one that routes
+//!    popcount), bit-plane popcount routing disabled vs enabled, outputs
+//!    verified bit-identical, with a ≥1.5x popcount-over-int8 gate on the
+//!    best regime; the avx2 tier's madd kernels run alongside for
+//!    comparison.
 //! 6. **Tracing overhead + profile**: the serving demo with and without
 //!    the engine's aggregate [`wp_engine::NetProfile`] attached — the
 //!    profile-off run must match the plain tier numbers — plus the
@@ -167,12 +171,13 @@ fn main() {
     // PreparedNet::run serving path on one thread. The scalar tier executes the
     // reference per-element loops per image; swar adds the bit-plane
     // fills, the weight-stationary batched tile kernels with fused
-    // bias+requant write-out, and batched pooling; avx2 routes popcount
-    // inner loops through 256-bit lanes and runs the pooled demo's convs
-    // on the register-resident scatter. Outputs must be bit-identical
-    // across every tier, and the acceptance gate pins swar >= 2x scalar
-    // on both serving regimes. The pooled demo also runs one image per
-    // call (the solo serving path and calibration) on every tier.
+    // bias+requant write-out, and batched pooling; avx2 runs the pooled
+    // demo's convs on the register-resident scatter and every direct,
+    // depthwise and dense layer on the vpmaddwd kernels. Outputs must be
+    // bit-identical across every tier, and the acceptance gate pins swar
+    // >= 2x scalar on both serving regimes. Both demos also run one
+    // image per call (the solo serving path and calibration) on every
+    // tier.
     let ab_batch = if effort.fast { 16 } else { 64 };
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Swar];
     if avx2_available() {
@@ -180,9 +185,9 @@ fn main() {
     }
     // (key, batched (tier, img/s), solo (tier, img/s), avx2 over swar)
     let mut sections = Vec::new();
-    for (label, key, size, solo_rows) in [
-        ("pooled-conv serving demo", "pooled_conv", wp_server::demo::DemoSize::Serve, true),
-        ("batched tile (stem) demo", "tile_kernels", wp_server::demo::DemoSize::Stem, false),
+    for (label, key, size) in [
+        ("pooled-conv serving demo", "pooled_conv", wp_server::demo::DemoSize::Serve),
+        ("batched tile (stem) demo", "tile_kernels", wp_server::demo::DemoSize::Stem),
     ] {
         let (bundle, opts) = wp_server::demo::demo_deployment(size, 1);
         println!("== Backend tiers ({label}, batch {ab_batch}, 1 thread) ==");
@@ -204,31 +209,25 @@ fn main() {
                 let t = Instant::now();
                 std::hint::black_box(net.run(&refs, &mut Scratch::new()));
                 best = best.min(t.elapsed().as_secs_f64());
-                if solo_rows {
-                    let mut scratch = Scratch::new();
-                    let t = Instant::now();
-                    for one in refs.chunks(1) {
-                        let out = std::hint::black_box(net.run(one, &mut scratch));
-                        scratch.put_planes(out);
-                    }
-                    solo_best = solo_best.min(t.elapsed().as_secs_f64());
+                let mut scratch = Scratch::new();
+                let t = Instant::now();
+                for one in refs.chunks(1) {
+                    let out = std::hint::black_box(net.run(one, &mut scratch));
+                    scratch.put_planes(out);
                 }
+                solo_best = solo_best.min(t.elapsed().as_secs_f64());
             }
             let name = net.backend_kind().name();
             let ips = ab_batch as f64 / best;
-            if solo_rows {
-                let solo_ips = ab_batch as f64 / solo_best;
-                println!("{name:>7}: {ips:>10.1} images/sec batched  {solo_ips:>10.1} solo");
-                solo_rates.push((name, solo_ips));
-            } else {
-                println!("{name:>7}: {ips:>10.1} images/sec");
-            }
+            let solo_ips = ab_batch as f64 / solo_best;
+            println!("{name:>7}: {ips:>10.1} images/sec batched  {solo_ips:>10.1} solo");
+            solo_rates.push((name, solo_ips));
             rates.push((name, ips));
         }
         let scalar = rates[0].1;
         let swar = rates[1].1;
         println!("swar vs scalar: {:.2}x  (outputs verified identical)", swar / scalar);
-        // (solo, batched), where both the avx2 tier and solo rows ran.
+        // (solo, batched), where the avx2 tier ran.
         let avx2_over_swar = match (rates.get(2), solo_rates.get(2)) {
             (Some(avx2), Some(avx2_solo)) => Some((avx2_solo.1 / solo_rates[1].1, avx2.1 / swar)),
             _ => None,
@@ -240,15 +239,18 @@ fn main() {
         sections.push((key, rates, solo_rates, avx2_over_swar));
     }
 
-    // --- 5. Batched bit-plane popcount vs int8 tiles ----------------------
-    // At act_bits <= POPCOUNT_BATCH_MAX_BITS the direct-conv and dense
-    // kernels route batches through the 8-lane bit-plane popcount tiles:
-    // each packed weight-plane word is loaded once and AND+popcounted
-    // against all eight images' activation planes. The A/B compiles the
-    // same demo twice on the auto-resolved tier — popcount routing
-    // disabled (with_popcount_max_bits(0), the int8 batched tile path)
-    // vs enabled — with bit-identical outputs required, and the exit
-    // gate pins the popcount win at >=1.5x on at least one regime.
+    // --- 5. Batched bit-plane popcount vs int8 tiles (swar tier) ----------
+    // At act_bits <= POPCOUNT_BATCH_MAX_BITS the swar tier's direct-conv
+    // and dense kernels route batches through the 8-lane bit-plane
+    // popcount tiles: each packed weight-plane word is loaded once and
+    // AND+popcounted against all eight images' activation planes. The
+    // A/B compiles the same demo twice on the swar tier — popcount
+    // routing disabled (with_popcount_max_bits(0), the int8 batched tile
+    // path) vs enabled — with bit-identical outputs required, and the
+    // exit gate pins the popcount win at >=1.5x on at least one regime.
+    // Where the CPU has AVX2, the avx2 tier runs the same demo on its
+    // vpmaddwd kernels alongside: popcount does not route there, because
+    // the int8 weights make AND+popcount pay for act_bits x 8 plane pairs.
     let mut popcount_rows: Vec<String> = Vec::new();
     let mut popcount_best = 0.0f64;
     for (label, key, size) in [
@@ -256,17 +258,18 @@ fn main() {
         ("stem-heavy serving demo", "stem", wp_server::demo::DemoSize::Stem),
     ] {
         let (bundle, opts) = wp_server::demo::demo_deployment(size, 1);
-        println!("== Batched popcount vs int8 tiles ({label}, batch {ab_batch}, 1 thread) ==");
+        println!(
+            "== Batched popcount vs int8 tiles, swar tier ({label}, batch {ab_batch}, 1 thread) =="
+        );
         let mut bits_rows: Vec<String> = Vec::new();
         for bits in [1u8, 2, 3, 4] {
-            let tile_net = PreparedNet::from_bundle(
-                &bundle,
-                &opts.clone().with_act_bits(bits).with_popcount_max_bits(0),
-            );
-            let pop_net = PreparedNet::from_bundle(
-                &bundle,
-                &opts.clone().with_act_bits(bits).with_popcount_max_bits(bits),
-            );
+            let opts = opts.clone().with_act_bits(bits);
+            let swar = opts.clone().with_backend(BackendKind::Swar);
+            let tile_net =
+                PreparedNet::from_bundle(&bundle, &swar.clone().with_popcount_max_bits(0));
+            let pop_net = PreparedNet::from_bundle(&bundle, &swar.with_popcount_max_bits(bits));
+            let madd_net = avx2_available()
+                .then(|| PreparedNet::from_bundle(&bundle, &opts.with_backend(BackendKind::Avx2)));
             let inputs = tile_net.fabricate_inputs(ab_batch, 5);
             let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
             let expected = tile_net.run(&refs, &mut Scratch::new());
@@ -275,8 +278,16 @@ fn main() {
                 expected,
                 "popcount routing must be bit-identical at act_bits {bits}"
             );
+            if let Some(net) = &madd_net {
+                assert_eq!(
+                    net.run(&refs, &mut Scratch::new()),
+                    expected,
+                    "the avx2 tier must be bit-identical at act_bits {bits}"
+                );
+            }
             let mut tile = f64::INFINITY;
             let mut pop = f64::INFINITY;
+            let mut madd = f64::INFINITY;
             for _ in 0..reps.min(5) {
                 let t = Instant::now();
                 std::hint::black_box(tile_net.run(&refs, &mut Scratch::new()));
@@ -284,17 +295,29 @@ fn main() {
                 let t = Instant::now();
                 std::hint::black_box(pop_net.run(&refs, &mut Scratch::new()));
                 pop = pop.min(t.elapsed().as_secs_f64());
+                if let Some(net) = &madd_net {
+                    let t = Instant::now();
+                    std::hint::black_box(net.run(&refs, &mut Scratch::new()));
+                    madd = madd.min(t.elapsed().as_secs_f64());
+                }
             }
             let tile_ips = ab_batch as f64 / tile;
             let pop_ips = ab_batch as f64 / pop;
             let ratio = tile / pop;
             popcount_best = popcount_best.max(ratio);
-            println!(
+            let mut line = format!(
                 "act_bits {bits}: int8 tile {tile_ips:>9.1} img/s  popcount {pop_ips:>9.1} img/s  ({ratio:.2}x, outputs identical)"
             );
-            bits_rows.push(format!(
-                "\"{bits}\":{{\"int8_tile\":{tile_ips:.1},\"popcount\":{pop_ips:.1},\"ratio\":{ratio:.2}}}"
-            ));
+            let mut row = format!(
+                "\"{bits}\":{{\"int8_tile\":{tile_ips:.1},\"popcount\":{pop_ips:.1},\"ratio\":{ratio:.2}"
+            );
+            if madd_net.is_some() {
+                let madd_ips = ab_batch as f64 / madd;
+                line += &format!("  avx2 madd {madd_ips:>9.1} img/s");
+                row += &format!(",\"avx2_madd\":{madd_ips:.1}");
+            }
+            println!("{line}");
+            bits_rows.push(row + "}");
         }
         println!();
         popcount_rows.push(format!("\"{key}\":{{{}}}", bits_rows.join(",")));
@@ -376,10 +399,7 @@ fn main() {
         let body: Vec<String> = sections
             .iter()
             .map(|(key, rates, solo_rates, avx2_over_swar)| {
-                let mut extra = String::new();
-                if !solo_rates.is_empty() {
-                    extra += &format!(",\"solo_images_per_sec\":{{{}}}", tiers(solo_rates));
-                }
+                let mut extra = format!(",\"solo_images_per_sec\":{{{}}}", tiers(solo_rates));
                 if let Some((solo, batched)) = avx2_over_swar {
                     extra += &format!(
                         ",\"avx2_over_swar\":{{\"solo\":{solo:.2},\"batched\":{batched:.2}}}"
@@ -431,7 +451,9 @@ fn main() {
     // Where the CPU has AVX2, the register-resident pooled scatter must
     // hold >=2x over the swar tier's gather on solo calls and >=1.5x on
     // batched ones (the batched gather already amortizes its index
-    // decode across the tile).
+    // decode across the tile), and the madd direct, depthwise and dense
+    // kernels >=2x over the swar tier's on the stem demo, solo and
+    // batched.
     if let Some((solo, batched)) = sections[0].3 {
         assert!(solo >= 2.0, "avx2 only {solo:.2}x over swar solo on the pooled demo (gate: >=2x)");
         assert!(
@@ -439,8 +461,15 @@ fn main() {
             "avx2 only {batched:.2}x over swar batched on the pooled demo (gate: >=1.5x)"
         );
     }
-    // And the batched popcount tiles must beat the int8 tiles by >=1.5x
-    // at low act_bits on at least one serving regime.
+    if let Some((solo, batched)) = sections[1].3 {
+        assert!(solo >= 2.0, "avx2 only {solo:.2}x over swar solo on the stem demo (gate: >=2x)");
+        assert!(
+            batched >= 2.0,
+            "avx2 only {batched:.2}x over swar batched on the stem demo (gate: >=2x)"
+        );
+    }
+    // And the swar tier's batched popcount tiles must beat its int8 tiles
+    // by >=1.5x at low act_bits on at least one serving regime.
     assert!(
         popcount_best >= 1.5,
         "batched popcount only {popcount_best:.2}x over int8 tiles at best (gate: >=1.5x)"

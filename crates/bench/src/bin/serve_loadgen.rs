@@ -10,8 +10,9 @@
 //!   scatter-heavy pooled demo (`demo-serve`) and the stem-heavy
 //!   direct/depthwise/dense demo (`demo-stem`) — asserting every response
 //!   is bit-identical to `PreparedNet::run_one`, and writes a sectioned
-//!   `BENCH_serve.json`. Each section gates its batched arm (see
-//!   `Gate`): demo-stem on throughput, demo-serve on coalescing.
+//!   `BENCH_serve.json`. Each section gates its batched arm on
+//!   coalescing (see `run_ab_section`) and records its throughput over
+//!   `max_batch = 1` ungated.
 //!
 //!   ```sh
 //!   cargo run --release --bin serve_loadgen -p wp_bench [-- --smoke]
@@ -26,7 +27,7 @@
 //!   server).
 //!
 //! Flags: `--concurrency N` (default 16), `--requests N` (default 384),
-//! `--smoke` (quick pass: fewer requests, no speedup assertions),
+//! `--smoke` (quick pass: fewer requests),
 //! `--out PATH` (default `BENCH_serve.json`), `--trace PATH` (export the
 //! driven server's span ring as Chrome `trace_event` JSON after the run —
 //! self-contained mode enables tracing on the batched server; `--url`
@@ -374,25 +375,18 @@ fn oracle(model: &str) -> (Vec<Vec<i32>>, Vec<Vec<i32>>) {
     (inputs, expected)
 }
 
-/// What an A/B section asserts about its batched arm.
-#[derive(Clone, Copy)]
-enum Gate {
-    /// Batched throughput is at least this multiple of `max_batch = 1`'s
-    /// (full runs only: smoke runs are too short to time).
-    Speedup(f64),
-    /// Concurrent requests coalesce: with at least two engine tiles of
-    /// clients in flight, the batched server's mean batch is at least one
-    /// tile ([`NativeBackend::BATCH_TILE`] planes). Checked on smoke runs
-    /// too. This is the pooled demo's gate because the register-resident
-    /// pooled scatter runs as fast per image solo as batched, so batching
-    /// no longer buys that model throughput; what its batched arm still
-    /// shows is that requests coalesce.
-    Coalescing,
-}
-
 /// One self-contained A/B section: unbatched vs batched server over one
 /// demo model, returning the section's JSON.
-fn run_ab_section(model: &str, gate: Gate, args: &Args) -> String {
+///
+/// The gate is that concurrent requests coalesce: with at least two
+/// engine tiles of clients in flight, the batched server's mean batch is
+/// at least one tile ([`NativeBackend::BATCH_TILE`] planes). It is
+/// checked on smoke runs too. Throughput over `max_batch = 1` is
+/// reported but not gated: on the avx2 tier every layer kind runs one
+/// per-image kernel as fast solo as batched (the register-resident
+/// pooled scatter; the madd direct, depthwise and dense kernels), so
+/// batching buys neither demo engine throughput.
+fn run_ab_section(model: &str, args: &Args) -> String {
     let batched_size = 32;
     let size = demo_size_for(model);
     let (inputs, expected) = oracle(model);
@@ -439,20 +433,14 @@ fn run_ab_section(model: &str, gate: Gate, args: &Args) -> String {
         "batched/unbatched throughput ({model}): {speedup:.2}x  (batches: {}, mean planes/batch {mean_batch:.1})",
         snapshot.batches
     );
-    match gate {
-        Gate::Speedup(min_speedup) if !args.smoke => assert!(
-            speedup >= min_speedup,
-            "dynamic micro-batching on {model} must be >= {min_speedup}x over max_batch=1 \
-             (got {speedup:.2}x)"
-        ),
-        Gate::Coalescing if args.concurrency >= 2 * NativeBackend::BATCH_TILE => assert!(
+    if args.concurrency >= 2 * NativeBackend::BATCH_TILE {
+        assert!(
             mean_batch >= NativeBackend::BATCH_TILE as f64,
             "{} concurrent clients on {model} must coalesce into batches of >= {} planes on \
              average (got {mean_batch:.1})",
             args.concurrency,
             NativeBackend::BATCH_TILE
-        ),
-        _ => {}
+        );
     }
     format!(
         "{{\"model\":\"{model}\",\"configs\":[{},{}],\"batched_speedup\":{speedup:.2},\"mean_batch\":{mean_batch:.1}}}",
@@ -689,10 +677,8 @@ fn main() {
         // `--mostly-idle` skips the A/B arms and runs only the herd
         // scenario (the CI smoke hook).
         if !args.mostly_idle {
-            for (model, gate) in
-                [("demo-serve", Gate::Coalescing), ("demo-stem", Gate::Speedup(1.8))]
-            {
-                sections.push(run_ab_section(model, gate, &args));
+            for model in ["demo-serve", "demo-stem"] {
+                sections.push(run_ab_section(model, &args));
             }
         }
         event_front = Some(run_event_front_section(&args));

@@ -25,6 +25,21 @@
 //! accumulators are bit-identical to
 //! [`wp_core::reference::bitserial_conv_acc`] — pinned by the parity
 //! tests in `tests/parity.rs` and `tests/scatter_route.rs`.
+//!
+//! The uncompressed layers — direct convs, depthwise, dense — get the
+//! same treatment from [`NativeBackend::mac_route`]: on the avx2 tier, a
+//! layer whose products provably sum inside `i32` takes the **madd**
+//! route ([`MacRoute::Madd`]), the host analogue of the CMSIS-NN q7→q15
+//! im2col and dual 16-bit MAC the paper runs these layers on. Each image
+//! is staged as zero-padded `i16` rows (im2col rows for direct convs, one
+//! row for dense, a channel-interleaved plane for depthwise) and
+//! multiplied against weights repacked once at plan time as `i16` rows
+//! with `vpmaddwd`, 16 exact products into 8 `i32` lanes per
+//! instruction. Solo and batched calls run the same kernel. Every other
+//! layer takes the exact route: the `i64` reference loops per image and
+//! the weight-stationary int8 tiles on batches, and on the swar tier the
+//! bit-plane popcount kernels ([`crate::swar`]). Both routes compute the
+//! reference's integers — pinned by `tests/madd_route.rs`.
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
@@ -234,16 +249,17 @@ pub struct NativeBackend {
     bit_weights: [i32; 8],
     /// The resolved kernel tier. `Scalar` keeps every op on the
     /// per-element reference loops (generic bit-unpack, per-image
-    /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill, the
-    /// bit-plane popcount kernels and the batched tile kernels. Every
-    /// tier computes identical integers.
+    /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill and the
+    /// batched tile kernels, `Swar` the bit-plane popcount kernels, and
+    /// `Avx2` the register-resident pooled scatter and the madd kernels.
+    /// Every tier computes identical integers.
     simd: ResolvedBackend,
-    /// Largest activation bitwidth routed through the bit-plane popcount
-    /// kernels (solo direct/dense; the batched path further caps at
-    /// [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]). Resolved at build time
-    /// from the explicit engine option or `WP_POPCOUNT_MAX_BITS`; `0`
-    /// disables the popcount path. Routing only — every path computes
-    /// identical integers.
+    /// Largest activation bitwidth the swar tier routes through the
+    /// bit-plane popcount kernels (solo direct/dense; the batched path
+    /// further caps at [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]).
+    /// Resolved at build time from the explicit engine option or
+    /// `WP_POPCOUNT_MAX_BITS`; `0` disables the popcount path. Routing
+    /// only — every path computes identical integers.
     popcount_max_bits: u8,
 }
 
@@ -330,9 +346,9 @@ impl NativeBackend {
         self.popcount_max_bits
     }
 
-    /// Overrides the popcount routing threshold: act_bits up to `bits`
-    /// route direct/dense work through the bit-plane kernels, `0`
-    /// disables them entirely. Routing only — outputs are identical at
+    /// Overrides the popcount routing threshold: on the swar tier,
+    /// act_bits up to `bits` route direct/dense work through the
+    /// bit-plane kernels, `0` disables them entirely. Routing only — outputs are identical at
     /// any setting.
     ///
     /// # Panics
@@ -1114,6 +1130,564 @@ mod registers {
                 }
             }
         }
+    }
+}
+
+/// How a direct, depthwise or dense layer multiplies, fixed at plan time
+/// by [`NativeBackend::mac_route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MacRoute {
+    /// AVX2 `vpmaddwd`: staged `i16` activations times `i16` weights into
+    /// `i32` accumulators (avx2 tier, range proof holds). Solo calls,
+    /// batched calls and calibration all run the one per-image kernel.
+    Madd,
+    /// The tier's exact kernels: the `i64` reference loop per image, the
+    /// weight-stationary int8 tiles on batches (swar and avx2 tiers), and
+    /// on the swar tier the bit-plane popcount kernels at low bitwidths.
+    Exact,
+}
+
+/// `i16` lanes per `vpmaddwd` operand: madd-route rows hold their taps
+/// zero-padded to a multiple of this.
+const MADD_LANES: usize = 16;
+
+/// Output pixels per direct-conv madd block.
+const DIRECT_BLOCK_PIXELS: usize = 4;
+
+/// Filters per direct-conv madd block: 4 pixels × 3 filters keep twelve
+/// `i32` accumulators and four operand vectors in the sixteen `ymm`
+/// registers, 7 loads per 12 `vpmaddwd`.
+const DIRECT_BLOCK_FILTERS: usize = 3;
+
+/// Output features per dense madd block: the one input row is loaded once
+/// per 16-tap chunk and feeds eight filters.
+const DENSE_BLOCK_FILTERS: usize = 8;
+
+/// A direct-conv or dense layer's weights as `i16` rows for the madd
+/// route: one row per filter (output feature) holding its `C·R·S` (`I`)
+/// taps in the int8 layout's order, zero-padded to whole 16-tap chunks.
+/// Only [`NativeBackend::prepare_madd_rows`] builds one, on the avx2 tier
+/// and under the plan-time range proof, so holding one means the CPU has
+/// AVX2.
+#[derive(Debug, Clone)]
+pub struct MaddRows {
+    /// `[filter][chunk]` weight vectors.
+    vecs: Vec<[i16; MADD_LANES]>,
+    filters: usize,
+    /// Real taps per row (the int8 row length).
+    terms: usize,
+    /// 16-tap chunks per row.
+    chunks: usize,
+    /// The code range each input plane is checked against before it is
+    /// staged, when the plan cannot prove its input in range.
+    scan: Option<(i32, i32)>,
+}
+
+/// A depthwise layer's weights for the madd route: per 16-channel block
+/// and pair of taps, two weight vectors whose `i16` pairs line up with the
+/// two taps' input vectors interleaved by `vpunpck{l,h}wd`, so one
+/// `vpmaddwd` sums both taps of eight channels. An odd last tap pairs
+/// with a zero weight. Built only by
+/// [`NativeBackend::prepare_madd_taps`] (avx2 tier, range proof holds).
+#[derive(Debug, Clone)]
+pub struct MaddTaps {
+    /// `[block][pair][lo, hi]` weight vectors.
+    vecs: Vec<[i16; MADD_LANES]>,
+    channels: usize,
+    kernel: usize,
+    /// As [`MaddRows`]'s.
+    scan: Option<(i32, i32)>,
+}
+
+/// The channel (within its 16-channel block) of each `i32` lane after
+/// `vpmaddwd` over `vpunpcklwd` (lanes 0–7) and `vpunpckhwd` (lanes
+/// 8–15) pairs: the unpacks interleave per 128-bit half.
+const DW_CHANNEL_OF: [usize; 16] = [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15];
+
+/// Whether every code of `codes` lies in `scan`'s range (always, when the
+/// plan proved the layer's input in range and left `scan` empty).
+fn in_scan_range(codes: &[i32], scan: Option<(i32, i32)>) -> bool {
+    scan.is_none_or(|(lo, hi)| codes.iter().all(|&c| (lo..=hi).contains(&c)))
+}
+
+impl MaddRows {
+    /// Whether this plane takes the madd kernel; a plane outside the
+    /// scanned code range takes the exact path.
+    pub fn admits(&self, codes: &[i32]) -> bool {
+        in_scan_range(codes, self.scan)
+    }
+}
+
+impl MaddTaps {
+    /// Whether this plane takes the madd kernel (see
+    /// [`MaddRows::admits`]).
+    pub fn admits(&self, codes: &[i32]) -> bool {
+        in_scan_range(codes, self.scan)
+    }
+}
+
+impl NativeBackend {
+    /// The plan-time route of a direct, depthwise or dense layer whose
+    /// output pixels each sum `terms` products, with biases `bias`.
+    ///
+    /// The madd route is the avx2 tier's whenever its range proof holds:
+    /// the activation code range fits `i16`, and
+    /// `terms · max|code| · 128 + max|bias| ≤ i32::MAX`. Weights are int8
+    /// (`|w| ≤ 128`), so every partial sum of an output pixel's products,
+    /// in any order, and its biased total stay inside `i32`: the `i32`
+    /// accumulators are exact and the checked finish cannot overflow.
+    /// Anything else is [`MacRoute::Exact`].
+    pub fn mac_route(&self, terms: usize, bias: &[i32]) -> MacRoute {
+        let (lo, hi) = self.encoding.code_range(self.act_bits);
+        let fits_i16 = i16::try_from(lo).is_ok() && i16::try_from(hi).is_ok();
+        let max_code = i64::from(lo).abs().max(i64::from(hi).abs());
+        let max_bias = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
+        let bound = (terms as i64).saturating_mul(max_code * 128).saturating_add(max_bias);
+        if self.simd == ResolvedBackend::Avx2 && fits_i16 && bound <= i64::from(i32::MAX) {
+            MacRoute::Madd
+        } else {
+            MacRoute::Exact
+        }
+    }
+
+    /// The scan a madd layer needs: none when the plan proves its input
+    /// planes in range (a requantizing layer ran before it), else this
+    /// backend's code range.
+    fn madd_scan(&self, input_in_range: bool) -> Option<(i32, i32)> {
+        (!input_in_range).then(|| self.encoding.code_range(self.act_bits))
+    }
+
+    /// Repacks `[filters, T]` int8 weight rows (a direct conv's `[K, C, R,
+    /// S]` or a dense layer's `[O, I]`) for the madd route — or `None` when
+    /// [`NativeBackend::mac_route`] gives this layer the exact route.
+    /// `input_in_range` says whether the plan proves every input plane in
+    /// the code range; if not, each plane is scanned before it is staged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is not `filters` rows.
+    pub fn prepare_madd_rows(
+        &self,
+        weights: &[i8],
+        filters: usize,
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Option<MaddRows> {
+        assert!(filters > 0 && weights.len().is_multiple_of(filters), "weight size mismatch");
+        let terms = weights.len() / filters;
+        if self.mac_route(terms, bias) != MacRoute::Madd {
+            return None;
+        }
+        let chunks = terms.div_ceil(MADD_LANES).max(1);
+        let mut vecs = vec![[0i16; MADD_LANES]; filters * chunks];
+        for (f, row) in weights.chunks_exact(terms.max(1)).enumerate() {
+            for (t, &w) in row.iter().enumerate() {
+                vecs[f * chunks + t / MADD_LANES][t % MADD_LANES] = i16::from(w);
+            }
+        }
+        Some(MaddRows { vecs, filters, terms, chunks, scan: self.madd_scan(input_in_range) })
+    }
+
+    /// Repacks `[C, R, S]` depthwise weights for the madd route (see
+    /// [`MaddTaps`]) — or `None` on the exact route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` does not match `shape`, or `shape` is not
+    /// depthwise (`out_ch == in_ch`).
+    pub fn prepare_madd_taps(
+        &self,
+        shape: &PooledConvShape,
+        weights: &[i8],
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Option<MaddTaps> {
+        assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
+        let (channels, kk) = (shape.in_ch, shape.kernel * shape.kernel);
+        assert_eq!(weights.len(), channels * kk, "weight size mismatch");
+        if self.mac_route(kk, bias) != MacRoute::Madd {
+            return None;
+        }
+        let pairs = kk.div_ceil(2);
+        let blocks = channels.div_ceil(MADD_LANES);
+        let mut vecs = vec![[0i16; MADD_LANES]; blocks * pairs * 2];
+        for (v, lanes) in vecs.iter_mut().enumerate() {
+            let (block, pair, half) = (v / (2 * pairs), v / 2 % pairs, v % 2);
+            for (i, slot) in lanes.chunks_exact_mut(2).enumerate() {
+                let ch = block * MADD_LANES + DW_CHANNEL_OF[half * 8 + i];
+                for (tap, w) in [2 * pair, 2 * pair + 1].into_iter().zip(slot) {
+                    if ch < channels && tap < kk {
+                        *w = i16::from(weights[ch * kk + tap]);
+                    }
+                }
+            }
+        }
+        Some(MaddTaps {
+            vecs,
+            channels,
+            kernel: shape.kernel,
+            scan: self.madd_scan(input_in_range),
+        })
+    }
+}
+
+/// Stages one image as `i16` im2col rows for the direct conv's madd
+/// route: row `oy·OW + ox` holds that output pixel's receptive field in
+/// the `[C, R, S]` order of the weight rows. `cols` arrives zeroed, so
+/// padding taps and each row's tail past `C·R·S` stay zero. The codes
+/// must already be known to fit `i16`.
+fn im2col_i16(codes: &[i32], shape: &PooledConvShape, row_len: usize, cols: &mut [i16]) {
+    let geo = shape.geometry();
+    let (oh, ow) = (geo.out_h(), geo.out_w());
+    let (in_h, in_w, k) = (shape.in_h, shape.in_w, shape.kernel);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            // The kernel columns that land inside the input, and the
+            // input column of the first of them.
+            let left = ox * shape.stride;
+            let kx_lo = shape.pad.saturating_sub(left);
+            let kx_hi = k.min((in_w + shape.pad).saturating_sub(left));
+            let row = &mut cols[(oy * ow + ox) * row_len..][..row_len];
+            if kx_lo >= kx_hi {
+                continue;
+            }
+            let ix0 = left + kx_lo - shape.pad;
+            for (c, taps) in row.chunks_exact_mut(k * k).take(shape.in_ch).enumerate() {
+                for (ky, dst) in taps.chunks_exact_mut(k).enumerate() {
+                    let Some(iy) = geo.input_row(oy, ky) else { continue };
+                    let src = &codes[(c * in_h + iy) * in_w + ix0..][..kx_hi - kx_lo];
+                    for (d, &v) in dst[kx_lo..kx_hi].iter_mut().zip(src) {
+                        *d = v as i16;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Direct-conv accumulators on the madd route: the image is staged as
+/// im2col rows from the `i16` pool and multiplied against `madd`'s rows,
+/// 4 pixels × 3 filters per register block. A plane outside the scanned
+/// code range runs the exact reference loop on `weights` instead — same
+/// integers, or the same overflow panic. The returned buffer comes from
+/// the arena.
+///
+/// # Panics
+///
+/// Panics on shape mismatches (`madd` must come from `weights`).
+pub(crate) fn conv_direct_madd_scratch(
+    codes: &[i32],
+    shape: &PooledConvShape,
+    weights: &[i8],
+    madd: &MaddRows,
+    scratch: &mut Scratch,
+) -> Vec<i32> {
+    if !madd.admits(codes) {
+        return conv_direct_scratch(codes, shape, weights, scratch);
+    }
+    assert_eq!(codes.len(), shape.in_ch * shape.in_h * shape.in_w, "activation size mismatch");
+    assert_eq!(
+        (madd.filters, madd.terms),
+        (shape.out_ch, shape.in_ch * shape.kernel * shape.kernel),
+        "madd rows do not match shape"
+    );
+    let geo = shape.geometry();
+    let pixels = geo.out_h() * geo.out_w();
+    let row_len = madd.chunks * MADD_LANES;
+    let mut cols = scratch.take_i16(pixels * row_len);
+    im2col_i16(codes, shape, row_len, &mut cols);
+    let mut out = scratch.take_i32(shape.out_ch * pixels);
+    // SAFETY: only `prepare_madd_rows` builds a `MaddRows`, and only for
+    // an avx2-tier backend, which `BackendKind::resolve` yields only when
+    // the CPU reports AVX2 at run time. `cols` holds `pixels` rows of
+    // `madd.chunks` vectors, as `gemm` requires; the codes passed the
+    // range check, so the staged `i16` values are exact.
+    unsafe {
+        madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(
+            cols.as_chunks().0,
+            pixels,
+            madd,
+            &mut out,
+        );
+    }
+    scratch.put_i16(cols);
+    out
+}
+
+/// Dense accumulators on the madd route: the input is staged as one
+/// `i16` row and dotted with 8 weight rows per register block. Planes
+/// outside the scanned range run the exact loop (see
+/// [`conv_direct_madd_scratch`]).
+///
+/// # Panics
+///
+/// Panics if `codes` does not match the rows' input features.
+pub(crate) fn dense_madd_scratch(
+    codes: &[i32],
+    weights: &[i8],
+    madd: &MaddRows,
+    scratch: &mut Scratch,
+) -> Vec<i32> {
+    if !madd.admits(codes) {
+        return dense_acc_scratch(codes, weights, madd.filters, scratch);
+    }
+    assert_eq!(codes.len(), madd.terms, "weight size mismatch");
+    let mut row = scratch.take_i16(madd.chunks * MADD_LANES);
+    for (d, &v) in row.iter_mut().zip(codes) {
+        *d = v as i16;
+    }
+    let mut out = scratch.take_i32(madd.filters);
+    // SAFETY: as in `conv_direct_madd_scratch`; `row` is one row of
+    // `madd.chunks` vectors.
+    unsafe { madd::gemm::<1, DENSE_BLOCK_FILTERS>(row.as_chunks().0, 1, madd, &mut out) };
+    scratch.put_i16(row);
+    out
+}
+
+/// Depthwise accumulators on the madd route: the image is staged
+/// channel-interleaved (`[H + 2p][W + 2p][C]`, channels padded to whole
+/// 16-channel blocks, a zero border for the padding) so one vector load
+/// reads 16 channels at one position, and each pair of taps costs two
+/// unpacks and two `vpmaddwd`. Planes outside the scanned range run the
+/// exact loop (see [`conv_direct_madd_scratch`]).
+///
+/// # Panics
+///
+/// Panics on shape mismatches (`madd` must come from `weights`).
+pub(crate) fn dwconv_madd_scratch(
+    codes: &[i32],
+    shape: &PooledConvShape,
+    weights: &[i8],
+    madd: &MaddTaps,
+    scratch: &mut Scratch,
+) -> Vec<i32> {
+    if !madd.admits(codes) {
+        return dwconv_acc_scratch(codes, shape, weights, scratch);
+    }
+    let (c, in_h, in_w) = (shape.in_ch, shape.in_h, shape.in_w);
+    assert_eq!(codes.len(), c * in_h * in_w, "activation size mismatch");
+    assert_eq!(
+        (madd.channels, madd.kernel, shape.out_ch),
+        (c, shape.kernel, c),
+        "madd taps do not match shape"
+    );
+    let blocks = c.div_ceil(MADD_LANES);
+    let padded_w = in_w + 2 * shape.pad;
+    let mut staged = scratch.take_i16((in_h + 2 * shape.pad) * padded_w * blocks * MADD_LANES);
+    let row = blocks * MADD_LANES;
+    for (ch, plane) in codes.chunks_exact(in_h * in_w).enumerate() {
+        for (iy, line) in plane.chunks_exact(in_w).enumerate() {
+            let at = ((iy + shape.pad) * padded_w + shape.pad) * row + ch;
+            for (ix, &v) in line.iter().enumerate() {
+                staged[at + ix * row] = v as i16;
+            }
+        }
+    }
+    // Each tap pair's vector offsets from its window's first position; an
+    // odd last tap pairs with itself, against the zero weight its
+    // partner slot holds.
+    let (k, kk) = (shape.kernel, shape.kernel * shape.kernel);
+    let offset = |t: usize| (t / k * padded_w + t % k) * blocks;
+    let mut taps = scratch.take_pairs();
+    taps.extend((0..kk).step_by(2).map(|t| (offset(t), offset((t + 1).min(kk - 1)))));
+    let geo = shape.geometry();
+    let mut out = scratch.take_i32(c * geo.out_h() * geo.out_w());
+    // SAFETY: `MaddTaps` exists only on avx2-tier backends (see
+    // `conv_direct_madd_scratch`); `staged` holds `blocks` vectors per
+    // position of the zero-bordered input and `taps` one offset pair per
+    // weight pair, as `depthwise` requires, and the codes passed the
+    // range check.
+    unsafe { madd::depthwise(staged.as_chunks().0, padded_w, &taps, madd, shape, &mut out) };
+    scratch.put_pairs(taps);
+    scratch.put_i16(staged);
+    out
+}
+
+/// The madd route's AVX2 kernels (see [`MacRoute::Madd`]).
+#[cfg(target_arch = "x86_64")]
+mod madd {
+    use super::{MaddRows, MaddTaps, DW_CHANNEL_OF, MADD_LANES};
+    use std::arch::x86_64::*;
+    use wp_core::reference::PooledConvShape;
+
+    /// One 256-bit load of a 16-lane `i16` vector.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(v: &[i16; MADD_LANES]) -> __m256i {
+        // SAFETY: `v` is a 32-byte array, exactly one unaligned load.
+        unsafe { _mm256_loadu_si256(v.as_ptr().cast()) }
+    }
+
+    /// The eight horizontal sums of `acc[0..8]`, lane `i` from `acc[i]`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn hsum8(acc: &[__m256i; 8]) -> [i32; 8] {
+        let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+        let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+        let s45 = _mm256_hadd_epi32(acc[4], acc[5]);
+        let s67 = _mm256_hadd_epi32(acc[6], acc[7]);
+        // Per 128-bit half: the half-sums of acc[0..4] and acc[4..8].
+        let t0 = _mm256_hadd_epi32(s01, s23);
+        let t1 = _mm256_hadd_epi32(s45, s67);
+        let sums = _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(t0, t1),
+            _mm256_permute2x128_si256::<0x31>(t0, t1),
+        );
+        let mut out = [0i32; 8];
+        // SAFETY: `out` is an 8-lane `i32` array, exactly one store.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), sums) };
+        out
+    }
+
+    /// `out[f · n_rows + r] = rows[r] · madd[f]` for every row `r <
+    /// n_rows` and filter `f < madd.filters`, in register blocks of `P`
+    /// rows × `F` filters (at most sixteen `i32` accumulators) over
+    /// `madd.chunks` 16-tap chunks. A block reaching past the last row or
+    /// filter repeats it, and drops those sums. Every product of an int8
+    /// weight and an in-range code fits `i16 × i16 → i32`, and the route's
+    /// range proof bounds every partial sum, so the `i32` lanes and their
+    /// horizontal sums are exact in any order.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every access is bounds-checked: `rows`
+    /// shorter than `n_rows` rows of `madd.chunks` vectors, or `out`
+    /// shorter than `madd.filters · n_rows`, panics.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gemm<const P: usize, const F: usize>(
+        rows: &[[i16; MADD_LANES]],
+        n_rows: usize,
+        madd: &MaddRows,
+        out: &mut [i32],
+    ) {
+        const { assert!(P * F <= 16, "a block fits sixteen accumulators") };
+        let (chunks, filters) = (madd.chunks, madd.filters);
+        for r0 in (0..n_rows).step_by(P) {
+            let mut x = [&rows[..0]; P];
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = &rows[(r0 + i).min(n_rows - 1) * chunks..][..chunks];
+            }
+            for f0 in (0..filters).step_by(F) {
+                let mut w = [&madd.vecs[..0]; F];
+                for (j, wj) in w.iter_mut().enumerate() {
+                    *wj = &madd.vecs[(f0 + j).min(filters - 1) * chunks..][..chunks];
+                }
+                let mut acc = [_mm256_setzero_si256(); 16];
+                for c in 0..chunks {
+                    let mut wv = [_mm256_setzero_si256(); F];
+                    for (v, wj) in wv.iter_mut().zip(&w) {
+                        *v = load(&wj[c]);
+                    }
+                    for (i, xi) in x.iter().enumerate() {
+                        let xv = load(&xi[c]);
+                        for (j, &v) in wv.iter().enumerate() {
+                            acc[i * F + j] =
+                                _mm256_add_epi32(acc[i * F + j], _mm256_madd_epi16(xv, v));
+                        }
+                    }
+                }
+                let (lo, hi) = acc.split_at(8);
+                let mut sums = [0i32; 16];
+                sums[..8].copy_from_slice(&hsum8(lo.try_into().expect("eight accumulators")));
+                if P * F > 8 {
+                    sums[8..].copy_from_slice(&hsum8(hi.try_into().expect("eight accumulators")));
+                }
+                for i in 0..P.min(n_rows - r0) {
+                    for j in 0..F.min(filters - f0) {
+                        out[(f0 + j) * n_rows + r0 + i] = sums[i * F + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// The depthwise kernel: per output pixel and 16-channel block, each
+    /// pair of taps interleaves its two input vectors with
+    /// `vpunpck{l,h}wd` and multiplies them against `madd`'s matching
+    /// weight pair, so each `i32` lane sums one channel's taps. Exact by
+    /// the same argument as [`gemm`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every access is bounds-checked:
+    /// `staged` must hold `madd`'s channel blocks at every position of
+    /// the zero-bordered `(H + 2p) × padded_w` input, `taps` the vector
+    /// offsets of each tap pair within a window, and `out` one `[C, OH,
+    /// OW]` plane, or the call panics.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn depthwise(
+        staged: &[[i16; MADD_LANES]],
+        padded_w: usize,
+        taps: &[(usize, usize)],
+        madd: &MaddTaps,
+        shape: &PooledConvShape,
+        out: &mut [i32],
+    ) {
+        let geo = shape.geometry();
+        let (oh, ow) = (geo.out_h(), geo.out_w());
+        let blocks = madd.channels.div_ceil(MADD_LANES);
+        let mut lanes = [0i32; MADD_LANES];
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let window = (oy * shape.stride * padded_w + ox * shape.stride) * blocks;
+                for b in 0..blocks {
+                    let w = &madd.vecs[b * taps.len() * 2..][..taps.len() * 2];
+                    let (mut lo, mut hi) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+                    for (&(o0, o1), pair) in taps.iter().zip(w.chunks_exact(2)) {
+                        let x0 = load(&staged[window + o0 + b]);
+                        let x1 = load(&staged[window + o1 + b]);
+                        lo = _mm256_add_epi32(
+                            lo,
+                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), load(&pair[0])),
+                        );
+                        hi = _mm256_add_epi32(
+                            hi,
+                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), load(&pair[1])),
+                        );
+                    }
+                    let (lanes_lo, lanes_hi) = lanes.split_at_mut(8);
+                    // SAFETY: each half is an 8-lane `i32` slice, exactly
+                    // one 256-bit store each.
+                    unsafe {
+                        _mm256_storeu_si256(lanes_lo.as_mut_ptr().cast(), lo);
+                        _mm256_storeu_si256(lanes_hi.as_mut_ptr().cast(), hi);
+                    }
+                    for (&v, &ch) in lanes.iter().zip(&DW_CHANNEL_OF) {
+                        let ch = b * MADD_LANES + ch;
+                        if ch < madd.channels {
+                            out[(ch * oh + oy) * ow + ox] = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Without x86-64 there is no avx2 tier, so no plan holds madd weights.
+#[cfg(not(target_arch = "x86_64"))]
+mod madd {
+    use super::{MaddRows, MaddTaps, MADD_LANES};
+    use wp_core::reference::PooledConvShape;
+
+    pub(super) unsafe fn gemm<const P: usize, const F: usize>(
+        _: &[[i16; MADD_LANES]],
+        _: usize,
+        _: &MaddRows,
+        _: &mut [i32],
+    ) {
+        unreachable!("the madd route is only chosen on the avx2 tier")
+    }
+
+    pub(super) unsafe fn depthwise(
+        _: &[[i16; MADD_LANES]],
+        _: usize,
+        _: &[(usize, usize)],
+        _: &MaddTaps,
+        _: &PooledConvShape,
+        _: &mut [i32],
+    ) {
+        unreachable!("the madd route is only chosen on the avx2 tier")
     }
 }
 
@@ -2427,6 +3001,49 @@ mod tests {
                 assert_eq!(&dense_acc(img, &weights, out_features), out);
             }
         }
+    }
+
+    /// The madd route's plan-time proof at its edges, on the avx2 tier
+    /// only: unsigned 8-bit codes reach 255, so `65,793 · 255 · 128 =
+    /// 2,147,483,520` leaves room for a bias of 127 but not 128, and one
+    /// more tap fails; signed codes reach `|−128|`, so 131,071 taps fit
+    /// and 131,072 do not. At the edge itself the kernel is exact, and a
+    /// scanned plane outside the code range is not admitted.
+    #[test]
+    fn mac_route_follows_the_range_proof() {
+        use crate::options::avx2_available;
+        let lut = small_lut(LutOrder::InputOriented);
+        let madd = if avx2_available() { MacRoute::Madd } else { MacRoute::Exact };
+        let unsigned = NativeBackend::new_with(&lut, 8, ActEncoding::Unsigned, BackendKind::Avx2);
+        assert_eq!(unsigned.mac_route(65_793, &[0, 127]), madd);
+        assert_eq!(unsigned.mac_route(65_793, &[-128]), MacRoute::Exact);
+        assert_eq!(unsigned.mac_route(65_794, &[]), MacRoute::Exact);
+        let signed =
+            NativeBackend::new_with(&lut, 8, ActEncoding::SignedTwosComplement, BackendKind::Avx2);
+        assert_eq!(signed.mac_route(131_071, &[]), madd);
+        assert_eq!(signed.mac_route(131_072, &[]), MacRoute::Exact);
+        for kind in [BackendKind::Scalar, BackendKind::Swar] {
+            let other = NativeBackend::new_with(&lut, 1, ActEncoding::Unsigned, kind);
+            assert_eq!(other.mac_route(9, &[]), MacRoute::Exact, "{kind}");
+            assert!(other.prepare_madd_rows(&[1; 9], 1, &[0], true).is_none());
+        }
+        assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0], true).is_none());
+
+        let weights = vec![-128i8; 65_793];
+        let Some(rows) = unsigned.prepare_madd_rows(&weights, 1, &[0], true) else {
+            assert!(!avx2_available(), "the proof admits 65,793 taps");
+            return;
+        };
+        let codes = vec![255; 65_793];
+        let acc = dense_madd_scratch(&codes, &weights, &rows, &mut Scratch::new());
+        assert_eq!(acc, [-2_147_483_520]);
+        assert_eq!(acc, dense_acc(&codes, &weights, 1));
+        // A plane the plan proved in range is never scanned.
+        assert!(rows.admits(&[256]));
+        let scanned = unsigned.prepare_madd_rows(&weights[..9], 1, &[0], false).unwrap();
+        assert!(scanned.admits(&[0, 255, 7, 0, 0, 0, 0, 0, 0]));
+        assert!(!scanned.admits(&[0, 256, 7, 0, 0, 0, 0, 0, 0]));
+        assert!(!scanned.admits(&[-1, 0, 0, 0, 0, 0, 0, 0, 0]));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `wp_kernels::network::run_network`, which makes side-by-side throughput
 //! comparisons apples-to-apples.
 
-use crate::backend::{LutCache, NativeBackend, ScatterRoute};
+use crate::backend::{LutCache, MacRoute, NativeBackend, ScatterRoute};
 use crate::kernel::{
     AvgPoolKernel, DenseKernel, DirectConvKernel, DwConvKernel, GlobalAvgPoolKernel, Kernel,
     KernelCtx, MaxPoolKernel, PooledConvKernel, ResidualAddKernel,
@@ -96,13 +96,19 @@ impl PreparedNet {
         let resolved = bundle.spec.resolve();
         let mut payloads = bundle.convs.iter();
         let mut layers = Vec::with_capacity(resolved.len());
+        // `run` does not range-check its input planes, so only the layers
+        // after the first requantizing one see planes proven to lie in
+        // the code range (requant clamps into it; pooling and the
+        // saturating residual add keep it).
+        let mut input_in_range = false;
         for (li, layer) in resolved.iter().enumerate() {
             // Pool/residual layers don't requantize; only the layers that
             // do consume a per-layer multiplier slot.
-            let requant = if matches!(
+            let requantizes = matches!(
                 layer.spec,
                 LayerSpec::Conv(_) | LayerSpec::DwConv { .. } | LayerSpec::Dense { .. }
-            ) {
+            );
+            let requant = if requantizes {
                 next_requant()
             } else {
                 Requantizer::from_real_multiplier(opts.requant_multiplier)
@@ -129,6 +135,7 @@ impl PreparedNet {
                         in_w: layer.in_w,
                     };
                     let payload = payloads.next().expect("spec has more convs than payloads");
+                    let bias = vec![0i32; cs.out_ch];
                     let kernel: Arc<dyn Kernel> = match payload {
                         ConvPayload::Pooled { indices } => {
                             // Transpose once at compile time; runs reuse it
@@ -142,10 +149,16 @@ impl PreparedNet {
                                 cs.out_ch * cs.in_ch * cs.kernel * cs.kernel,
                                 "weight size mismatch"
                             );
-                            Arc::new(DirectConvKernel::new(shape, weights.clone()))
+                            Arc::new(DirectConvKernel::new(
+                                shape,
+                                weights.clone(),
+                                &backend,
+                                &bias,
+                                input_in_range,
+                            ))
                         }
                     };
-                    (kernel, vec![0i32; cs.out_ch])
+                    (kernel, bias)
                 }
                 LayerSpec::DwConv { channels, kernel, stride, pad } => {
                     let shape = PooledConvShape {
@@ -160,13 +173,18 @@ impl PreparedNet {
                     let weights: Vec<i8> = (0..channels * kernel * kernel)
                         .map(|_| rng.gen_range(-127i32..=127) as i8)
                         .collect();
-                    (Arc::new(DwConvKernel { shape, weights }), vec![0i32; channels])
+                    let bias = vec![0i32; channels];
+                    let kernel = DwConvKernel::new(shape, weights, &backend, &bias, input_in_range);
+                    (Arc::new(kernel), bias)
                 }
                 LayerSpec::Dense { in_features, out_features, .. } => {
                     let weights: Vec<i8> = (0..in_features * out_features)
                         .map(|_| rng.gen_range(-127i32..=127) as i8)
                         .collect();
-                    (Arc::new(DenseKernel::new(weights, out_features)), vec![0i32; out_features])
+                    let bias = vec![0i32; out_features];
+                    let kernel =
+                        DenseKernel::new(weights, out_features, &backend, &bias, input_in_range);
+                    (Arc::new(kernel), bias)
                 }
                 LayerSpec::MaxPool { size } => (Arc::new(MaxPoolKernel { size }), Vec::new()),
                 LayerSpec::AvgPool { size } => (Arc::new(AvgPoolKernel { size }), Vec::new()),
@@ -174,6 +192,7 @@ impl PreparedNet {
                 LayerSpec::ResidualAdd => (Arc::new(ResidualAddKernel), Vec::new()),
             };
             layers.push(PreparedLayer { kernel, in_dims, bias, oq });
+            input_in_range |= requantizes;
         }
         assert!(payloads.next().is_none(), "bundle has more conv payloads than spec convs");
         Self { backend, layers, input: bundle.spec.input, act_bits, profile: None, sink: None }
@@ -249,6 +268,12 @@ impl PreparedNet {
     /// Each pooled conv layer's [`ScatterRoute`], in walk order.
     pub fn scatter_routes(&self) -> Vec<ScatterRoute> {
         self.layers.iter().filter_map(|layer| layer.kernel.scatter_route()).collect()
+    }
+
+    /// Each direct, depthwise and dense layer's [`MacRoute`], in walk
+    /// order.
+    pub fn mac_routes(&self) -> Vec<MacRoute> {
+        self.layers.iter().filter_map(|layer| layer.kernel.mac_route()).collect()
     }
 
     /// Deterministic synthetic input batch with codes in the encoding's

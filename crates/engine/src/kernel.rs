@@ -10,18 +10,29 @@
 //!
 //! The contract every implementation upholds (pinned by the batch-parity
 //! tests): **`run_batch` is bit-identical to mapping `run_solo` over the
-//! batch.** Requantizing kernels achieve batching the weight-stationary
-//! way (SWIS-style): a batch tile is transposed to batch-minor columns
-//! and each weight/tap is decoded once per tile instead of once per
-//! image, which only reassociates *independent* per-image sums — see
-//! [`crate::backend`] for each kernel's exactness argument. Images past
-//! the last full tile run the solo kernels, and so does every image of a
-//! pooled conv on the register route, whose per-image `vpshufb` scatter
-//! gains nothing from the transpose. At low activation bitwidths
-//! the direct-conv and dense kernels route batches through the bit-plane
-//! popcount tiles instead
-//! ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
-//! weight-plane load feeds eight images — same contract, same integers.
+//! batch.** Each kernel is compiled for its plan's tier, and the tier
+//! decides how it batches:
+//!
+//! * On the **avx2** tier, one kernel per op serves solo and batched calls
+//!   alike, and a batch is a plain loop over images: the
+//!   register-resident `vpshufb` scatter for pooled convs
+//!   ([`ScatterRoute::Registers`]) and the `vpmaddwd` kernels for direct,
+//!   depthwise and dense layers ([`MacRoute::Madd`]), whose im2col
+//!   staging already reuses each weight across every output pixel. Each
+//!   route is admitted by a plan-time range proof; a layer that fails it
+//!   runs the swar tier's int8 kernels below (never its popcount ones).
+//! * On the **swar** tier, requantizing kernels batch the
+//!   weight-stationary way (SWIS-style): a batch tile is transposed to
+//!   batch-minor columns and each weight/tap is decoded once per tile
+//!   instead of once per image, which only reassociates *independent*
+//!   per-image sums — see [`crate::backend`] for each kernel's exactness
+//!   argument. Images past the last full tile run the solo kernels. At
+//!   low activation bitwidths the direct-conv and dense kernels route
+//!   batches through the bit-plane popcount tiles instead
+//!   ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
+//!   weight-plane load feeds eight images — same contract, same integers.
+//! * The **scalar** tier maps `run_solo` over every batch.
+//!
 //! Cheap elementwise kernels keep the default `run_batch`, which maps
 //! `run_solo` per image.
 //!
@@ -36,7 +47,9 @@
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
-use crate::backend::{self, FusedOut, NativeBackend, PreparedIndices, ScatterRoute};
+use crate::backend::{
+    self, FusedOut, MacRoute, MaddRows, MaddTaps, NativeBackend, PreparedIndices, ScatterRoute,
+};
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use crate::swar;
@@ -48,40 +61,6 @@ use wp_kernels::OutputQuant;
 /// loops, one image at a time, no batched tile kernels.
 fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
     ctx.backend.simd() == ResolvedBackend::Scalar
-}
-
-/// `Some(use_avx2)` when [`Kernel::accumulate`] (and so
-/// [`Kernel::run_solo`]) should take the solo bit-plane popcount kernels:
-/// a swar-or-better tier at an activation bitwidth low enough that
-/// popcounting 8 weight planes beats the per-element MAC. The threshold
-/// is the backend's resolved routing limit (engine option or
-/// `WP_POPCOUNT_MAX_BITS`, default [`swar::POPCOUNT_MAX_BITS`]). The
-/// scalar tier never routes here.
-fn popcount_path(ctx: &KernelCtx<'_>) -> Option<bool> {
-    match ctx.backend.simd() {
-        ResolvedBackend::Scalar => None,
-        tier if ctx.act_bits <= ctx.backend.popcount_max_bits() => {
-            Some(tier == ResolvedBackend::Avx2)
-        }
-        _ => None,
-    }
-}
-
-/// `Some(use_avx2)` when the **batched** bit-plane popcount tiles should
-/// run: as [`popcount_path`], but against the stronger int8-tile
-/// baseline, so capped at [`swar::POPCOUNT_BATCH_MAX_BITS`] (and never
-/// above the backend's solo threshold — `WP_POPCOUNT_MAX_BITS=0` turns
-/// both paths off).
-fn popcount_batch_path(ctx: &KernelCtx<'_>) -> Option<bool> {
-    match ctx.backend.simd() {
-        ResolvedBackend::Scalar => None,
-        tier if ctx.act_bits
-            <= ctx.backend.popcount_max_bits().min(swar::POPCOUNT_BATCH_MAX_BITS) =>
-        {
-            Some(tier == ResolvedBackend::Avx2)
-        }
-        _ => None,
-    }
 }
 
 /// Everything a kernel needs at run time beyond its own compiled state:
@@ -110,9 +89,10 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// The trace tier code a [`Kernel::run_batch`] span should carry (see
-    /// [`trace::tier_name`]): the backend tier by default; kernels that
-    /// route through the bit-plane popcount path report the popcount
-    /// variant so profiles distinguish it from the int8 tile path.
+    /// [`trace::tier_name`]): the backend tier by default; kernels whose
+    /// batches route through the swar tier's bit-plane popcount tiles
+    /// report the popcount variant so profiles distinguish it from the
+    /// int8 tile path.
     fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
         trace::tier_code(ctx.backend.simd())
     }
@@ -120,6 +100,12 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// The scatter route a pooled conv was prepared for; `None` for every
     /// other kernel.
     fn scatter_route(&self) -> Option<ScatterRoute> {
+        None
+    }
+
+    /// The multiply-accumulate route a direct, depthwise or dense layer
+    /// was compiled for; `None` for every other kernel.
+    fn mac_route(&self) -> Option<MacRoute> {
         None
     }
 
@@ -157,10 +143,10 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// (draining them back into the arena) and returns arena buffers.
     ///
     /// Default: exactly that per-image [`Kernel::run_solo`] map. Every
-    /// requantizing kernel overrides this on the swar/avx2 tiers to call
-    /// the batched tile kernels (bias+requant fused into the tile
-    /// write-out), pinned bit-identical to the map by the batch- and
-    /// backend-parity tests.
+    /// requantizing kernel overrides this to call the swar tier's batched
+    /// tile kernels (bias+requant fused into the tile write-out), pinned
+    /// bit-identical to the map by the batch- and backend-parity tests;
+    /// on the avx2 tier's register and madd routes it keeps the map.
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -248,35 +234,110 @@ impl Kernel for PooledConvKernel {
     }
 }
 
+/// The weight copy a direct-conv or dense layer's route reads besides its
+/// int8 weights, built at plan time for the plan's tier only.
+#[derive(Debug, Clone)]
+enum TierWeights {
+    /// avx2 tier under the range proof: `i16` rows for the madd kernel,
+    /// which serves solo and batched calls alike.
+    Madd(MaddRows),
+    /// swar tier at an activation bitwidth its popcount threshold routes:
+    /// bit planes for the solo popcount kernel, and for the batched tiles
+    /// up to [`swar::POPCOUNT_BATCH_MAX_BITS`].
+    Popcount(swar::PackedWeights),
+    /// Every other plan: the int8 weights serve the reference loop and
+    /// the int8 tiles.
+    Int8,
+}
+
+impl TierWeights {
+    /// Builds the copy `backend` routes `[rows, T]` int8 `weights` to (see
+    /// [`NativeBackend::prepare_madd_rows`] for `bias` and
+    /// `input_in_range`).
+    fn new(
+        backend: &NativeBackend,
+        weights: &[i8],
+        rows: usize,
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Self {
+        if let Some(madd) = backend.prepare_madd_rows(weights, rows, bias, input_in_range) {
+            return TierWeights::Madd(madd);
+        }
+        if backend.simd() == ResolvedBackend::Swar
+            && backend.act_bits() <= backend.popcount_max_bits()
+        {
+            TierWeights::Popcount(swar::PackedWeights::pack(weights, rows, weights.len() / rows))
+        } else {
+            TierWeights::Int8
+        }
+    }
+
+    fn route(&self) -> MacRoute {
+        match self {
+            TierWeights::Madd(_) => MacRoute::Madd,
+            _ => MacRoute::Exact,
+        }
+    }
+
+    /// The bit planes batches route through, at bitwidths where the
+    /// batched popcount tiles beat the int8 tiles.
+    fn popcount_batch(&self, ctx: &KernelCtx<'_>) -> Option<&swar::PackedWeights> {
+        match self {
+            TierWeights::Popcount(packed) if ctx.act_bits <= swar::POPCOUNT_BATCH_MAX_BITS => {
+                Some(packed)
+            }
+            _ => None,
+        }
+    }
+
+    /// The trace tier of a batch through these weights.
+    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
+        match self.popcount_batch(ctx) {
+            Some(_) => trace::popcount_tier_code(),
+            None => trace::tier_code(ctx.backend.simd()),
+        }
+    }
+}
+
 /// Direct int8 convolution (uncompressed stem layers).
 ///
-/// Compiled once per plan: the weights are also packed into bit planes
-/// ([`swar::PackedWeights`]) so the swar/avx2 tiers can run the solo
-/// *and batched* popcount kernels at low activation bitwidths.
+/// Compiled once per plan with the weight copy its tier routes to (see
+/// `TierWeights`): `i16` rows for the avx2 tier's madd kernel, bit
+/// planes for the swar tier's popcount kernels at low activation
+/// bitwidths, nothing extra otherwise.
 #[derive(Debug, Clone)]
 pub struct DirectConvKernel {
     /// Conv geometry.
     shape: PooledConvShape,
     /// `[K, C, R, S]` int8 weights.
     weights: Vec<i8>,
-    /// The same weights as bit planes, one row per output channel.
-    packed: swar::PackedWeights,
+    tier: TierWeights,
 }
 
 impl DirectConvKernel {
-    /// Compiles the kernel, packing `weights` (`[K, C, R, S]`, one row of
-    /// `C*R*S` taps per output channel) into bit planes.
+    /// Compiles the kernel for `backend`'s tier. `bias` enters the madd
+    /// route's range proof, and `input_in_range` says whether the plan
+    /// proves every input plane in the code range (see
+    /// [`NativeBackend::prepare_madd_rows`]).
     ///
     /// # Panics
     ///
     /// Panics if `weights` does not match the shape's filter count.
-    pub fn new(shape: PooledConvShape, weights: Vec<i8>) -> Self {
-        let packed = swar::PackedWeights::pack(
-            &weights,
-            shape.out_ch,
-            shape.in_ch * shape.kernel * shape.kernel,
+    pub fn new(
+        shape: PooledConvShape,
+        weights: Vec<i8>,
+        backend: &NativeBackend,
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Self {
+        assert_eq!(
+            weights.len(),
+            shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
+            "weight size mismatch"
         );
-        Self { shape, weights, packed }
+        let tier = TierWeights::new(backend, &weights, shape.out_ch, bias, input_in_range);
+        Self { shape, weights, tier }
     }
 }
 
@@ -286,23 +347,29 @@ impl Kernel for DirectConvKernel {
     }
 
     fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => trace::popcount_tier_code(use_avx2),
-            None => trace::tier_code(ctx.backend.simd()),
-        }
+        self.tier.span_tier(ctx)
+    }
+
+    fn mac_route(&self) -> Option<MacRoute> {
+        Some(self.tier.route())
     }
 
     fn accumulate(
         &self,
-        ctx: &KernelCtx<'_>,
+        _ctx: &KernelCtx<'_>,
         codes: &[i32],
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
-        let acc = match popcount_path(ctx) {
-            Some(use_avx2) => {
-                swar::conv_direct_scratch(codes, &self.shape, &self.packed, use_avx2, scratch)
+        let acc = match &self.tier {
+            TierWeights::Madd(madd) => {
+                backend::conv_direct_madd_scratch(codes, &self.shape, &self.weights, madd, scratch)
             }
-            None => backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch),
+            TierWeights::Popcount(packed) => {
+                swar::conv_direct_scratch(codes, &self.shape, packed, scratch)
+            }
+            TierWeights::Int8 => {
+                backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch)
+            }
         };
         Some((acc, out_plane(&self.shape)))
     }
@@ -313,17 +380,16 @@ impl Kernel for DirectConvKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
+        if scalar_tier(ctx) || matches!(self.tier, TierWeights::Madd(_)) {
             return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::conv_direct_batch_core(
+        match self.tier.popcount_batch(ctx) {
+            Some(packed) => swar::conv_direct_batch_core(
                 &planes,
                 &self.shape,
-                &self.packed,
-                use_avx2,
+                packed,
                 &w_out,
                 scratch,
                 &mut outs,
@@ -342,18 +408,50 @@ impl Kernel for DirectConvKernel {
     }
 }
 
-/// Depthwise int8 convolution (one kernel per channel).
+/// Depthwise int8 convolution (one kernel per channel). On the avx2 tier
+/// under the range proof it also holds its weights as [`MaddTaps`].
 #[derive(Debug, Clone)]
 pub struct DwConvKernel {
     /// Conv geometry (`out_ch == in_ch`).
-    pub shape: PooledConvShape,
+    shape: PooledConvShape,
     /// `[C, R, S]` int8 weights.
-    pub weights: Vec<i8>,
+    weights: Vec<i8>,
+    madd: Option<MaddTaps>,
+}
+
+impl DwConvKernel {
+    /// Compiles the kernel for `backend`'s tier (see
+    /// [`DirectConvKernel::new`] for `bias` and `input_in_range`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is not depthwise or `weights` does not match
+    /// it.
+    pub fn new(
+        shape: PooledConvShape,
+        weights: Vec<i8>,
+        backend: &NativeBackend,
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Self {
+        assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
+        assert_eq!(
+            weights.len(),
+            shape.in_ch * shape.kernel * shape.kernel,
+            "weight size mismatch"
+        );
+        let madd = backend.prepare_madd_taps(&shape, &weights, bias, input_in_range);
+        Self { shape, weights, madd }
+    }
 }
 
 impl Kernel for DwConvKernel {
     fn name(&self) -> &'static str {
         "dw_conv"
+    }
+
+    fn mac_route(&self) -> Option<MacRoute> {
+        Some(if self.madd.is_some() { MacRoute::Madd } else { MacRoute::Exact })
     }
 
     fn accumulate(
@@ -362,10 +460,13 @@ impl Kernel for DwConvKernel {
         codes: &[i32],
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
-        Some((
-            backend::dwconv_acc_scratch(codes, &self.shape, &self.weights, scratch),
-            out_plane(&self.shape),
-        ))
+        let acc = match &self.madd {
+            Some(madd) => {
+                backend::dwconv_madd_scratch(codes, &self.shape, &self.weights, madd, scratch)
+            }
+            None => backend::dwconv_acc_scratch(codes, &self.shape, &self.weights, scratch),
+        };
+        Some((acc, out_plane(&self.shape)))
     }
 
     fn run_batch(
@@ -374,7 +475,7 @@ impl Kernel for DwConvKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
+        if scalar_tier(ctx) || self.madd.is_some() {
             return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
@@ -393,30 +494,34 @@ impl Kernel for DwConvKernel {
 
 /// Fully-connected int8 layer.
 ///
-/// Like [`DirectConvKernel`], carries a bit-plane packing of its weights
-/// for the swar/avx2 solo and batched popcount paths.
+/// Like [`DirectConvKernel`], carries the weight copy its tier routes to.
 #[derive(Debug, Clone)]
 pub struct DenseKernel {
     /// `[O, I]` int8 weights, row per output feature.
     weights: Vec<i8>,
     /// Output features `O`.
     out_features: usize,
-    /// The same weights as bit planes, one row per output feature.
-    packed: swar::PackedWeights,
+    tier: TierWeights,
 }
 
 impl DenseKernel {
-    /// Compiles the kernel, packing `weights` (`[O, I]`) into bit planes.
+    /// Compiles the kernel for `backend`'s tier (see
+    /// [`DirectConvKernel::new`] for `bias` and `input_in_range`).
     ///
     /// # Panics
     ///
     /// Panics if `weights` is not a multiple of `out_features`.
-    pub fn new(weights: Vec<i8>, out_features: usize) -> Self {
+    pub fn new(
+        weights: Vec<i8>,
+        out_features: usize,
+        backend: &NativeBackend,
+        bias: &[i32],
+        input_in_range: bool,
+    ) -> Self {
         assert!(out_features > 0, "dense layer needs at least one output feature");
         assert_eq!(weights.len() % out_features, 0, "weight size mismatch");
-        let in_features = weights.len() / out_features;
-        let packed = swar::PackedWeights::pack(&weights, out_features, in_features);
-        Self { weights, out_features, packed }
+        let tier = TierWeights::new(backend, &weights, out_features, bias, input_in_range);
+        Self { weights, out_features, tier }
     }
 }
 
@@ -426,21 +531,27 @@ impl Kernel for DenseKernel {
     }
 
     fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => trace::popcount_tier_code(use_avx2),
-            None => trace::tier_code(ctx.backend.simd()),
-        }
+        self.tier.span_tier(ctx)
+    }
+
+    fn mac_route(&self) -> Option<MacRoute> {
+        Some(self.tier.route())
     }
 
     fn accumulate(
         &self,
-        ctx: &KernelCtx<'_>,
+        _ctx: &KernelCtx<'_>,
         codes: &[i32],
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
-        let acc = match popcount_path(ctx) {
-            Some(use_avx2) => swar::dense_acc_scratch(codes, &self.packed, use_avx2, scratch),
-            None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
+        let acc = match &self.tier {
+            TierWeights::Madd(madd) => {
+                backend::dense_madd_scratch(codes, &self.weights, madd, scratch)
+            }
+            TierWeights::Popcount(packed) => swar::dense_acc_scratch(codes, packed, scratch),
+            TierWeights::Int8 => {
+                backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch)
+            }
         };
         Some((acc, 1))
     }
@@ -451,20 +562,13 @@ impl Kernel for DenseKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
+        if scalar_tier(ctx) || matches!(self.tier, TierWeights::Madd(_)) {
             return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
         let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match popcount_batch_path(ctx) {
-            Some(use_avx2) => swar::dense_acc_batch_core(
-                &planes,
-                &self.packed,
-                use_avx2,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
+        match self.tier.popcount_batch(ctx) {
+            Some(packed) => swar::dense_acc_batch_core(&planes, packed, &w_out, scratch, &mut outs),
             None => backend::dense_acc_batch_core(
                 &planes,
                 &self.weights,

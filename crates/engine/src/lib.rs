@@ -16,7 +16,10 @@
 //!   every activation bitwidth, encoding and LUT order), direct int8
 //!   convolution, depthwise, dense, pooling and residual ops — each with a
 //!   solo form and a weight-stationary **batched** form that decodes every
-//!   weight/tap once per batch tile and is bit-identical to solo. The LUT
+//!   weight/tap once per batch tile and is bit-identical to solo, plus the
+//!   avx2 tier's per-image kernels (the register-resident pooled scatter
+//!   and the `vpmaddwd` direct, depthwise and dense kernels) that serve
+//!   solo and batched calls alike. The LUT
 //!   is flattened once into a [`LutCache`] — the host analogue of the
 //!   paper's §4.2 SRAM block cache — so lookups are a single indexed load
 //!   regardless of the bundle's [`wp_core::LutOrder`].
@@ -61,7 +64,7 @@ pub mod scratch;
 pub mod swar;
 pub mod trace;
 
-pub use backend::{LutCache, NativeBackend, PreparedIndices, ScatterRoute};
+pub use backend::{LutCache, MacRoute, NativeBackend, PreparedIndices, ScatterRoute};
 pub use batch::BatchRunner;
 pub use bundle::PreparedNet;
 pub use kernel::{Kernel, KernelCtx};

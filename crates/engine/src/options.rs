@@ -11,12 +11,15 @@
 //!   direct/dense kernels at low activation bitwidths, and the
 //!   weight-stationary batched tile kernels with fused bias+requant
 //!   write-out. Portable Rust; no CPU features required.
-//! * **avx2** — the swar tier with its popcount inner loops routed
-//!   through `std::arch` AVX2 (SSSE3-style nibble-shuffle population
-//!   count over 256-bit lanes) and, for pooled convs whose pool and LUT
-//!   fit it, the register-resident `vpshufb` scatter
-//!   ([`crate::backend::ScatterRoute`]), selected only when the CPU
-//!   reports AVX2 at run time.
+//! * **avx2** — `std::arch` AVX2 kernels, one per op, serving solo and
+//!   batched calls alike: the register-resident `vpshufb` scatter for
+//!   pooled convs whose pool and LUT fit it
+//!   ([`crate::backend::ScatterRoute`]), and `vpmaddwd` over staged
+//!   `i16` activations for direct, depthwise and dense layers
+//!   ([`crate::backend::MacRoute`]). Layers outside either route's
+//!   plan-time range proof run the swar tier's int8 kernels (never its
+//!   popcount kernels). Selected only when the CPU reports AVX2 at run
+//!   time.
 //!
 //! Callers pick a tier through [`BackendKind`] on the [`EngineOptions`]
 //! builder; `Auto` resolves via runtime CPU detection (and honors the
@@ -42,8 +45,8 @@ pub enum BackendKind {
     Scalar,
     /// Bit-plane `u64` SWAR kernels + batched tile kernels.
     Swar,
-    /// Swar with `std::arch` AVX2 popcount inner loops and the
-    /// register-resident pooled scatter.
+    /// `std::arch` AVX2 kernels: the register-resident pooled scatter and
+    /// the `vpmaddwd` direct, depthwise and dense kernels.
     Avx2,
 }
 
@@ -109,7 +112,7 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Whether this CPU can run the AVX2 popcount path.
+/// Whether this CPU can run the avx2 tier's kernels.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -129,8 +132,8 @@ pub enum ResolvedBackend {
     Scalar,
     /// Portable `u64` bit-plane / batched tile kernels.
     Swar,
-    /// Swar with AVX2 popcount inner loops and the register-resident
-    /// pooled scatter.
+    /// AVX2 register-resident pooled scatter and `vpmaddwd` direct,
+    /// depthwise and dense kernels.
     Avx2,
 }
 
@@ -247,9 +250,9 @@ impl EngineOptions {
         self
     }
 
-    /// Overrides the activation bitwidth at or below which the swar/avx2
-    /// tiers route direct-conv and dense layers through the bit-plane
-    /// popcount kernels (0 disables them; `from_bundle` panics above 8).
+    /// Overrides the activation bitwidth at or below which the swar tier
+    /// routes direct-conv and dense layers through the bit-plane popcount
+    /// kernels (0 disables them; `from_bundle` panics above 8).
     /// Unset, the threshold resolves from `WP_POPCOUNT_MAX_BITS` or the
     /// built-in default — see [`crate::swar::resolve_popcount_max_bits`].
     pub fn with_popcount_max_bits(mut self, bits: u8) -> Self {

@@ -80,6 +80,9 @@ impl<T: Copy + Default> SizeClasses<T> {
 pub struct Scratch {
     i32_classes: SizeClasses<i32>,
     i64_classes: SizeClasses<i64>,
+    /// `i16` buffers: the madd route's staged activations (im2col rows,
+    /// channel-interleaved depthwise planes, dense input rows).
+    i16_classes: SizeClasses<i16>,
     /// Byte buffers: the register-resident pooled scatter's per-position
     /// `vpshufb` table pairs.
     u8_classes: SizeClasses<u8>,
@@ -107,6 +110,7 @@ impl Scratch {
         Self {
             i32_classes: SizeClasses::new(),
             i64_classes: SizeClasses::new(),
+            i16_classes: SizeClasses::new(),
             u8_classes: SizeClasses::new(),
             pairs: Vec::new(),
             planes: Vec::new(),
@@ -133,6 +137,16 @@ impl Scratch {
     /// Returns an `i64` buffer to its size class.
     pub fn put_i64(&mut self, buf: Vec<i64>) {
         self.i64_classes.put(buf);
+    }
+
+    /// Checks out an `i16` buffer of exactly `len` zeroed elements.
+    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
+        self.i16_classes.take(len)
+    }
+
+    /// Returns an `i16` buffer to its size class.
+    pub fn put_i16(&mut self, buf: Vec<i16>) {
+        self.i16_classes.put(buf);
     }
 
     /// Checks out a byte buffer of exactly `len` zeroed bytes.
@@ -264,5 +278,8 @@ mod tests {
         let b = s.take_u8(0);
         assert!(b.is_empty());
         s.put_u8(b);
+        let h = s.take_i16(0);
+        assert!(h.is_empty());
+        s.put_i16(h);
     }
 }

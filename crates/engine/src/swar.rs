@@ -29,10 +29,11 @@
 //! `act_bits` and fall back to the scalar MAC loops at high widths
 //! (where a multiplier beats 8×8 plane passes).
 //!
-//! `and_popcount` is the only inner loop: portable SWAR `count_ones` by
-//! default, or an AVX2 nibble-shuffle popcount (`_mm256_shuffle_epi8` +
-//! `_mm256_sad_epu8`) when the resolved backend is `avx2` — both count
-//! the same bits, so tier choice cannot change a single output.
+//! `and_popcount` is the only inner loop: portable SWAR `count_ones`
+//! (which lowers to `POPCNT` where the target has it). Only the swar tier
+//! routes here: the avx2 tier multiplies its int8 layers with `vpmaddwd`
+//! instead ([`crate::backend::MacRoute::Madd`]), which beats AND+popcount
+//! at every activation bitwidth because the weights stay 8 bits wide.
 
 use crate::backend::{RawOut, WriteOut};
 use crate::scratch::Scratch;
@@ -240,19 +241,11 @@ impl BatchBitPlanes {
 }
 
 /// `popcount(Σ a & b)` over two equal-length word runs — the single
-/// inner loop of every bit-plane kernel. Portable SWAR by default
-/// (`u64::count_ones` lowers to the Hacker's Delight bit-parallel count
-/// or a POPCNT instruction, whichever the target has); AVX2 when the
-/// caller resolved that tier at plan-compile time.
+/// inner loop of every bit-plane kernel (`u64::count_ones` lowers to the
+/// Hacker's Delight bit-parallel count or a POPCNT instruction, whichever
+/// the target has).
 #[inline]
-fn and_popcount(a: &[u64], b: &[u64], use_avx2: bool) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` is only ever true for a plan whose backend
-        // resolved to `Avx2`, which requires runtime AVX2 detection.
-        return unsafe { avx2::and_popcount(a, b) };
-    }
-    let _ = use_avx2;
+fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones() as u64).sum()
 }
 
@@ -262,7 +255,7 @@ fn and_popcount(a: &[u64], b: &[u64], use_avx2: bool) -> u64 {
 /// # Panics
 ///
 /// Panics (in debug) if the pack lengths disagree.
-fn dot(w: &PackedWeights, r: usize, a: &BitPlanes, use_avx2: bool) -> i64 {
+fn dot(w: &PackedWeights, r: usize, a: &BitPlanes) -> i64 {
     debug_assert_eq!(w.cols, a.len, "reduction length mismatch");
     debug_assert_eq!(w.words, a.words);
     let words = w.words;
@@ -272,7 +265,7 @@ fn dot(w: &PackedWeights, r: usize, a: &BitPlanes, use_avx2: bool) -> i64 {
         let wrow = &row_planes[k * words..(k + 1) * words];
         for j in 0..a.plane_count {
             let arow = &a.planes[j * words..(j + 1) * words];
-            let c = and_popcount(wrow, arow, use_avx2);
+            let c = and_popcount(wrow, arow);
             weighted += (c as i64) << (k + j);
         }
     }
@@ -281,20 +274,10 @@ fn dot(w: &PackedWeights, r: usize, a: &BitPlanes, use_avx2: bool) -> i64 {
 
 /// Eight-lane `popcount(a & b)`: ANDs one weight word run against a
 /// batch-minor run of [`LANES`] activation lanes and accumulates each
-/// lane's count separately. Portable SWAR by default; AVX2 broadcasts
-/// the weight word across a 256-bit register and counts four lanes per
-/// nibble-shuffle pass.
+/// lane's count separately.
 #[inline]
-fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; LANES], use_avx2: bool) {
+fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; LANES]) {
     debug_assert_eq!(arows.len(), wrow.len() * LANES);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        // SAFETY: `use_avx2` is only ever true for a plan whose backend
-        // resolved to `Avx2`, which requires runtime AVX2 detection.
-        unsafe { avx2::and_popcount8(wrow, arows, counts) };
-        return;
-    }
-    let _ = use_avx2;
     counts.fill(0);
     for (&w, lanes) in wrow.iter().zip(arows.chunks_exact(LANES)) {
         for (c, &a) in counts.iter_mut().zip(lanes) {
@@ -307,7 +290,7 @@ fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; LANES], use_avx
 /// lanes of a batched activation pack — per lane, bit-identical to
 /// [`dot`] on that lane alone (same popcount identity, per-lane
 /// correction terms).
-fn dot8(w: &PackedWeights, r: usize, a: &BatchBitPlanes, use_avx2: bool, out: &mut [i64; LANES]) {
+fn dot8(w: &PackedWeights, r: usize, a: &BatchBitPlanes, out: &mut [i64; LANES]) {
     debug_assert_eq!(w.cols, a.len, "reduction length mismatch");
     debug_assert_eq!(w.words, a.words);
     let words = w.words;
@@ -318,7 +301,7 @@ fn dot8(w: &PackedWeights, r: usize, a: &BatchBitPlanes, use_avx2: bool, out: &m
         let wrow = &row_planes[k * words..(k + 1) * words];
         for j in 0..a.plane_count {
             let arows = &a.planes[j * words * LANES..(j + 1) * words * LANES];
-            and_popcount8(wrow, arows, &mut counts, use_avx2);
+            and_popcount8(wrow, arows, &mut counts);
             for (wt, &c) in weighted.iter_mut().zip(&counts) {
                 *wt += (c as i64) << (k + j);
             }
@@ -339,8 +322,8 @@ fn dot8(w: &PackedWeights, r: usize, a: &BatchBitPlanes, use_avx2: bool, out: &m
 ///
 /// Panics if `codes.len() != packed.cols()`, or on `i32` accumulator
 /// overflow exactly where the scalar kernel would.
-pub fn dense_acc(codes: &[i32], packed: &PackedWeights, use_avx2: bool) -> Vec<i32> {
-    dense_acc_scratch(codes, packed, use_avx2, &mut Scratch::new())
+pub fn dense_acc(codes: &[i32], packed: &PackedWeights) -> Vec<i32> {
+    dense_acc_scratch(codes, packed, &mut Scratch::new())
 }
 
 /// [`dense_acc`] drawing its working set (bit-plane pack, output buffer)
@@ -350,7 +333,6 @@ pub fn dense_acc(codes: &[i32], packed: &PackedWeights, use_avx2: bool) -> Vec<i
 pub(crate) fn dense_acc_scratch(
     codes: &[i32],
     packed: &PackedWeights,
-    use_avx2: bool,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
     assert_eq!(codes.len(), packed.cols, "weight size mismatch");
@@ -358,7 +340,7 @@ pub(crate) fn dense_acc_scratch(
     a.pack(codes);
     let mut out = scratch.take_i32(packed.rows);
     for (r, slot) in out.iter_mut().enumerate() {
-        *slot = i32::try_from(dot(packed, r, &a, use_avx2)).expect("accumulator overflow");
+        *slot = i32::try_from(dot(packed, r, &a)).expect("accumulator overflow");
     }
     scratch.put_bitplanes(a);
     out
@@ -377,13 +359,8 @@ pub(crate) fn dense_acc_scratch(
 /// # Panics
 ///
 /// Panics on shape mismatches or `i32` accumulator overflow.
-pub fn conv_direct(
-    codes: &[i32],
-    shape: &PooledConvShape,
-    packed: &PackedWeights,
-    use_avx2: bool,
-) -> Vec<i32> {
-    conv_direct_scratch(codes, shape, packed, use_avx2, &mut Scratch::new())
+pub fn conv_direct(codes: &[i32], shape: &PooledConvShape, packed: &PackedWeights) -> Vec<i32> {
+    conv_direct_scratch(codes, shape, packed, &mut Scratch::new())
 }
 
 /// Copies one output pixel's receptive field into `gather` in the
@@ -423,7 +400,6 @@ pub(crate) fn conv_direct_scratch(
     codes: &[i32],
     shape: &PooledConvShape,
     packed: &PackedWeights,
-    use_avx2: bool,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
     let (in_ch, in_h, in_w) = (shape.in_ch, shape.in_h, shape.in_w);
@@ -443,7 +419,7 @@ pub(crate) fn conv_direct_scratch(
             a.pack(&gather);
             for k in 0..shape.out_ch {
                 out[(k * oh + oy) * ow + ox] =
-                    i32::try_from(dot(packed, k, &a, use_avx2)).expect("accumulator overflow");
+                    i32::try_from(dot(packed, k, &a)).expect("accumulator overflow");
             }
         }
     }
@@ -461,7 +437,6 @@ pub(crate) fn conv_direct_scratch(
 pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
     packed: &PackedWeights,
-    use_avx2: bool,
     w_out: &impl WriteOut,
     scratch: &mut Scratch,
     outs: &mut Vec<Vec<i32>>,
@@ -477,7 +452,7 @@ pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
         }
         #[allow(clippy::needless_range_loop)] // `r` indexes eight outs, not one slice
         for r in 0..packed.rows {
-            dot8(packed, r, &a, use_avx2, &mut dots);
+            dot8(packed, r, &a, &mut dots);
             for b in 0..LANES {
                 outs[base + b][r] = w_out.emit(r, dots[b]);
             }
@@ -485,7 +460,7 @@ pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
     }
     scratch.put_batch_bitplanes(a);
     for codes in &batch[full..] {
-        let mut acc = dense_acc_scratch(codes.as_ref(), packed, use_avx2, scratch);
+        let mut acc = dense_acc_scratch(codes.as_ref(), packed, scratch);
         w_out.finish_solo_in_place(&mut acc, 1);
         outs.push(acc);
     }
@@ -500,7 +475,6 @@ pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
     batch: &[S],
     shape: &PooledConvShape,
     packed: &PackedWeights,
-    use_avx2: bool,
     w_out: &impl WriteOut,
     scratch: &mut Scratch,
     outs: &mut Vec<Vec<i32>>,
@@ -533,7 +507,7 @@ pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
                 }
                 a.pack(&gathers);
                 for k in 0..shape.out_ch {
-                    dot8(packed, k, &a, use_avx2, &mut dots);
+                    dot8(packed, k, &a, &mut dots);
                     for b in 0..LANES {
                         outs[base + b][(k * oh + oy) * ow + ox] = w_out.emit(k, dots[b]);
                     }
@@ -544,7 +518,7 @@ pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
     scratch.put_planes(gathers);
     scratch.put_batch_bitplanes(a);
     for codes in &batch[full..] {
-        let mut acc = conv_direct_scratch(codes.as_ref(), shape, packed, use_avx2, scratch);
+        let mut acc = conv_direct_scratch(codes.as_ref(), shape, packed, scratch);
         w_out.finish_solo_in_place(&mut acc, out_plane);
         outs.push(acc);
     }
@@ -553,13 +527,9 @@ pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
 /// Raw-accumulator batched dense over a whole batch (any size;
 /// non-multiple-of-[`LANES`] tails run solo). Bit-identical per image to
 /// [`dense_acc`] — the differential-test surface for the batched path.
-pub fn dense_acc_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    packed: &PackedWeights,
-    use_avx2: bool,
-) -> Vec<Vec<i32>> {
+pub fn dense_acc_batch<S: AsRef<[i32]>>(batch: &[S], packed: &PackedWeights) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(batch, packed, use_avx2, &RawOut, &mut Scratch::new(), &mut outs);
+    dense_acc_batch_core(batch, packed, &RawOut, &mut Scratch::new(), &mut outs);
     outs
 }
 
@@ -569,14 +539,13 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
     batch: &[S],
     shape: &PooledConvShape,
     packed: &PackedWeights,
-    use_avx2: bool,
 ) -> Vec<Vec<i32>> {
     let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(batch, shape, packed, use_avx2, &RawOut, &mut Scratch::new(), &mut outs);
+    conv_direct_batch_core(batch, shape, packed, &RawOut, &mut Scratch::new(), &mut outs);
     outs
 }
 
-/// Largest activation bitwidth at which the kernels route solo
+/// Largest activation bitwidth at which the swar tier routes solo
 /// direct/dense work through the bit-plane path: the popcount work is
 /// `8 × plane_count` word-ops per 64 lanes, so at 4 bits and below it
 /// beats the scalar MAC loop; above, the multiplier wins and the
@@ -584,18 +553,18 @@ pub fn conv_direct_batch<S: AsRef<[i32]>>(
 /// only in speed).
 pub const POPCOUNT_MAX_BITS: u8 = 4;
 
-/// Largest activation bitwidth at which the kernels route **batched**
+/// Largest activation bitwidth at which the swar tier routes **batched**
 /// direct/dense work through the bit-plane path. Batched execution
 /// competes with the int8 tile kernels (already weight-stationary and
-/// batch-minor), a much stronger baseline than the solo scalar loop —
-/// but each packed weight word still feeds all 8 lanes per load, and
-/// measured on the stem-heavy demo regime the batched popcount tile
-/// holds 4.3x / 2.8x / 2.1x / 1.7x over the int8 tiles at 1–4 bits
-/// (`BENCH_engine.json`, `popcount_batched` section), so the batched
-/// cap matches the solo threshold. Always further capped by the
-/// backend's (possibly `WP_POPCOUNT_MAX_BITS`-overridden) threshold,
-/// which also turns the path off entirely when set to 0.
-pub const POPCOUNT_BATCH_MAX_BITS: u8 = 4;
+/// batch-minor), a much stronger baseline than the solo scalar loop:
+/// measured on the stem-heavy demo regime (`engine_throughput` section
+/// 5, one thread), the batched popcount tiles ran 2.04x / 1.27x / 0.88x /
+/// 0.65x the int8 tiles at 1–4 bits with batch 64, and 2.10x / 1.25x /
+/// 0.83x / 0.64x with batch 16, so batches route here up to 2 bits only.
+/// Always further capped by the backend's (possibly
+/// `WP_POPCOUNT_MAX_BITS`-overridden) threshold, which also turns the
+/// path off entirely when set to 0.
+pub const POPCOUNT_BATCH_MAX_BITS: u8 = 2;
 
 /// Environment variable overriding the popcount routing threshold
 /// (mirrors `WP_BACKEND`): `0` disables the bit-plane path entirely,
@@ -626,127 +595,15 @@ pub fn resolve_popcount_max_bits(explicit: Option<u8>) -> u8 {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// AVX2 `Σ popcount(a & b)`: the nibble-shuffle population count
-    /// (Muła et al.) — each byte split into two 4-bit halves counted via
-    /// `_mm256_shuffle_epi8` table lookup, byte counts folded into
-    /// 64-bit lane sums with `_mm256_sad_epu8`. Counts exactly the same
-    /// bits as the portable loop.
-    ///
-    /// # Safety
-    ///
-    /// Callers must have verified AVX2 support at run time.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
-        let n = a.len().min(b.len());
-        let chunks = n / 4;
-        #[rustfmt::skip]
-        let table = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let mut sums = _mm256_setzero_si256();
-        for c in 0..chunks {
-            let va = _mm256_loadu_si256(a.as_ptr().add(c * 4) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(c * 4) as *const __m256i);
-            let v = _mm256_and_si256(va, vb);
-            let lo = _mm256_and_si256(v, low_mask);
-            let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-            let counts =
-                _mm256_add_epi8(_mm256_shuffle_epi8(table, lo), _mm256_shuffle_epi8(table, hi));
-            sums = _mm256_add_epi64(sums, _mm256_sad_epu8(counts, _mm256_setzero_si256()));
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
-        let mut total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-        for i in chunks * 4..n {
-            total += (a[i] & b[i]).count_ones() as u64;
-        }
-        total
-    }
-
-    /// AVX2 eight-lane `popcount(w & a)`: broadcasts each weight word
-    /// across a 256-bit register and ANDs it against two 4-lane vectors
-    /// of the batch-minor activation run, so one weight load feeds all
-    /// eight batch lanes. Per-lane byte counts accumulate in `epi8`
-    /// registers and are folded into 64-bit lane sums with
-    /// `_mm256_sad_epu8` every ≤ 31 words (31 words × 8 bits/byte-count
-    /// = 248 < 255, so the byte counters cannot wrap). Counts exactly
-    /// the same bits as the portable eight-lane loop.
-    ///
-    /// # Safety
-    ///
-    /// Callers must have verified AVX2 support at run time, and
-    /// `arows.len()` must be `wrow.len() * 8` (batch-minor layout).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn and_popcount8(wrow: &[u64], arows: &[u64], counts: &mut [u64; 8]) {
-        debug_assert_eq!(arows.len(), wrow.len() * 8);
-        #[rustfmt::skip]
-        let table = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let mut sum_lo = zero;
-        let mut sum_hi = zero;
-        let n = wrow.len();
-        let mut i = 0usize;
-        while i < n {
-            let end = (i + 31).min(n);
-            let mut acc_lo = zero;
-            let mut acc_hi = zero;
-            for (w_i, &w) in wrow[i..end].iter().enumerate() {
-                let wv = _mm256_set1_epi64x(w as i64);
-                let base = (i + w_i) * 8;
-                let a_lo = _mm256_loadu_si256(arows.as_ptr().add(base) as *const __m256i);
-                let a_hi = _mm256_loadu_si256(arows.as_ptr().add(base + 4) as *const __m256i);
-                for (v, acc) in [
-                    (_mm256_and_si256(wv, a_lo), &mut acc_lo),
-                    (_mm256_and_si256(wv, a_hi), &mut acc_hi),
-                ] {
-                    let lo = _mm256_and_si256(v, low_mask);
-                    let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-                    let c = _mm256_add_epi8(
-                        _mm256_shuffle_epi8(table, lo),
-                        _mm256_shuffle_epi8(table, hi),
-                    );
-                    *acc = _mm256_add_epi8(*acc, c);
-                }
-            }
-            sum_lo = _mm256_add_epi64(sum_lo, _mm256_sad_epu8(acc_lo, zero));
-            sum_hi = _mm256_add_epi64(sum_hi, _mm256_sad_epu8(acc_hi, zero));
-            i = end;
-        }
-        _mm256_storeu_si256(counts.as_mut_ptr() as *mut __m256i, sum_lo);
-        _mm256_storeu_si256(counts.as_mut_ptr().add(4) as *mut __m256i, sum_hi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend;
-    use crate::options::avx2_available;
 
     /// Deterministic LCG, same constants as the backend's test fuzzer.
     fn lcg(state: &mut u64, m: i32) -> i32 {
         *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((*state >> 33) as i32).rem_euclid(m)
-    }
-
-    /// The AVX2 flags to exercise: always the portable path, plus the
-    /// `std::arch` path when this CPU has it.
-    fn avx2_flags() -> Vec<bool> {
-        if avx2_available() {
-            vec![false, true]
-        } else {
-            vec![false]
-        }
     }
 
     #[test]
@@ -763,9 +620,7 @@ mod tests {
             let signed: Vec<i32> = (0..cols).map(|_| lcg(&mut s, hi + 1) - (hi + 1) / 2).collect();
             for codes in [unsigned, signed] {
                 let expect = backend::dense_acc(&codes, &weights, rows);
-                for avx2 in avx2_flags() {
-                    assert_eq!(dense_acc(&codes, &packed, avx2), expect, "bits={bits} avx2={avx2}");
-                }
+                assert_eq!(dense_acc(&codes, &packed), expect, "bits={bits}");
             }
         }
     }
@@ -781,9 +636,7 @@ mod tests {
         let packed = PackedWeights::pack(&weights, rows, cols);
         let codes: Vec<i32> = (0..cols).map(|_| lcg(&mut s, 400_001) - 200_000).collect();
         let expect = backend::dense_acc(&codes, &weights, rows);
-        for avx2 in avx2_flags() {
-            assert_eq!(dense_acc(&codes, &packed, avx2), expect, "avx2={avx2}");
-        }
+        assert_eq!(dense_acc(&codes, &packed), expect);
     }
 
     #[test]
@@ -800,13 +653,11 @@ mod tests {
                 let codes: Vec<i32> =
                     (0..shape.in_ch * in_h * in_w).map(|_| lcg(&mut s, hi + 1)).collect();
                 let expect = backend::conv_direct(&codes, &shape, &weights);
-                for avx2 in avx2_flags() {
-                    assert_eq!(
-                        conv_direct(&codes, &shape, &packed, avx2),
-                        expect,
-                        "stride={stride} pad={pad} bits={bits} avx2={avx2}"
-                    );
-                }
+                assert_eq!(
+                    conv_direct(&codes, &shape, &packed),
+                    expect,
+                    "stride={stride} pad={pad} bits={bits}"
+                );
             }
         }
     }
@@ -822,9 +673,7 @@ mod tests {
         // inside the data range — the case the `lo` offset handles.
         let codes: Vec<i32> = (0..3 * 4 * 4).map(|_| lcg(&mut s, 256) - 128).collect();
         let expect = backend::conv_direct(&codes, &shape, &weights);
-        for avx2 in avx2_flags() {
-            assert_eq!(conv_direct(&codes, &shape, &packed, avx2), expect, "avx2={avx2}");
-        }
+        assert_eq!(conv_direct(&codes, &shape, &packed), expect);
     }
 
     #[test]
@@ -833,7 +682,7 @@ mod tests {
         let packed = PackedWeights::pack(&weights, 1, 8);
         for codes in [vec![0i32; 8], vec![-5i32; 8], vec![-3, -3, -3, -1, -1, -1, -2, -2]] {
             let expect = backend::dense_acc(&codes, &weights, 1);
-            assert_eq!(dense_acc(&codes, &packed, false), expect, "codes={codes:?}");
+            assert_eq!(dense_acc(&codes, &packed), expect, "codes={codes:?}");
         }
     }
 
@@ -877,16 +726,14 @@ mod tests {
                 let batch: Vec<Vec<i32>> = (0..batch_n)
                     .map(|_| (0..cols).map(|_| lcg(&mut s, hi + 1) - (hi + 1) / 2).collect())
                     .collect();
-                for avx2 in avx2_flags() {
-                    let got = dense_acc_batch(&batch, &packed, avx2);
-                    assert_eq!(got.len(), batch_n);
-                    for (i, codes) in batch.iter().enumerate() {
-                        assert_eq!(
-                            got[i],
-                            dense_acc(codes, &packed, avx2),
-                            "n={batch_n} bits={bits} avx2={avx2} image {i}"
-                        );
-                    }
+                let got = dense_acc_batch(&batch, &packed);
+                assert_eq!(got.len(), batch_n);
+                for (i, codes) in batch.iter().enumerate() {
+                    assert_eq!(
+                        got[i],
+                        dense_acc(codes, &packed),
+                        "n={batch_n} bits={bits} image {i}"
+                    );
                 }
             }
         }
@@ -911,15 +758,13 @@ mod tests {
                     .map(|_| (lcg(&mut s, 255) - 127) as i8)
                     .collect();
                 let packed = PackedWeights::pack(&weights, shape.out_ch, shape.in_ch * 9);
-                for avx2 in avx2_flags() {
-                    let got = conv_direct_batch(&batch, &shape, &packed, avx2);
-                    for (i, codes) in batch.iter().enumerate() {
-                        assert_eq!(
-                            got[i],
-                            conv_direct(codes, &shape, &packed, avx2),
-                            "stride={stride} pad={pad} n={batch_n} avx2={avx2} image {i}"
-                        );
-                    }
+                let got = conv_direct_batch(&batch, &shape, &packed);
+                for (i, codes) in batch.iter().enumerate() {
+                    assert_eq!(
+                        got[i],
+                        conv_direct(codes, &shape, &packed),
+                        "stride={stride} pad={pad} n={batch_n} image {i}"
+                    );
                 }
             }
         }
@@ -950,49 +795,5 @@ mod tests {
         }
         std::env::remove_var(POPCOUNT_MAX_BITS_ENV);
         assert_eq!(resolve_popcount_max_bits(None), POPCOUNT_MAX_BITS);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_popcount8_counts_the_same_bits() {
-        if !avx2_available() {
-            return;
-        }
-        let mut s = 0x8AB5u64;
-        // Lengths straddling the 31-word SAD flush boundary.
-        for words in [0usize, 1, 5, 31, 32, 63, 64, 100] {
-            let wrow: Vec<u64> = (0..words)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let arows: Vec<u64> = (0..words * LANES)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let mut portable = [0u64; LANES];
-            and_popcount8(&wrow, &arows, &mut portable, false);
-            let mut simd = [0u64; LANES];
-            unsafe { avx2::and_popcount8(&wrow, &arows, &mut simd) };
-            assert_eq!(simd, portable, "words={words}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_popcount_counts_the_same_bits() {
-        if !avx2_available() {
-            return;
-        }
-        let mut s = 0xAB5;
-        // Lengths straddling the 4-word vector width, including the
-        // scalar tail.
-        for len in [0usize, 1, 3, 4, 5, 8, 17, 64] {
-            let a: Vec<u64> = (0..len)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let b: Vec<u64> = (0..len)
-                .map(|_| (lcg(&mut s, i32::MAX) as u64) << 32 | lcg(&mut s, i32::MAX) as u64)
-                .collect();
-            let portable: u64 = a.iter().zip(&b).map(|(&x, &y)| (x & y).count_ones() as u64).sum();
-            assert_eq!(unsafe { avx2::and_popcount(&a, &b) }, portable, "len={len}");
-        }
     }
 }

@@ -246,16 +246,12 @@ pub fn tier_code(tier: ResolvedBackend) -> u8 {
     }
 }
 
-/// Tier code for a layer span that executed the bit-plane popcount path
-/// (direct-conv/dense at low activation bitwidths) rather than the tier's
-/// int8 kernels — distinguishable in profiles so the routing threshold
-/// can be judged from real traces.
-pub fn popcount_tier_code(use_avx2: bool) -> u8 {
-    if use_avx2 {
-        4
-    } else {
-        3
-    }
+/// Tier code for a layer span that executed the swar tier's bit-plane
+/// popcount tiles (direct-conv/dense batches at low activation
+/// bitwidths) rather than its int8 kernels — distinguishable in profiles
+/// so the routing threshold can be judged from real traces.
+pub fn popcount_tier_code() -> u8 {
+    3
 }
 
 /// Reporting name for a [`tier_code`] / [`popcount_tier_code`] value.
@@ -265,7 +261,6 @@ pub fn tier_name(code: u8) -> &'static str {
         1 => "swar",
         2 => "avx2",
         3 => "swar+popcount",
-        4 => "avx2+popcount",
         _ => "unknown",
     }
 }

@@ -6,14 +6,14 @@
 //! * **Kernels** — property tests fuzz dense and direct-conv shapes,
 //!   activation bitwidths `1..=4`, both encodings and batch sizes
 //!   {1, 2, 7, 16}, and require `swar::dense_acc` / `swar::conv_direct`
-//!   (solo) and their `_batch` forms (both the portable and, where the
-//!   CPU has it, the AVX2 tier) to reproduce the scalar reference
+//!   (solo) and their `_batch` forms to reproduce the scalar reference
 //!   kernels exactly.
 //! * **Networks** — a direct-conv + dense network at popcount bitwidths
 //!   runs identically across the scalar/swar/avx2 tiers, batched and
-//!   solo, with the popcount path enabled, disabled
+//!   solo, with the popcount threshold at its default, disabled
 //!   (`with_popcount_max_bits(0)`) and widened — routing must never
-//!   change the integers.
+//!   change the integers (the threshold routes the swar tier only; the
+//!   avx2 tier runs its madd kernels at every setting).
 //! * **Blocked dense** — a network whose head is large enough for the
 //!   blocked dense tile path (`in × out ≥ 16K` weights) at a batch deep
 //!   enough to engage it (≥ 2 full tiles) matches solo execution.
@@ -29,14 +29,6 @@ use wp_engine::{avx2_available, backend, swar, BackendKind, EngineOptions, Prepa
 fn codes(rng: &mut impl Rng, n: usize, enc: ActEncoding, bits: u8) -> Vec<i32> {
     let (lo, hi) = enc.code_range(bits);
     (0..n).map(|_| rng.gen_range(lo..=hi)).collect()
-}
-
-fn avx2_flags() -> Vec<bool> {
-    if avx2_available() {
-        vec![false, true]
-    } else {
-        vec![false]
-    }
 }
 
 proptest! {
@@ -60,13 +52,10 @@ proptest! {
             (0..batch_n).map(|_| codes(&mut rng, in_features, enc, bits)).collect();
         let scalar: Vec<Vec<i32>> =
             batch.iter().map(|c| backend::dense_acc(c, &weights, out_features)).collect();
-        for use_avx2 in avx2_flags() {
-            for (c, want) in batch.iter().zip(&scalar) {
-                prop_assert_eq!(&swar::dense_acc(c, &packed, use_avx2), want, "solo avx2={}", use_avx2);
-            }
-            let batched = swar::dense_acc_batch(&batch, &packed, use_avx2);
-            prop_assert_eq!(&batched, &scalar, "batched avx2={}", use_avx2);
+        for (c, want) in batch.iter().zip(&scalar) {
+            prop_assert_eq!(&swar::dense_acc(c, &packed), want, "solo");
         }
+        prop_assert_eq!(&swar::dense_acc_batch(&batch, &packed), &scalar, "batched");
     }
 
     #[test]
@@ -96,17 +85,10 @@ proptest! {
             (0..batch_n).map(|_| codes(&mut rng, in_ch * in_h * in_w, enc, bits)).collect();
         let scalar: Vec<Vec<i32>> =
             batch.iter().map(|c| backend::conv_direct(c, &shape, &weights)).collect();
-        for use_avx2 in avx2_flags() {
-            for (c, want) in batch.iter().zip(&scalar) {
-                prop_assert_eq!(
-                    &swar::conv_direct(c, &shape, &packed, use_avx2),
-                    want,
-                    "solo avx2={}", use_avx2
-                );
-            }
-            let batched = swar::conv_direct_batch(&batch, &shape, &packed, use_avx2);
-            prop_assert_eq!(&batched, &scalar, "batched avx2={}", use_avx2);
+        for (c, want) in batch.iter().zip(&scalar) {
+            prop_assert_eq!(&swar::conv_direct(c, &shape, &packed), want, "solo");
         }
+        prop_assert_eq!(&swar::conv_direct_batch(&batch, &shape, &packed), &scalar, "batched");
     }
 }
 

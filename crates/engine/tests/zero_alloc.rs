@@ -21,7 +21,9 @@ use rand::{Rng, SeedableRng};
 use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{avx2_available, BackendKind, EngineOptions, PreparedNet, ScatterRoute, Scratch};
+use wp_engine::{
+    avx2_available, BackendKind, EngineOptions, MacRoute, PreparedNet, ScatterRoute, Scratch,
+};
 
 /// Counts allocator entries (alloc/realloc) while armed; frees are not
 /// counted — a steady state may still *return* warmup memory, it just
@@ -71,9 +73,8 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 }
 
 /// Every kernel kind the engine implements, so the steady state covers
-/// the whole dispatch surface: direct conv (popcount-routed at these
-/// act_bits), pooled conv, max/avg pool, depthwise, residual, global
-/// avg pool and dense.
+/// the whole dispatch surface: direct conv, pooled conv, max/avg pool,
+/// depthwise, residual, global avg pool and dense.
 fn all_kinds_bundle() -> DeployBundle {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x0A11);
     let vectors: Vec<Vec<f32>> =
@@ -128,16 +129,19 @@ fn warmed_runs_do_not_allocate() {
     // The swar tier at a popcount-routable bitwidth: the steady state
     // covers the batched tile kernels, the bit-plane popcount paths, the
     // pooled gather and the fused write-out. The avx2 tier (where the CPU
-    // has it) adds the register-resident pooled scatter. Untraced — the
-    // traced path is allowed to allocate in its observers.
-    let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather)];
+    // has it) runs the register-resident pooled scatter and the madd
+    // kernels of the direct, depthwise and dense layers, whose staged
+    // `i16` rows come from the arena too. Untraced — the traced path is
+    // allowed to allocate in its observers.
+    let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather, MacRoute::Exact)];
     if avx2_available() {
-        tiers.push((BackendKind::Avx2, ScatterRoute::Registers));
+        tiers.push((BackendKind::Avx2, ScatterRoute::Registers, MacRoute::Madd));
     }
-    for (tier, route) in tiers {
+    for (tier, scatter, mac) in tiers {
         let opts = EngineOptions::new().with_act_bits(2).with_backend(tier);
         let net = PreparedNet::from_bundle(&all_kinds_bundle(), &opts);
-        assert_eq!(net.scatter_routes(), [route], "{tier}");
+        assert_eq!(net.scatter_routes(), [scatter], "{tier}");
+        assert_eq!(net.mac_routes(), [mac; 3], "{tier}");
         assert_steady_state_is_allocation_free(&net, tier);
     }
 }

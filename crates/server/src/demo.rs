@@ -209,6 +209,23 @@ mod tests {
         }
     }
 
+    /// Likewise, a silent fallback off the madd route would cost the stem
+    /// demo most of its speed.
+    #[test]
+    fn stem_demo_int8_layers_take_the_madd_route() {
+        if !wp_engine::avx2_available() {
+            return;
+        }
+        for act_bits in [2, 8] {
+            let opts = EngineOptions::default()
+                .with_act_bits(act_bits)
+                .with_backend(wp_engine::BackendKind::Avx2);
+            let routes =
+                PreparedNet::from_bundle(&demo_bundle(DemoSize::Stem, 1), &opts).mac_routes();
+            assert_eq!(routes, [wp_engine::MacRoute::Madd; 6], "act_bits {act_bits}");
+        }
+    }
+
     #[test]
     fn different_seeds_differ() {
         let a = demo_prepared(DemoSize::Tiny, 1);
