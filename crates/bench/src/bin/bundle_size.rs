@@ -136,7 +136,8 @@ fn main() {
         })
         .collect();
     let json_report = format!(
-        "{{\"bench\":\"bundle\",\"model\":\"demo-serve\",\"json_bytes\":{},\"wpb_bytes\":{},\"json_over_wpb\":{:.2},\"json_decode_ms\":{:.3},\"wpb_decode_ms\":{:.3},\"decode_speedup\":{:.2},\"peak_transient_bytes\":{},\"largest_section_bytes\":{},\"total_indices\":{},\"index_entropy_bits\":{:.4},\"layer_entropy_bits\":{:.4},\"coded_index_bits\":{:.4},\"coded_over_entropy\":{:.4},\"coded_over_layer_entropy\":{:.4},\"entropy_bound_index_bytes\":{:.0},\"outputs_identical\":{},\"streaming_identical\":{},\"layers\":[{}]}}\n",
+        "{{\"bench\":\"bundle\",{},\"model\":\"demo-serve\",\"json_bytes\":{},\"wpb_bytes\":{},\"json_over_wpb\":{:.2},\"json_decode_ms\":{:.3},\"wpb_decode_ms\":{:.3},\"decode_speedup\":{:.2},\"peak_transient_bytes\":{},\"largest_section_bytes\":{},\"total_indices\":{},\"index_entropy_bits\":{:.4},\"layer_entropy_bits\":{:.4},\"coded_index_bits\":{:.4},\"coded_over_entropy\":{:.4},\"coded_over_layer_entropy\":{:.4},\"entropy_bound_index_bytes\":{:.0},\"outputs_identical\":{},\"streaming_identical\":{},\"layers\":[{}]}}\n",
+        wp_bench::fingerprint(),
         json.len(),
         wpb.len(),
         ratio,

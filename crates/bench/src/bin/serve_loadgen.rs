@@ -685,7 +685,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"serve\",\"concurrency\":{},\"sections\":[{}]{}}}\n",
+        "{{\"bench\":\"serve\",{},\"concurrency\":{},\"sections\":[{}]{}}}\n",
+        wp_bench::fingerprint(),
         args.concurrency,
         sections.join(","),
         event_front.map(|e| format!(",\"event_front\":{e}")).unwrap_or_default()

@@ -75,3 +75,32 @@ impl Effort {
         }
     }
 }
+
+/// The machine fingerprint every BENCH file carries, as JSON members
+/// ready to splice into an object: the commit measured (suffixed
+/// `-dirty` when the tree has uncommitted changes; "unknown" outside a
+/// checkout), the CPU model and the core count.
+pub fn fingerprint() -> String {
+    let sha = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    format!(
+        "\"git_sha\":\"{sha}\",\"cpu_model\":\"{}\",\"nproc\":{nproc}",
+        cpu.replace(['"', '\\'], "")
+    )
+}

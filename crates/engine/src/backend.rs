@@ -27,23 +27,23 @@
 //! tests in `tests/parity.rs` and `tests/scatter_route.rs`.
 //!
 //! The uncompressed layers — direct convs, depthwise, dense — get the
-//! same treatment from [`NativeBackend::mac_route`]: on the avx2 tier, a
-//! layer whose products provably sum inside `i32` takes the **madd**
-//! route ([`MacRoute::Madd`]), the host analogue of the CMSIS-NN q7→q15
-//! im2col and dual 16-bit MAC the paper runs these layers on. Each image
-//! is staged as zero-padded `i16` rows (im2col rows for direct convs, one
-//! row for dense, a channel-interleaved plane for depthwise) and
-//! multiplied against weights repacked once at plan time as `i16` rows
-//! with `vpmaddwd`, 16 exact products into 8 `i32` lanes per
-//! instruction. Solo and batched calls run the same kernel. Every other
-//! layer takes the exact route: the `i64` reference loops per image and
-//! the weight-stationary int8 tiles on batches, and on the swar tier the
-//! bit-plane popcount kernels ([`crate::swar`]). Both routes compute the
-//! reference's integers — pinned by `tests/madd_route.rs`.
+//! same treatment from [`NativeBackend::mac_route`]: on the swar and avx2
+//! tiers, a layer whose products provably sum inside `i32` takes the
+//! **madd** route ([`MacRoute::Madd`]), the host analogue of the CMSIS-NN
+//! q7→q15 im2col and dual 16-bit MAC the paper runs these layers on.
+//! Each image is staged as zero-padded `i16` rows (im2col rows for direct
+//! convs, one row for dense, a channel-interleaved plane for depthwise)
+//! and multiplied against weights repacked once at plan time as `i16`
+//! rows with `pmaddwd`, 16 exact products into 8 `i32` lanes per 256
+//! bits. The two kernels are written once over a 16-lane vector type and
+//! built three ways: AVX2 on the avx2 tier, two SSE2 halves on the swar
+//! tier (x86-64's baseline ISA), and plain arrays on other targets. Solo and batched calls run the same kernel. Every other
+//! layer takes the exact route: the `i64` reference loop, once per image.
+//! Both routes compute the reference's integers — pinned by
+//! `tests/madd_route.rs`.
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
-use crate::swar::resolve_popcount_max_bits;
 use wp_core::reference::{ActEncoding, PooledConvShape};
 use wp_core::LookupTable;
 use wp_kernels::OutputQuant;
@@ -249,29 +249,26 @@ pub struct NativeBackend {
     bit_weights: [i32; 8],
     /// The resolved kernel tier. `Scalar` keeps every op on the
     /// per-element reference loops (generic bit-unpack, per-image
-    /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill and the
-    /// batched tile kernels, `Swar` the bit-plane popcount kernels, and
-    /// `Avx2` the register-resident pooled scatter and the madd kernels.
-    /// Every tier computes identical integers.
+    /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill, the
+    /// batched pooled-gather and pooling tiles and the madd kernels
+    /// (SSE2 or AVX2 lanes), and `Avx2` the register-resident pooled
+    /// scatter. Every tier computes identical integers.
     simd: ResolvedBackend,
-    /// Largest activation bitwidth the swar tier routes through the
-    /// bit-plane popcount kernels (solo direct/dense; the batched path
-    /// further caps at [`crate::swar::POPCOUNT_BATCH_MAX_BITS`]).
-    /// Resolved at build time from the explicit engine option or
-    /// `WP_POPCOUNT_MAX_BITS`; `0` disables the popcount path. Routing
-    /// only — every path computes identical integers.
-    popcount_max_bits: u8,
+    /// The lanes madd-route layers run on (`None` on the scalar tier).
+    madd_lanes: Option<MaddLanes>,
 }
 
 impl NativeBackend {
     /// Largest number of images a batched tile kernel processes at once
     /// (outputs are identical for any tiling because images are
-    /// independent). Each tile kernel holds one filter's `BATCH_TILE`-lane
-    /// accumulator row in registers across all of that filter's taps, and
-    /// its batch-minor columns cost `BATCH_TILE×` the solo working set —
-    /// eight lanes fill two 256-bit `i32` vectors while the columns stay
-    /// cache-resident. The register-route pooled scatter does not tile:
-    /// it runs every image through the per-image kernel.
+    /// independent). The pooled gather's tile kernel holds one filter's
+    /// `BATCH_TILE`-lane accumulator row in registers across all of that
+    /// filter's taps, and its batch-minor columns cost `BATCH_TILE×` the
+    /// solo working set — eight lanes fill two 256-bit `i32` vectors
+    /// while the columns stay cache-resident; the max- and average-pool
+    /// tiles use the same width. The register-route pooled scatter and
+    /// the madd kernels do not tile: they run every image through the
+    /// per-image kernel.
     pub const BATCH_TILE: usize = 8;
 
     /// Builds a backend executing at `act_bits`-bit activations under
@@ -325,14 +322,8 @@ impl NativeBackend {
         for (j, w) in bit_weights.iter_mut().enumerate().take(act_bits as usize) {
             *w = encoding.bit_weight(j as u8, act_bits) as i32;
         }
-        Self {
-            lut,
-            act_bits,
-            encoding,
-            bit_weights,
-            simd: backend.resolve(),
-            popcount_max_bits: resolve_popcount_max_bits(None),
-        }
+        let simd = backend.resolve();
+        Self { lut, act_bits, encoding, bit_weights, simd, madd_lanes: MaddLanes::for_tier(simd) }
     }
 
     /// The resolved kernel tier this backend executes with.
@@ -340,22 +331,13 @@ impl NativeBackend {
         self.simd
     }
 
-    /// The popcount routing threshold this backend executes with (see
-    /// [`crate::swar::resolve_popcount_max_bits`]).
-    pub fn popcount_max_bits(&self) -> u8 {
-        self.popcount_max_bits
-    }
-
-    /// Overrides the popcount routing threshold: on the swar tier,
-    /// act_bits up to `bits` route direct/dense work through the
-    /// bit-plane kernels, `0` disables them entirely. Routing only — outputs are identical at
-    /// any setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > 8`.
-    pub fn with_popcount_limit(mut self, bits: u8) -> Self {
-        self.popcount_max_bits = resolve_popcount_max_bits(Some(bits));
+    /// Test-only entry: madd-route layers this backend prepares run on
+    /// the portable lanes, the build targets other than x86-64 run,
+    /// instead of its tier's intrinsics. Changes no integer; the scalar
+    /// tier keeps the exact route.
+    #[doc(hidden)]
+    pub fn with_portable_lanes(mut self) -> Self {
+        self.madd_lanes = self.madd_lanes.map(|_| MaddLanes::Portable);
         self
     }
 
@@ -1137,17 +1119,46 @@ mod registers {
 /// by [`NativeBackend::mac_route`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacRoute {
-    /// AVX2 `vpmaddwd`: staged `i16` activations times `i16` weights into
-    /// `i32` accumulators (avx2 tier, range proof holds). Solo calls,
+    /// `pmaddwd`: staged `i16` activations times `i16` weights into `i32`
+    /// accumulators (swar and avx2 tiers, range proof holds). Solo calls,
     /// batched calls and calibration all run the one per-image kernel.
     Madd,
-    /// The tier's exact kernels: the `i64` reference loop per image, the
-    /// weight-stationary int8 tiles on batches (swar and avx2 tiers), and
-    /// on the swar tier the bit-plane popcount kernels at low bitwidths.
+    /// The `i64` reference loop, once per image.
     Exact,
 }
 
-/// `i16` lanes per `vpmaddwd` operand: madd-route rows hold their taps
+/// The vector lanes a madd-route layer runs on, fixed with its weights at
+/// plan time. All three build the same kernel body over the same 16-lane
+/// `i16` layout, so every one computes the same integers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MaddLanes {
+    /// One 256-bit AVX2 register per vector (the avx2 tier).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Two SSE2 registers per vector (the swar tier on x86-64, whose
+    /// baseline ISA includes SSE2).
+    #[cfg(target_arch = "x86_64")]
+    Sse2,
+    /// Plain arrays (the swar tier on other targets).
+    Portable,
+}
+
+impl MaddLanes {
+    /// The lanes `tier` runs the madd route on; the scalar tier has none.
+    fn for_tier(tier: ResolvedBackend) -> Option<Self> {
+        match tier {
+            ResolvedBackend::Scalar => None,
+            #[cfg(target_arch = "x86_64")]
+            ResolvedBackend::Avx2 => Some(MaddLanes::Avx2),
+            #[cfg(target_arch = "x86_64")]
+            ResolvedBackend::Swar => Some(MaddLanes::Sse2),
+            #[cfg(not(target_arch = "x86_64"))]
+            ResolvedBackend::Swar | ResolvedBackend::Avx2 => Some(MaddLanes::Portable),
+        }
+    }
+}
+
+/// `i16` lanes per `pmaddwd` operand: madd-route rows hold their taps
 /// zero-padded to a multiple of this.
 const MADD_LANES: usize = 16;
 
@@ -1155,8 +1166,9 @@ const MADD_LANES: usize = 16;
 const DIRECT_BLOCK_PIXELS: usize = 4;
 
 /// Filters per direct-conv madd block: 4 pixels × 3 filters keep twelve
-/// `i32` accumulators and four operand vectors in the sixteen `ymm`
-/// registers, 7 loads per 12 `vpmaddwd`.
+/// `i32` accumulators and four operand vectors in AVX2's sixteen `ymm`
+/// registers, 7 loads per 12 `vpmaddwd` (the SSE2 build holds each
+/// vector in two `xmm` registers, so it keeps fewer of them resident).
 const DIRECT_BLOCK_FILTERS: usize = 3;
 
 /// Output features per dense madd block: the one input row is loaded once
@@ -1166,9 +1178,9 @@ const DENSE_BLOCK_FILTERS: usize = 8;
 /// A direct-conv or dense layer's weights as `i16` rows for the madd
 /// route: one row per filter (output feature) holding its `C·R·S` (`I`)
 /// taps in the int8 layout's order, zero-padded to whole 16-tap chunks.
-/// Only [`NativeBackend::prepare_madd_rows`] builds one, on the avx2 tier
-/// and under the plan-time range proof, so holding one means the CPU has
-/// AVX2.
+/// Only [`NativeBackend::prepare_madd_rows`] builds one, under the
+/// plan-time range proof, for the lanes of its backend's tier — so rows
+/// for the AVX2 lanes exist only where the CPU has AVX2.
 #[derive(Debug, Clone)]
 pub struct MaddRows {
     /// `[filter][chunk]` weight vectors.
@@ -1181,14 +1193,15 @@ pub struct MaddRows {
     /// The code range each input plane is checked against before it is
     /// staged, when the plan cannot prove its input in range.
     scan: Option<(i32, i32)>,
+    lanes: MaddLanes,
 }
 
 /// A depthwise layer's weights for the madd route: per 16-channel block
 /// and pair of taps, two weight vectors whose `i16` pairs line up with the
-/// two taps' input vectors interleaved by `vpunpck{l,h}wd`, so one
-/// `vpmaddwd` sums both taps of eight channels. An odd last tap pairs
-/// with a zero weight. Built only by
-/// [`NativeBackend::prepare_madd_taps`] (avx2 tier, range proof holds).
+/// two taps' input vectors interleaved by `punpck{l,h}wd`, so one
+/// `pmaddwd` sums both taps of four channels per 128-bit half. An odd
+/// last tap pairs with a zero weight. Built only by
+/// [`NativeBackend::prepare_madd_taps`] (as [`MaddRows`]).
 #[derive(Debug, Clone)]
 pub struct MaddTaps {
     /// `[block][pair][lo, hi]` weight vectors.
@@ -1197,11 +1210,12 @@ pub struct MaddTaps {
     kernel: usize,
     /// As [`MaddRows`]'s.
     scan: Option<(i32, i32)>,
+    lanes: MaddLanes,
 }
 
 /// The channel (within its 16-channel block) of each `i32` lane after
-/// `vpmaddwd` over `vpunpcklwd` (lanes 0–7) and `vpunpckhwd` (lanes
-/// 8–15) pairs: the unpacks interleave per 128-bit half.
+/// `pmaddwd` over `punpcklwd` (lanes 0–7) and `punpckhwd` (lanes 8–15)
+/// pairs: the unpacks interleave per 128-bit half.
 const DW_CHANNEL_OF: [usize; 16] = [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15];
 
 /// Whether every code of `codes` lies in `scan`'s range (always, when the
@@ -1230,20 +1244,21 @@ impl NativeBackend {
     /// The plan-time route of a direct, depthwise or dense layer whose
     /// output pixels each sum `terms` products, with biases `bias`.
     ///
-    /// The madd route is the avx2 tier's whenever its range proof holds:
-    /// the activation code range fits `i16`, and
+    /// The madd route is the swar and avx2 tiers' whenever its range
+    /// proof holds: the activation code range fits `i16`, and
     /// `terms · max|code| · 128 + max|bias| ≤ i32::MAX`. Weights are int8
     /// (`|w| ≤ 128`), so every partial sum of an output pixel's products,
     /// in any order, and its biased total stay inside `i32`: the `i32`
     /// accumulators are exact and the checked finish cannot overflow.
-    /// Anything else is [`MacRoute::Exact`].
+    /// Anything else, and every layer on the scalar tier, is
+    /// [`MacRoute::Exact`].
     pub fn mac_route(&self, terms: usize, bias: &[i32]) -> MacRoute {
         let (lo, hi) = self.encoding.code_range(self.act_bits);
         let fits_i16 = i16::try_from(lo).is_ok() && i16::try_from(hi).is_ok();
         let max_code = i64::from(lo).abs().max(i64::from(hi).abs());
         let max_bias = bias.iter().map(|&b| i64::from(b).abs()).max().unwrap_or(0);
         let bound = (terms as i64).saturating_mul(max_code * 128).saturating_add(max_bias);
-        if self.simd == ResolvedBackend::Avx2 && fits_i16 && bound <= i64::from(i32::MAX) {
+        if self.madd_lanes.is_some() && fits_i16 && bound <= i64::from(i32::MAX) {
             MacRoute::Madd
         } else {
             MacRoute::Exact
@@ -1275,9 +1290,9 @@ impl NativeBackend {
     ) -> Option<MaddRows> {
         assert!(filters > 0 && weights.len().is_multiple_of(filters), "weight size mismatch");
         let terms = weights.len() / filters;
-        if self.mac_route(terms, bias) != MacRoute::Madd {
+        let (MacRoute::Madd, Some(lanes)) = (self.mac_route(terms, bias), self.madd_lanes) else {
             return None;
-        }
+        };
         let chunks = terms.div_ceil(MADD_LANES).max(1);
         let mut vecs = vec![[0i16; MADD_LANES]; filters * chunks];
         for (f, row) in weights.chunks_exact(terms.max(1)).enumerate() {
@@ -1285,7 +1300,8 @@ impl NativeBackend {
                 vecs[f * chunks + t / MADD_LANES][t % MADD_LANES] = i16::from(w);
             }
         }
-        Some(MaddRows { vecs, filters, terms, chunks, scan: self.madd_scan(input_in_range) })
+        let scan = self.madd_scan(input_in_range);
+        Some(MaddRows { vecs, filters, terms, chunks, scan, lanes })
     }
 
     /// Repacks `[C, R, S]` depthwise weights for the madd route (see
@@ -1305,15 +1321,15 @@ impl NativeBackend {
         assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
         let (channels, kk) = (shape.in_ch, shape.kernel * shape.kernel);
         assert_eq!(weights.len(), channels * kk, "weight size mismatch");
-        if self.mac_route(kk, bias) != MacRoute::Madd {
+        let (MacRoute::Madd, Some(lanes)) = (self.mac_route(kk, bias), self.madd_lanes) else {
             return None;
-        }
+        };
         let pairs = kk.div_ceil(2);
         let blocks = channels.div_ceil(MADD_LANES);
         let mut vecs = vec![[0i16; MADD_LANES]; blocks * pairs * 2];
-        for (v, lanes) in vecs.iter_mut().enumerate() {
+        for (v, vec) in vecs.iter_mut().enumerate() {
             let (block, pair, half) = (v / (2 * pairs), v / 2 % pairs, v % 2);
-            for (i, slot) in lanes.chunks_exact_mut(2).enumerate() {
+            for (i, slot) in vec.chunks_exact_mut(2).enumerate() {
                 let ch = block * MADD_LANES + DW_CHANNEL_OF[half * 8 + i];
                 for (tap, w) in [2 * pair, 2 * pair + 1].into_iter().zip(slot) {
                     if ch < channels && tap < kk {
@@ -1327,6 +1343,7 @@ impl NativeBackend {
             channels,
             kernel: shape.kernel,
             scan: self.madd_scan(input_in_range),
+            lanes,
         })
     }
 }
@@ -1397,19 +1414,14 @@ pub(crate) fn conv_direct_madd_scratch(
     let mut cols = scratch.take_i16(pixels * row_len);
     im2col_i16(codes, shape, row_len, &mut cols);
     let mut out = scratch.take_i32(shape.out_ch * pixels);
-    // SAFETY: only `prepare_madd_rows` builds a `MaddRows`, and only for
-    // an avx2-tier backend, which `BackendKind::resolve` yields only when
-    // the CPU reports AVX2 at run time. `cols` holds `pixels` rows of
-    // `madd.chunks` vectors, as `gemm` requires; the codes passed the
-    // range check, so the staged `i16` values are exact.
-    unsafe {
-        madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(
-            cols.as_chunks().0,
-            pixels,
-            madd,
-            &mut out,
-        );
-    }
+    // The codes passed the range check, so the staged `i16` values are
+    // exact.
+    madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(
+        cols.as_chunks().0,
+        pixels,
+        madd,
+        &mut out,
+    );
     scratch.put_i16(cols);
     out
 }
@@ -1437,9 +1449,7 @@ pub(crate) fn dense_madd_scratch(
         *d = v as i16;
     }
     let mut out = scratch.take_i32(madd.filters);
-    // SAFETY: as in `conv_direct_madd_scratch`; `row` is one row of
-    // `madd.chunks` vectors.
-    unsafe { madd::gemm::<1, DENSE_BLOCK_FILTERS>(row.as_chunks().0, 1, madd, &mut out) };
+    madd::gemm::<1, DENSE_BLOCK_FILTERS>(row.as_chunks().0, 1, madd, &mut out);
     scratch.put_i16(row);
     out
 }
@@ -1448,7 +1458,7 @@ pub(crate) fn dense_madd_scratch(
 /// channel-interleaved (`[H + 2p][W + 2p][C]`, channels padded to whole
 /// 16-channel blocks, a zero border for the padding) so one vector load
 /// reads 16 channels at one position, and each pair of taps costs two
-/// unpacks and two `vpmaddwd`. Planes outside the scanned range run the
+/// unpacks and two `pmaddwd`. Planes outside the scanned range run the
 /// exact loop (see [`conv_direct_madd_scratch`]).
 ///
 /// # Panics
@@ -1492,69 +1502,132 @@ pub(crate) fn dwconv_madd_scratch(
     taps.extend((0..kk).step_by(2).map(|t| (offset(t), offset((t + 1).min(kk - 1)))));
     let geo = shape.geometry();
     let mut out = scratch.take_i32(c * geo.out_h() * geo.out_w());
-    // SAFETY: `MaddTaps` exists only on avx2-tier backends (see
-    // `conv_direct_madd_scratch`); `staged` holds `blocks` vectors per
-    // position of the zero-bordered input and `taps` one offset pair per
-    // weight pair, as `depthwise` requires, and the codes passed the
-    // range check.
-    unsafe { madd::depthwise(staged.as_chunks().0, padded_w, &taps, madd, shape, &mut out) };
+    madd::depthwise(staged.as_chunks().0, padded_w, &taps, madd, shape, &mut out);
     scratch.put_pairs(taps);
     scratch.put_i16(staged);
     out
 }
 
-/// The madd route's AVX2 kernels (see [`MacRoute::Madd`]).
-#[cfg(target_arch = "x86_64")]
+/// The madd route's two kernels (see [`MacRoute::Madd`]): `gemm` for
+/// direct convs and dense layers and `depthwise`, each written once over
+/// `Lanes` — a 16-lane `i16` vector with AVX2's per-128-bit-half lane
+/// order, which the layouts of [`MaddRows`], [`MaddTaps`] and
+/// [`DW_CHANNEL_OF`] follow — and built for every [`MaddLanes`].
 mod madd {
-    use super::{MaddRows, MaddTaps, DW_CHANNEL_OF, MADD_LANES};
-    use std::arch::x86_64::*;
+    use super::{MaddLanes, MaddRows, MaddTaps, DW_CHANNEL_OF, MADD_LANES};
     use wp_core::reference::PooledConvShape;
 
-    /// One 256-bit load of a 16-lane `i16` vector.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn load(v: &[i16; MADD_LANES]) -> __m256i {
-        // SAFETY: `v` is a 32-byte array, exactly one unaligned load.
-        unsafe { _mm256_loadu_si256(v.as_ptr().cast()) }
-    }
+    /// A 16-lane `i16` vector in two 128-bit halves of eight lanes, and the
+    /// 8-lane `i32` vector its multiply-adds sum into (lanes 0–3 from the
+    /// low half, 4–7 from the high). A value of an implementing type is a
+    /// token: holding one means its instructions run on this CPU.
+    trait Lanes: Copy {
+        type I16: Copy;
+        type I32: Copy;
 
-    /// The eight horizontal sums of `acc[0..8]`, lane `i` from `acc[i]`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn hsum8(acc: &[__m256i; 8]) -> [i32; 8] {
-        let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
-        let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
-        let s45 = _mm256_hadd_epi32(acc[4], acc[5]);
-        let s67 = _mm256_hadd_epi32(acc[6], acc[7]);
-        // Per 128-bit half: the half-sums of acc[0..4] and acc[4..8].
-        let t0 = _mm256_hadd_epi32(s01, s23);
-        let t1 = _mm256_hadd_epi32(s45, s67);
-        let sums = _mm256_add_epi32(
-            _mm256_permute2x128_si256::<0x20>(t0, t1),
-            _mm256_permute2x128_si256::<0x31>(t0, t1),
-        );
-        let mut out = [0i32; 8];
-        // SAFETY: `out` is an 8-lane `i32` array, exactly one store.
-        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), sums) };
-        out
+        /// The vector `v`.
+        fn load(self, v: &[i16; MADD_LANES]) -> Self::I16;
+
+        /// The all-zero accumulator.
+        fn zero(self) -> Self::I32;
+
+        /// `acc` plus `pmaddwd(a, b)`: lane `i` adds `a[2i]·b[2i] +
+        /// a[2i+1]·b[2i+1]`, wrapping as the instructions do.
+        fn madd(self, acc: Self::I32, a: Self::I16, b: Self::I16) -> Self::I32;
+
+        /// Per half, the low four lanes of `a` and `b` interleaved
+        /// (`punpcklwd`).
+        fn unpacklo(self, a: Self::I16, b: Self::I16) -> Self::I16;
+
+        /// Per half, the high four lanes of `a` and `b` interleaved
+        /// (`punpckhwd`).
+        fn unpackhi(self, a: Self::I16, b: Self::I16) -> Self::I16;
+
+        /// The lanes of `v`.
+        fn store(self, v: Self::I32) -> [i32; 8];
+
+        /// The eight horizontal sums of `acc`, lane `i` from `acc[i]`:
+        /// through [`Lanes::store`] here (SSE2 has no `phaddd`), a
+        /// `vphaddd` tree on the AVX2 lanes.
+        fn hsum8(self, acc: &[Self::I32; 8]) -> [i32; 8] {
+            std::array::from_fn(|i| {
+                self.store(acc[i]).iter().fold(0i32, |sum, &v| sum.wrapping_add(v))
+            })
+        }
     }
 
     /// `out[f · n_rows + r] = rows[r] · madd[f]` for every row `r <
     /// n_rows` and filter `f < madd.filters`, in register blocks of `P`
     /// rows × `F` filters (at most sixteen `i32` accumulators) over
-    /// `madd.chunks` 16-tap chunks. A block reaching past the last row or
-    /// filter repeats it, and drops those sums. Every product of an int8
-    /// weight and an in-range code fits `i16 × i16 → i32`, and the route's
-    /// range proof bounds every partial sum, so the `i32` lanes and their
-    /// horizontal sums are exact in any order.
+    /// `madd.chunks` 16-tap chunks, on `madd`'s lanes. A block reaching
+    /// past the last row or filter repeats it, and drops those sums. Every
+    /// product of an int8 weight and an in-range code fits `i16 × i16 →
+    /// i32`, and the route's range proof bounds every partial sum, so the
+    /// `i32` lanes and their horizontal sums are exact in any order.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// The CPU must support AVX2. Every access is bounds-checked: `rows`
-    /// shorter than `n_rows` rows of `madd.chunks` vectors, or `out`
-    /// shorter than `madd.filters · n_rows`, panics.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm<const P: usize, const F: usize>(
+    /// Panics if `rows` is shorter than `n_rows` rows of `madd.chunks`
+    /// vectors, or `out` shorter than `madd.filters · n_rows`.
+    pub(super) fn gemm<const P: usize, const F: usize>(
+        rows: &[[i16; MADD_LANES]],
+        n_rows: usize,
+        madd: &MaddRows,
+        out: &mut [i32],
+    ) {
+        match madd.lanes {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the call assumes AVX2. Only a backend on the avx2
+            // tier prepares rows for the AVX2 lanes
+            // (`MaddLanes::for_tier`), and `BackendKind::resolve` yields
+            // that tier only when the CPU reports AVX2 at run time. The
+            // kernel body reads `rows`, `madd` and `out` through
+            // bounds-checked slices only.
+            MaddLanes::Avx2 => unsafe { avx2::gemm::<P, F>(rows, n_rows, madd, out) },
+            #[cfg(target_arch = "x86_64")]
+            MaddLanes::Sse2 => gemm_on::<_, P, F>(sse2::Sse2, rows, n_rows, madd, out),
+            MaddLanes::Portable => gemm_on::<_, P, F>(Portable, rows, n_rows, madd, out),
+        }
+    }
+
+    /// The depthwise kernel: per output pixel and 16-channel block, each
+    /// pair of taps interleaves its two input vectors with
+    /// [`Lanes::unpacklo`]/[`Lanes::unpackhi`] and multiplies them
+    /// against `madd`'s matching weight pair, so each `i32` lane sums one
+    /// channel's taps, on `madd`'s lanes. Exact by the same argument as
+    /// [`gemm`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `staged` holds `madd`'s channel blocks at every
+    /// position of the zero-bordered `(H + 2p) × padded_w` input, `taps`
+    /// the vector offsets of each tap pair within a window, and `out` one
+    /// `[C, OH, OW]` plane.
+    pub(super) fn depthwise(
+        staged: &[[i16; MADD_LANES]],
+        padded_w: usize,
+        taps: &[(usize, usize)],
+        madd: &MaddTaps,
+        shape: &PooledConvShape,
+        out: &mut [i32],
+    ) {
+        match madd.lanes {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `gemm`: AVX2 taps exist only on the avx2
+            // tier, which runs only where the CPU reports AVX2, and the
+            // body indexes `staged`, `taps`, `madd` and `out` through
+            // bounds-checked slices only.
+            MaddLanes::Avx2 => unsafe { avx2::depthwise(staged, padded_w, taps, madd, shape, out) },
+            #[cfg(target_arch = "x86_64")]
+            MaddLanes::Sse2 => depthwise_on(sse2::Sse2, staged, padded_w, taps, madd, shape, out),
+            MaddLanes::Portable => depthwise_on(Portable, staged, padded_w, taps, madd, shape, out),
+        }
+    }
+
+    /// [`gemm`]'s body, on `lanes`.
+    #[inline(always)]
+    fn gemm_on<L: Lanes, const P: usize, const F: usize>(
+        lanes: L,
         rows: &[[i16; MADD_LANES]],
         n_rows: usize,
         madd: &MaddRows,
@@ -1572,25 +1645,22 @@ mod madd {
                 for (j, wj) in w.iter_mut().enumerate() {
                     *wj = &madd.vecs[(f0 + j).min(filters - 1) * chunks..][..chunks];
                 }
-                let mut acc = [_mm256_setzero_si256(); 16];
+                let mut acc = [lanes.zero(); 16];
                 for c in 0..chunks {
-                    let mut wv = [_mm256_setzero_si256(); F];
-                    for (v, wj) in wv.iter_mut().zip(&w) {
-                        *v = load(&wj[c]);
-                    }
+                    let wv: [L::I16; F] = std::array::from_fn(|j| lanes.load(&w[j][c]));
                     for (i, xi) in x.iter().enumerate() {
-                        let xv = load(&xi[c]);
+                        let xv = lanes.load(&xi[c]);
                         for (j, &v) in wv.iter().enumerate() {
-                            acc[i * F + j] =
-                                _mm256_add_epi32(acc[i * F + j], _mm256_madd_epi16(xv, v));
+                            acc[i * F + j] = lanes.madd(acc[i * F + j], xv, v);
                         }
                     }
                 }
                 let (lo, hi) = acc.split_at(8);
                 let mut sums = [0i32; 16];
-                sums[..8].copy_from_slice(&hsum8(lo.try_into().expect("eight accumulators")));
+                sums[..8].copy_from_slice(&lanes.hsum8(lo.try_into().expect("eight accumulators")));
                 if P * F > 8 {
-                    sums[8..].copy_from_slice(&hsum8(hi.try_into().expect("eight accumulators")));
+                    sums[8..]
+                        .copy_from_slice(&lanes.hsum8(hi.try_into().expect("eight accumulators")));
                 }
                 for i in 0..P.min(n_rows - r0) {
                     for j in 0..F.min(filters - f0) {
@@ -1601,21 +1671,10 @@ mod madd {
         }
     }
 
-    /// The depthwise kernel: per output pixel and 16-channel block, each
-    /// pair of taps interleaves its two input vectors with
-    /// `vpunpck{l,h}wd` and multiplies them against `madd`'s matching
-    /// weight pair, so each `i32` lane sums one channel's taps. Exact by
-    /// the same argument as [`gemm`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Every access is bounds-checked:
-    /// `staged` must hold `madd`'s channel blocks at every position of
-    /// the zero-bordered `(H + 2p) × padded_w` input, `taps` the vector
-    /// offsets of each tap pair within a window, and `out` one `[C, OH,
-    /// OW]` plane, or the call panics.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn depthwise(
+    /// [`depthwise`]'s body, on `lanes`.
+    #[inline(always)]
+    fn depthwise_on<L: Lanes>(
+        lanes: L,
         staged: &[[i16; MADD_LANES]],
         padded_w: usize,
         taps: &[(usize, usize)],
@@ -1626,33 +1685,22 @@ mod madd {
         let geo = shape.geometry();
         let (oh, ow) = (geo.out_h(), geo.out_w());
         let blocks = madd.channels.div_ceil(MADD_LANES);
-        let mut lanes = [0i32; MADD_LANES];
+        let mut sums = [0i32; MADD_LANES];
         for oy in 0..oh {
             for ox in 0..ow {
                 let window = (oy * shape.stride * padded_w + ox * shape.stride) * blocks;
                 for b in 0..blocks {
                     let w = &madd.vecs[b * taps.len() * 2..][..taps.len() * 2];
-                    let (mut lo, mut hi) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+                    let (mut lo, mut hi) = (lanes.zero(), lanes.zero());
                     for (&(o0, o1), pair) in taps.iter().zip(w.chunks_exact(2)) {
-                        let x0 = load(&staged[window + o0 + b]);
-                        let x1 = load(&staged[window + o1 + b]);
-                        lo = _mm256_add_epi32(
-                            lo,
-                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), load(&pair[0])),
-                        );
-                        hi = _mm256_add_epi32(
-                            hi,
-                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), load(&pair[1])),
-                        );
+                        let x0 = lanes.load(&staged[window + o0 + b]);
+                        let x1 = lanes.load(&staged[window + o1 + b]);
+                        lo = lanes.madd(lo, lanes.unpacklo(x0, x1), lanes.load(&pair[0]));
+                        hi = lanes.madd(hi, lanes.unpackhi(x0, x1), lanes.load(&pair[1]));
                     }
-                    let (lanes_lo, lanes_hi) = lanes.split_at_mut(8);
-                    // SAFETY: each half is an 8-lane `i32` slice, exactly
-                    // one 256-bit store each.
-                    unsafe {
-                        _mm256_storeu_si256(lanes_lo.as_mut_ptr().cast(), lo);
-                        _mm256_storeu_si256(lanes_hi.as_mut_ptr().cast(), hi);
-                    }
-                    for (&v, &ch) in lanes.iter().zip(&DW_CHANNEL_OF) {
+                    sums[..8].copy_from_slice(&lanes.store(lo));
+                    sums[8..].copy_from_slice(&lanes.store(hi));
+                    for (&v, &ch) in sums.iter().zip(&DW_CHANNEL_OF) {
                         let ch = b * MADD_LANES + ch;
                         if ch < madd.channels {
                             out[(ch * oh + oy) * ow + ox] = v;
@@ -1662,32 +1710,267 @@ mod madd {
             }
         }
     }
-}
 
-/// Without x86-64 there is no avx2 tier, so no plan holds madd weights.
-#[cfg(not(target_arch = "x86_64"))]
-mod madd {
-    use super::{MaddRows, MaddTaps, MADD_LANES};
-    use wp_core::reference::PooledConvShape;
+    /// The avx2 tier's lanes: one `__m256i` per vector.
+    #[cfg(target_arch = "x86_64")]
+    mod avx2 {
+        use super::{Lanes, MaddRows, MaddTaps, MADD_LANES};
+        use std::arch::x86_64::*;
+        use wp_core::reference::PooledConvShape;
 
-    pub(super) unsafe fn gemm<const P: usize, const F: usize>(
-        _: &[[i16; MADD_LANES]],
-        _: usize,
-        _: &MaddRows,
-        _: &mut [i32],
-    ) {
-        unreachable!("the madd route is only chosen on the avx2 tier")
+        /// The AVX2 token. Its field is private to this module, and only
+        /// the `#[target_feature(enable = "avx2")]` entry points below
+        /// build one, so a value exists only where AVX2 runs.
+        #[derive(Clone, Copy)]
+        struct Avx2(());
+
+        impl Lanes for Avx2 {
+            type I16 = __m256i;
+            type I32 = __m256i;
+
+            #[inline(always)]
+            fn load(self, v: &[i16; MADD_LANES]) -> __m256i {
+                // SAFETY: the token means the CPU has AVX2; `v` is 32
+                // bytes, exactly one unaligned 256-bit load.
+                unsafe { _mm256_loadu_si256(v.as_ptr().cast()) }
+            }
+
+            #[inline(always)]
+            fn zero(self) -> __m256i {
+                // SAFETY: the token means the CPU has AVX2.
+                unsafe { _mm256_setzero_si256() }
+            }
+
+            #[inline(always)]
+            fn madd(self, acc: __m256i, a: __m256i, b: __m256i) -> __m256i {
+                // SAFETY: the token means the CPU has AVX2.
+                unsafe { _mm256_add_epi32(acc, _mm256_madd_epi16(a, b)) }
+            }
+
+            #[inline(always)]
+            fn unpacklo(self, a: __m256i, b: __m256i) -> __m256i {
+                // SAFETY: the token means the CPU has AVX2.
+                unsafe { _mm256_unpacklo_epi16(a, b) }
+            }
+
+            #[inline(always)]
+            fn unpackhi(self, a: __m256i, b: __m256i) -> __m256i {
+                // SAFETY: the token means the CPU has AVX2.
+                unsafe { _mm256_unpackhi_epi16(a, b) }
+            }
+
+            #[inline(always)]
+            fn store(self, v: __m256i) -> [i32; 8] {
+                let mut out = [0i32; 8];
+                // SAFETY: the token means the CPU has AVX2; `out` is 32
+                // bytes, exactly one unaligned 256-bit store.
+                unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) };
+                out
+            }
+
+            #[inline(always)]
+            fn hsum8(self, acc: &[__m256i; 8]) -> [i32; 8] {
+                // SAFETY: the token means the CPU has AVX2.
+                let sums = unsafe {
+                    let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+                    let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+                    let s45 = _mm256_hadd_epi32(acc[4], acc[5]);
+                    let s67 = _mm256_hadd_epi32(acc[6], acc[7]);
+                    // Per 128-bit half: the half-sums of acc[0..4] and
+                    // acc[4..8].
+                    let t0 = _mm256_hadd_epi32(s01, s23);
+                    let t1 = _mm256_hadd_epi32(s45, s67);
+                    _mm256_add_epi32(
+                        _mm256_permute2x128_si256::<0x20>(t0, t1),
+                        _mm256_permute2x128_si256::<0x31>(t0, t1),
+                    )
+                };
+                self.store(sums)
+            }
+        }
+
+        /// [`super::gemm`] on AVX2 lanes.
+        #[target_feature(enable = "avx2")]
+        pub(super) fn gemm<const P: usize, const F: usize>(
+            rows: &[[i16; MADD_LANES]],
+            n_rows: usize,
+            madd: &MaddRows,
+            out: &mut [i32],
+        ) {
+            super::gemm_on::<_, P, F>(Avx2(()), rows, n_rows, madd, out);
+        }
+
+        /// [`super::depthwise`] on AVX2 lanes.
+        #[target_feature(enable = "avx2")]
+        pub(super) fn depthwise(
+            staged: &[[i16; MADD_LANES]],
+            padded_w: usize,
+            taps: &[(usize, usize)],
+            madd: &MaddTaps,
+            shape: &PooledConvShape,
+            out: &mut [i32],
+        ) {
+            super::depthwise_on(Avx2(()), staged, padded_w, taps, madd, shape, out);
+        }
     }
 
-    pub(super) unsafe fn depthwise(
-        _: &[[i16; MADD_LANES]],
-        _: usize,
-        _: &[(usize, usize)],
-        _: &MaddTaps,
-        _: &PooledConvShape,
-        _: &mut [i32],
-    ) {
-        unreachable!("the madd route is only chosen on the avx2 tier")
+    /// The swar tier's lanes on x86-64: each vector is two SSE2
+    /// registers, its low and high 128-bit halves, so each AVX2 lane
+    /// operation above becomes one SSE2 instruction per half. SSE2 is
+    /// part of x86-64's baseline ISA, so the token needs no detection.
+    #[cfg(target_arch = "x86_64")]
+    mod sse2 {
+        use super::{Lanes, MADD_LANES};
+        use std::arch::x86_64::*;
+
+        /// The SSE2 token (always available on x86-64).
+        #[derive(Clone, Copy)]
+        pub(super) struct Sse2;
+
+        impl Lanes for Sse2 {
+            type I16 = [__m128i; 2];
+            type I32 = [__m128i; 2];
+
+            #[inline(always)]
+            fn load(self, v: &[i16; MADD_LANES]) -> [__m128i; 2] {
+                // SAFETY: SSE2 is baseline on x86-64; `v` is 32 bytes,
+                // read as two unaligned 128-bit loads at bytes 0 and 16.
+                unsafe {
+                    [_mm_loadu_si128(v.as_ptr().cast()), _mm_loadu_si128(v.as_ptr().add(8).cast())]
+                }
+            }
+
+            #[inline(always)]
+            fn zero(self) -> [__m128i; 2] {
+                // SAFETY: SSE2 is baseline on x86-64.
+                unsafe { [_mm_setzero_si128(); 2] }
+            }
+
+            #[inline(always)]
+            fn madd(self, acc: [__m128i; 2], a: [__m128i; 2], b: [__m128i; 2]) -> [__m128i; 2] {
+                // SAFETY: SSE2 is baseline on x86-64.
+                unsafe {
+                    [
+                        _mm_add_epi32(acc[0], _mm_madd_epi16(a[0], b[0])),
+                        _mm_add_epi32(acc[1], _mm_madd_epi16(a[1], b[1])),
+                    ]
+                }
+            }
+
+            #[inline(always)]
+            fn unpacklo(self, a: [__m128i; 2], b: [__m128i; 2]) -> [__m128i; 2] {
+                // SAFETY: SSE2 is baseline on x86-64.
+                unsafe { [_mm_unpacklo_epi16(a[0], b[0]), _mm_unpacklo_epi16(a[1], b[1])] }
+            }
+
+            #[inline(always)]
+            fn unpackhi(self, a: [__m128i; 2], b: [__m128i; 2]) -> [__m128i; 2] {
+                // SAFETY: SSE2 is baseline on x86-64.
+                unsafe { [_mm_unpackhi_epi16(a[0], b[0]), _mm_unpackhi_epi16(a[1], b[1])] }
+            }
+
+            #[inline(always)]
+            fn store(self, v: [__m128i; 2]) -> [i32; 8] {
+                let mut out = [0i32; 8];
+                // SAFETY: SSE2 is baseline on x86-64; `out` is 32 bytes,
+                // written as two unaligned 128-bit stores at bytes 0 and
+                // 16.
+                unsafe {
+                    _mm_storeu_si128(out.as_mut_ptr().cast(), v[0]);
+                    _mm_storeu_si128(out.as_mut_ptr().add(4).cast(), v[1]);
+                }
+                out
+            }
+        }
+    }
+
+    /// The swar tier's lanes on every other target: plain arrays in the
+    /// same lane order. Compiled and tested on x86-64 too (through
+    /// `NativeBackend::with_portable_lanes`).
+    #[derive(Clone, Copy)]
+    struct Portable;
+
+    impl Lanes for Portable {
+        type I16 = [i16; MADD_LANES];
+        type I32 = [i32; 8];
+
+        fn load(self, v: &[i16; MADD_LANES]) -> [i16; MADD_LANES] {
+            *v
+        }
+
+        fn zero(self) -> [i32; 8] {
+            [0; 8]
+        }
+
+        fn madd(self, acc: [i32; 8], a: [i16; MADD_LANES], b: [i16; MADD_LANES]) -> [i32; 8] {
+            std::array::from_fn(|i| {
+                let product = |k: usize| i32::from(a[k]) * i32::from(b[k]);
+                acc[i].wrapping_add(product(2 * i).wrapping_add(product(2 * i + 1)))
+            })
+        }
+
+        fn unpacklo(self, a: [i16; MADD_LANES], b: [i16; MADD_LANES]) -> [i16; MADD_LANES] {
+            interleave(a, b, 0)
+        }
+
+        fn unpackhi(self, a: [i16; MADD_LANES], b: [i16; MADD_LANES]) -> [i16; MADD_LANES] {
+            interleave(a, b, 4)
+        }
+
+        fn store(self, v: [i32; 8]) -> [i32; 8] {
+            v
+        }
+    }
+
+    /// Per 8-lane half, lanes `from..from + 4` of `a` and `b` interleaved
+    /// (`a b a b …`).
+    fn interleave(a: [i16; MADD_LANES], b: [i16; MADD_LANES], from: usize) -> [i16; MADD_LANES] {
+        std::array::from_fn(|i| {
+            let src = if i % 2 == 0 { &a } else { &b };
+            src[i / 8 * 8 + from + i % 8 / 2]
+        })
+    }
+
+    #[cfg(all(test, target_arch = "x86_64"))]
+    mod tests {
+        use super::sse2::Sse2;
+        use super::{Lanes, Portable, MADD_LANES};
+        use std::arch::x86_64::__m128i;
+        use std::mem::transmute;
+
+        /// The SSE2 and portable lanes agree op by op, at the `i16`
+        /// extremes too (`(−32768)²·2` wraps to `i32::MIN` in both).
+        #[test]
+        fn sse2_lanes_match_the_portable_lanes() {
+            let mut state = 0x1A2E5u64;
+            let mut vec = || -> [i16; MADD_LANES] {
+                std::array::from_fn(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    match state >> 60 {
+                        0 => i16::MIN,
+                        1 => i16::MAX,
+                        _ => (state >> 40) as i16,
+                    }
+                })
+            };
+            let mut cases: Vec<_> = (0..64).map(|_| (vec(), vec(), vec())).collect();
+            cases.push(([i16::MIN; MADD_LANES], [i16::MAX; MADD_LANES], [i16::MIN; MADD_LANES]));
+            let (s, p) = (Sse2, Portable);
+            // SAFETY: two `__m128i` are 32 bytes of plain integer lanes, as
+            // is `[i16; 16]`.
+            let lanes = |v: [__m128i; 2]| unsafe { transmute::<_, [i16; MADD_LANES]>(v) };
+            for (a, b, c) in cases {
+                assert_eq!(lanes(s.load(&a)), a);
+                assert_eq!(lanes(s.unpacklo(s.load(&a), s.load(&b))), p.unpacklo(a, b));
+                assert_eq!(lanes(s.unpackhi(s.load(&a), s.load(&b))), p.unpackhi(a, b));
+                let acc_s = s.madd(s.zero(), s.load(&c), s.load(&a));
+                let acc_p = p.madd(p.zero(), c, a);
+                assert_eq!(s.store(acc_s), p.store(acc_p));
+                let acc_s = s.madd(acc_s, s.load(&b), s.load(&c));
+                assert_eq!(s.store(acc_s), p.store(p.madd(acc_p, b, c)));
+            }
+        }
     }
 }
 
@@ -1812,29 +2095,17 @@ pub(crate) fn dense_acc_scratch(
     out
 }
 
-/// Accumulator element for the weight-stationary batched tile kernels.
-/// `i64` is the always-exact path; `i32` is selected only when the caller
-/// has proven (from the tile's largest activation magnitude and the
-/// layer's term count) that no per-pixel sum can leave `i32`, in which
-/// case the two produce the same integers — the fast path halves the
-/// accumulator footprint and doubles the SIMD width.
+/// Accumulator element for the pooled gather's batched tile kernel.
+/// `i64` is the always-exact path; `i32` is selected only when the plan
+/// has proven that no per-pixel sum can leave `i32`, in which case the
+/// two produce the same integers — the fast path halves the accumulator
+/// footprint and doubles the SIMD width.
 trait TileAcc: Copy + Default {
-    fn madd(self, w: i32, a: i32) -> Self;
     fn add(self, a: i32) -> Self;
     fn widen(self) -> i64;
-    /// Checks a zeroed accumulator buffer out of the arena (the blocked
-    /// dense kernel keeps a whole output block of accumulators live).
-    fn take_buf(scratch: &mut Scratch, len: usize) -> Vec<Self>;
-    /// Returns an accumulator buffer to the arena.
-    fn put_buf(scratch: &mut Scratch, buf: Vec<Self>);
 }
 
 impl TileAcc for i64 {
-    #[inline(always)]
-    fn madd(self, w: i32, a: i32) -> Self {
-        self + w as i64 * a as i64
-    }
-
     #[inline(always)]
     fn add(self, a: i32) -> Self {
         self + a as i64
@@ -1844,22 +2115,9 @@ impl TileAcc for i64 {
     fn widen(self) -> i64 {
         self
     }
-
-    fn take_buf(scratch: &mut Scratch, len: usize) -> Vec<Self> {
-        scratch.take_i64(len)
-    }
-
-    fn put_buf(scratch: &mut Scratch, buf: Vec<Self>) {
-        scratch.put_i64(buf);
-    }
 }
 
 impl TileAcc for i32 {
-    #[inline(always)]
-    fn madd(self, w: i32, a: i32) -> Self {
-        self + w * a
-    }
-
     #[inline(always)]
     fn add(self, a: i32) -> Self {
         self + a
@@ -1869,18 +2127,11 @@ impl TileAcc for i32 {
     fn widen(self) -> i64 {
         self as i64
     }
-
-    fn take_buf(scratch: &mut Scratch, len: usize) -> Vec<Self> {
-        scratch.take_i32(len)
-    }
-
-    fn put_buf(scratch: &mut Scratch, buf: Vec<Self>) {
-        scratch.put_i32(buf);
-    }
 }
 
-/// How a batched tile kernel writes a finished accumulator out: raw
-/// checked narrowing (the raw `*_batch` functions the parity suites
+/// How the pooled gather's batched tile kernel writes a finished
+/// accumulator out: raw checked narrowing
+/// ([`NativeBackend::conv_pooled_prepared_batch`], which the parity suites
 /// compare), or the bias + requant arithmetic fused in as the value
 /// leaves registers (the `Kernel::run_batch` surface), so no separate
 /// finish pass re-walks the output planes.
@@ -1947,511 +2198,6 @@ fn fill_columns<S: AsRef<[i32]>, const B: usize>(tile: &[S], columns: &mut [i32]
             columns[pos * B + b] = v;
         }
     }
-}
-
-/// [`fill_columns`] at a run-time lane count (the blocked dense kernel
-/// spans every full tile of a batch at once, so its lane count is not a
-/// compile-time constant): image `b` at position `pos` lands at
-/// `pos * lanes + b`.
-fn fill_columns_dyn<S: AsRef<[i32]>>(tile: &[S], columns: &mut [i32]) {
-    let lanes = tile.len();
-    debug_assert_eq!(columns.len(), tile[0].as_ref().len() * lanes);
-    for (b, codes) in tile.iter().enumerate() {
-        for (pos, &v) in codes.as_ref().iter().enumerate() {
-            columns[pos * lanes + b] = v;
-        }
-    }
-}
-
-/// Whether every per-pixel sum of `terms` products `w · a` (with
-/// `|w| <= 128` int8 weights and activations drawn from `tile`) provably
-/// fits in `i32` — the admission test for the [`TileAcc`] `i32` fast
-/// path. Conservative by construction: it bounds with the tile's largest
-/// activation magnitude, so a `true` here means no intermediate partial
-/// sum can overflow in any accumulation order.
-fn tile_fits_i32<S: AsRef<[i32]>>(tile: &[S], terms: i64) -> bool {
-    let max_abs =
-        tile.iter().flat_map(|c| c.as_ref().iter()).map(|&v| (v as i64).abs()).max().unwrap_or(0);
-    terms
-        .checked_mul(max_abs)
-        .and_then(|v| v.checked_mul(128))
-        .is_some_and(|v| v <= i32::MAX as i64)
-}
-
-/// Batched [`conv_direct`]: weight-stationary direct int8 convolution
-/// over a batch of images, bit-identical to running each image solo.
-///
-/// The weights and the per-pixel loop bookkeeping are the same for every
-/// image, so full tiles of [`NativeBackend::BATCH_TILE`] images execute
-/// through a batch-minor tile kernel: each weight is loaded once per
-/// output pixel and applied to the whole tile as a dense sweep over a
-/// contiguous batch column — the direct-conv analogue of the pooled
-/// scatter's tap amortization. Per image the sum per output pixel is the
-/// exact integer sum the solo path computes (in `i64`, or in `i32` when
-/// [`tile_fits_i32`] proves overflow impossible), so outputs match
-/// bit-for-bit; a partial tail tile runs solo, which is identical by the
-/// same argument.
-///
-/// # Panics
-///
-/// Panics on any per-image shape mismatch, exactly as the solo path does.
-pub fn conv_direct_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    weights: &[i8],
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    conv_direct_batch_core(batch, shape, weights, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched direct-conv engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
-pub(crate) fn conv_direct_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    const B: usize = NativeBackend::BATCH_TILE;
-    let geo = shape.geometry();
-    let out_plane = geo.out_h() * geo.out_w();
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                let mut acc = conv_direct_scratch(codes.as_ref(), shape, weights, scratch);
-                w_out.finish_solo_in_place(&mut acc, out_plane);
-                outs.push(acc);
-            }
-            continue;
-        }
-        for codes in tile {
-            assert_eq!(
-                codes.as_ref().len(),
-                shape.in_ch * shape.in_h * shape.in_w,
-                "activation size mismatch"
-            );
-        }
-        assert_eq!(
-            weights.len(),
-            shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
-            "weight size mismatch"
-        );
-        let mut columns = scratch.take_i32(tile[0].as_ref().len() * B);
-        fill_columns::<_, B>(tile, &mut columns);
-        let base = outs.len();
-        for _ in 0..B {
-            outs.push(scratch.take_i32(shape.out_ch * out_plane));
-        }
-        let mut taps = scratch.take_pairs();
-        let terms = (shape.in_ch * shape.kernel * shape.kernel) as i64;
-        if tile_fits_i32(tile, terms) {
-            direct_tile::<i32, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        } else {
-            direct_tile::<i64, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        }
-        scratch.put_pairs(taps);
-        scratch.put_i32(columns);
-    }
-}
-
-/// The in-bounds spatial taps of one output pixel as
-/// `(ky * kernel + kx, iy * in_w + ix)` pairs, in the solo kernels'
-/// `(ky, kx)` visit order (padding taps contribute zero and are skipped
-/// by both paths).
-fn valid_spatial_taps(
-    geo: &wp_tensor::Conv2dGeometry,
-    kernel: usize,
-    in_w: usize,
-    oy: usize,
-    ox: usize,
-    out: &mut Vec<(usize, usize)>,
-) {
-    out.clear();
-    for ky in 0..kernel {
-        let Some(iy) = geo.input_row(oy, ky) else { continue };
-        for kx in 0..kernel {
-            let Some(ix) = geo.input_col(ox, kx) else { continue };
-            out.push((ky * kernel + kx, iy * in_w + ix));
-        }
-    }
-}
-
-/// The direct-conv tile kernel at compile-time batch width `B`:
-/// `columns` holds batch-minor activations (`pos * B + b`). Output pixels
-/// are outermost and filters next, so each filter's accumulator row lives
-/// in registers across all of its `C · R · S` weights, each loaded once
-/// and swept across the whole tile.
-fn direct_tile<A: TileAcc, const B: usize>(
-    columns: &[i32],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    w_out: &impl WriteOut,
-    taps: &mut Vec<(usize, usize)>,
-    tile_outs: &mut [Vec<i32>],
-) {
-    let geo = shape.geometry();
-    let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (k_sz, in_ch) = (shape.kernel, shape.in_ch);
-    let plane = shape.in_h * shape.in_w;
-    let (cols, rest) = columns.as_chunks::<B>();
-    debug_assert!(rest.is_empty());
-    debug_assert_eq!(tile_outs.len(), B);
-
-    for oy in 0..oh {
-        for ox in 0..ow {
-            valid_spatial_taps(&geo, k_sz, shape.in_w, oy, ox, taps);
-            for k in 0..shape.out_ch {
-                let mut row = [A::default(); B];
-                for c in 0..in_ch {
-                    let wrow = &weights[(k * in_ch + c) * k_sz * k_sz..][..k_sz * k_sz];
-                    for &(t, sp) in taps.iter() {
-                        let w = wrow[t] as i32;
-                        let col = &cols[c * plane + sp];
-                        for (a, &p) in row.iter_mut().zip(col) {
-                            *a = a.madd(w, p);
-                        }
-                    }
-                }
-                let o = (k * oh + oy) * ow + ox;
-                for (out, &a) in tile_outs.iter_mut().zip(&row) {
-                    out[o] = w_out.emit(k, a.widen());
-                }
-            }
-        }
-    }
-}
-
-/// Batched [`dwconv_acc`]: weight-stationary depthwise int8 convolution,
-/// bit-identical to solo (same tiling, fast-path admission and exactness
-/// argument as [`conv_direct_batch`]; a depthwise pixel sums at most
-/// `R · S` terms, so the `i32` fast path almost always applies).
-///
-/// # Panics
-///
-/// Panics on any per-image shape mismatch, exactly as the solo path does.
-pub fn dwconv_acc_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    weights: &[i8],
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dwconv_acc_batch_core(batch, shape, weights, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched depthwise engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
-pub(crate) fn dwconv_acc_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    const B: usize = NativeBackend::BATCH_TILE;
-    assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
-    let geo = shape.geometry();
-    let out_plane = geo.out_h() * geo.out_w();
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                let mut acc = dwconv_acc_scratch(codes.as_ref(), shape, weights, scratch);
-                w_out.finish_solo_in_place(&mut acc, out_plane);
-                outs.push(acc);
-            }
-            continue;
-        }
-        for codes in tile {
-            assert_eq!(
-                codes.as_ref().len(),
-                shape.in_ch * shape.in_h * shape.in_w,
-                "activation size mismatch"
-            );
-        }
-        assert_eq!(
-            weights.len(),
-            shape.in_ch * shape.kernel * shape.kernel,
-            "weight size mismatch"
-        );
-        let mut columns = scratch.take_i32(tile[0].as_ref().len() * B);
-        fill_columns::<_, B>(tile, &mut columns);
-        let base = outs.len();
-        for _ in 0..B {
-            outs.push(scratch.take_i32(shape.in_ch * out_plane));
-        }
-        let mut taps = scratch.take_pairs();
-        let terms = (shape.kernel * shape.kernel) as i64;
-        if tile_fits_i32(tile, terms) {
-            dw_tile::<i32, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        } else {
-            dw_tile::<i64, B>(&columns, shape, weights, w_out, &mut taps, &mut outs[base..]);
-        }
-        scratch.put_pairs(taps);
-        scratch.put_i32(columns);
-    }
-}
-
-/// The depthwise tile kernel at compile-time batch width `B` (one kernel
-/// per channel; each weight loaded once per output pixel and swept across
-/// the tile).
-fn dw_tile<A: TileAcc, const B: usize>(
-    columns: &[i32],
-    shape: &PooledConvShape,
-    weights: &[i8],
-    w_out: &impl WriteOut,
-    taps: &mut Vec<(usize, usize)>,
-    tile_outs: &mut [Vec<i32>],
-) {
-    let geo = shape.geometry();
-    let (oh, ow) = (geo.out_h(), geo.out_w());
-    let k_sz = shape.kernel;
-    let plane = shape.in_h * shape.in_w;
-    let (cols, rest) = columns.as_chunks::<B>();
-    debug_assert!(rest.is_empty());
-    debug_assert_eq!(tile_outs.len(), B);
-
-    for oy in 0..oh {
-        for ox in 0..ow {
-            valid_spatial_taps(&geo, k_sz, shape.in_w, oy, ox, taps);
-            for ch in 0..shape.in_ch {
-                let wrow = &weights[ch * k_sz * k_sz..][..k_sz * k_sz];
-                let mut row = [A::default(); B];
-                for &(t, sp) in taps.iter() {
-                    let w = wrow[t] as i32;
-                    let col = &cols[ch * plane + sp];
-                    for (a, &p) in row.iter_mut().zip(col) {
-                        *a = a.madd(w, p);
-                    }
-                }
-                let o = (ch * oh + oy) * ow + ox;
-                for (out, &a) in tile_outs.iter_mut().zip(&row) {
-                    out[o] = w_out.emit(ch, a.widen());
-                }
-            }
-        }
-    }
-}
-
-/// Batched [`dense_acc`]: weight-stationary dense matmul over a batch,
-/// bit-identical to solo. Full tiles load each of the `O · I` weights
-/// once and apply it to the whole tile as one dense sweep over a
-/// batch-minor feature column — the regime where a dense head's weight
-/// traffic amortizes (same tiling, fast-path admission and exactness
-/// argument as [`conv_direct_batch`]).
-///
-/// # Panics
-///
-/// Panics on any per-image size mismatch, exactly as the solo path does.
-pub fn dense_acc_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    weights: &[i8],
-    out_features: usize,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    dense_acc_batch_core(batch, weights, out_features, &RawOut, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// A dense head whose weight matrix is at least this many entries (16 K
-/// int8 weights = one typical L1's worth) routes batches through the
-/// blocked kernel: smaller heads fit in cache anyway, so re-streaming
-/// them per tile costs nothing and the plain tile kernel's simpler loop
-/// wins.
-const DENSE_BLOCK_MIN_WEIGHTS: usize = 16 * 1024;
-
-/// Output-feature block height of the blocked dense kernel.
-const DENSE_BLOCK_OUT: usize = 32;
-
-/// Input-feature block depth of the blocked dense kernel:
-/// `DENSE_BLOCK_OUT × DENSE_BLOCK_IN` int8 weights (8 KB) plus the
-/// activation column block stay cache-resident while each weight is
-/// applied to **every** lane of the batch.
-const DENSE_BLOCK_IN: usize = 256;
-
-/// The batched dense engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract). Large heads re-stream their weight matrix
-/// once per [`NativeBackend::BATCH_TILE`]-wide tile in the plain tile
-/// kernel — for a 2-tile-or-larger batch on a matrix past
-/// [`DENSE_BLOCK_MIN_WEIGHTS`] the blocked kernel instead spans all full
-/// tiles at once, loading each weight block **once per batch**.
-pub(crate) fn dense_acc_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    weights: &[i8],
-    out_features: usize,
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    const B: usize = NativeBackend::BATCH_TILE;
-    if batch.is_empty() {
-        return;
-    }
-    let in_features = batch[0].as_ref().len();
-    let full = batch.len() / B * B;
-    if full >= 2 * B && in_features * out_features >= DENSE_BLOCK_MIN_WEIGHTS {
-        for codes in batch {
-            assert_eq!(codes.as_ref().len(), in_features, "activation size mismatch");
-        }
-        assert_eq!(weights.len(), in_features * out_features, "weight size mismatch");
-        let lanes = &batch[..full];
-        let mut columns = scratch.take_i32(in_features * full);
-        fill_columns_dyn(lanes, &mut columns);
-        let base = outs.len();
-        for _ in 0..full {
-            outs.push(scratch.take_i32(out_features));
-        }
-        if tile_fits_i32(lanes, in_features as i64) {
-            dense_blocked::<i32>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                scratch,
-                &mut outs[base..],
-            );
-        } else {
-            dense_blocked::<i64>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                scratch,
-                &mut outs[base..],
-            );
-        }
-        scratch.put_i32(columns);
-        for codes in &batch[full..] {
-            let mut acc = dense_acc_scratch(codes.as_ref(), weights, out_features, scratch);
-            w_out.finish_solo_in_place(&mut acc, 1);
-            outs.push(acc);
-        }
-        return;
-    }
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                let mut acc = dense_acc_scratch(codes.as_ref(), weights, out_features, scratch);
-                w_out.finish_solo_in_place(&mut acc, 1);
-                outs.push(acc);
-            }
-            continue;
-        }
-        for codes in tile {
-            assert_eq!(codes.as_ref().len(), in_features, "activation size mismatch");
-        }
-        assert_eq!(weights.len(), in_features * out_features, "weight size mismatch");
-        let mut columns = scratch.take_i32(in_features * B);
-        fill_columns::<_, B>(tile, &mut columns);
-        let base = outs.len();
-        for _ in 0..B {
-            outs.push(scratch.take_i32(out_features));
-        }
-        if tile_fits_i32(tile, in_features as i64) {
-            dense_tile::<i32, B>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                &mut outs[base..],
-            );
-        } else {
-            dense_tile::<i64, B>(
-                &columns,
-                weights,
-                in_features,
-                out_features,
-                w_out,
-                &mut outs[base..],
-            );
-        }
-        scratch.put_i32(columns);
-    }
-}
-
-/// The dense tile kernel at compile-time batch width `B`.
-fn dense_tile<A: TileAcc, const B: usize>(
-    columns: &[i32],
-    weights: &[i8],
-    in_features: usize,
-    out_features: usize,
-    w_out: &impl WriteOut,
-    tile_outs: &mut [Vec<i32>],
-) {
-    let (cols, rest) = columns.as_chunks::<B>();
-    debug_assert!(rest.is_empty());
-    debug_assert_eq!(tile_outs.len(), B);
-    for o in 0..out_features {
-        let wrow = &weights[o * in_features..(o + 1) * in_features];
-        let mut row = [A::default(); B];
-        for (&w, col) in wrow.iter().zip(cols) {
-            let w = w as i32;
-            for (a, &p) in row.iter_mut().zip(col) {
-                *a = a.madd(w, p);
-            }
-        }
-        for (out, &a) in tile_outs.iter_mut().zip(&row) {
-            out[o] = w_out.emit(o, a.widen());
-        }
-    }
-}
-
-/// The blocked dense kernel at run-time lane count: `columns` holds the
-/// whole batch's activations batch-minor (`pos * lanes + b`), and the
-/// `(out, in)` weight matrix is walked in `DENSE_BLOCK_OUT ×
-/// DENSE_BLOCK_IN` blocks — each block's weights are loaded from memory
-/// **once** and applied to every lane before moving on, instead of the
-/// plain tile kernel's full-matrix re-stream per eight images. Per
-/// `(output, lane)` pair the input features are still summed in
-/// ascending order across blocks (the accumulator block persists over
-/// `i`-blocks), so every output is bit-identical to the solo kernel's
-/// sum.
-fn dense_blocked<A: TileAcc>(
-    columns: &[i32],
-    weights: &[i8],
-    in_features: usize,
-    out_features: usize,
-    w_out: &impl WriteOut,
-    scratch: &mut Scratch,
-    lane_outs: &mut [Vec<i32>],
-) {
-    let lanes = lane_outs.len();
-    debug_assert_eq!(columns.len(), in_features * lanes);
-    let mut acc = A::take_buf(scratch, DENSE_BLOCK_OUT * lanes);
-    for o_base in (0..out_features).step_by(DENSE_BLOCK_OUT) {
-        let o_count = DENSE_BLOCK_OUT.min(out_features - o_base);
-        acc[..o_count * lanes].fill(A::default());
-        for i_base in (0..in_features).step_by(DENSE_BLOCK_IN) {
-            let i_count = DENSE_BLOCK_IN.min(in_features - i_base);
-            let col_block = &columns[i_base * lanes..(i_base + i_count) * lanes];
-            for o_local in 0..o_count {
-                let wrow = &weights[(o_base + o_local) * in_features + i_base..][..i_count];
-                let arow = &mut acc[o_local * lanes..(o_local + 1) * lanes];
-                for (&w, col) in wrow.iter().zip(col_block.chunks_exact(lanes)) {
-                    let w = w as i32;
-                    for (a, &p) in arow.iter_mut().zip(col) {
-                        *a = a.madd(w, p);
-                    }
-                }
-            }
-        }
-        for o_local in 0..o_count {
-            let o = o_base + o_local;
-            for (out, &a) in lane_outs.iter_mut().zip(&acc[o_local * lanes..]) {
-                out[o] = w_out.emit(o, a.widen());
-            }
-        }
-    }
-    A::put_buf(scratch, acc);
 }
 
 /// Max pooling over non-overlapping square windows (mirrors
@@ -2917,150 +2663,57 @@ mod tests {
         ((*state >> 33) as i32).rem_euclid(m)
     }
 
-    #[test]
-    fn batched_direct_conv_matches_solo_including_tail() {
-        let shape =
-            PooledConvShape { in_ch: 5, out_ch: 7, kernel: 3, stride: 2, pad: 1, in_h: 6, in_w: 5 };
-        let mut s = 0xD1CE;
-        let weights: Vec<i8> =
-            (0..shape.out_ch * shape.in_ch * 9).map(|_| (lcg(&mut s, 255) - 127) as i8).collect();
-        // A full tile plus a partial tail, to cover both code paths.
-        let images: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE + 3)
-            .map(|_| (0..5 * 6 * 5).map(|_| lcg(&mut s, 256)).collect())
-            .collect();
-        let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-        let batched = conv_direct_batch(&refs, &shape, &weights);
-        assert_eq!(batched.len(), images.len());
-        for (img, out) in images.iter().zip(&batched) {
-            assert_eq!(&conv_direct(img, &shape, &weights), out);
-        }
-    }
-
-    #[test]
-    fn batched_dwconv_matches_solo() {
-        let shape =
-            PooledConvShape { in_ch: 6, out_ch: 6, kernel: 3, stride: 1, pad: 1, in_h: 4, in_w: 7 };
-        let mut s = 0xD3;
-        let weights: Vec<i8> = (0..6 * 9).map(|_| (lcg(&mut s, 255) - 127) as i8).collect();
-        let images: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE * 2 + 1)
-            .map(|_| (0..6 * 4 * 7).map(|_| lcg(&mut s, 256)).collect())
-            .collect();
-        let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-        for (img, out) in images.iter().zip(&dwconv_acc_batch(&refs, &shape, &weights)) {
-            assert_eq!(&dwconv_acc(img, &shape, &weights), out);
-        }
-    }
-
-    #[test]
-    fn batched_dense_matches_solo_on_both_accumulator_paths() {
-        let mut s = 0x5EED;
-        let (in_features, out_features) = (37usize, 11usize);
-        let weights: Vec<i8> =
-            (0..in_features * out_features).map(|_| (lcg(&mut s, 255) - 127) as i8).collect();
-
-        // Small codes: the proven-overflow-free i32 fast path.
-        let small: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE)
-            .map(|_| (0..in_features).map(|_| lcg(&mut s, 256)).collect())
-            .collect();
-        // Huge codes (dense accepts arbitrary i32 activations): forces the
-        // widened i64 path; mixed signs keep the final sums inside i32.
-        let huge: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE)
-            .map(|_| (0..in_features).map(|_| lcg(&mut s, 400_001) - 200_000).collect())
-            .collect();
-        for images in [small, huge] {
-            let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-            let batched = dense_acc_batch(&refs, &weights, out_features);
-            for (img, out) in images.iter().zip(&batched) {
-                assert_eq!(&dense_acc(img, &weights, out_features), out);
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_dense_matches_solo_on_large_heads() {
-        // in * out = 160 * 128 = 20480 >= DENSE_BLOCK_MIN_WEIGHTS and the
-        // batch spans two full tiles plus a tail, so this exercises the
-        // blocked kernel (with non-multiple block edges: 128 % 32 == 0 but
-        // 160 % 256 != 0 covers the ragged i-block) and the solo tail.
-        let mut s = 0xB10C;
-        let (in_features, out_features) = (160usize, 128usize);
-        assert!(in_features * out_features >= DENSE_BLOCK_MIN_WEIGHTS);
-        let weights: Vec<i8> =
-            (0..in_features * out_features).map(|_| (lcg(&mut s, 255) - 127) as i8).collect();
-        let small: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE * 2 + 3)
-            .map(|_| (0..in_features).map(|_| lcg(&mut s, 256)).collect())
-            .collect();
-        // Huge codes force the i64 accumulator instantiation.
-        let huge: Vec<Vec<i32>> = (0..NativeBackend::BATCH_TILE * 2)
-            .map(|_| (0..in_features).map(|_| lcg(&mut s, 400_001) - 200_000).collect())
-            .collect();
-        for images in [small, huge] {
-            let batched = dense_acc_batch(&images, &weights, out_features);
-            assert_eq!(batched.len(), images.len());
-            for (img, out) in images.iter().zip(&batched) {
-                assert_eq!(&dense_acc(img, &weights, out_features), out);
-            }
-        }
-    }
-
-    /// The madd route's plan-time proof at its edges, on the avx2 tier
-    /// only: unsigned 8-bit codes reach 255, so `65,793 · 255 · 128 =
-    /// 2,147,483,520` leaves room for a bias of 127 but not 128, and one
-    /// more tap fails; signed codes reach `|−128|`, so 131,071 taps fit
-    /// and 131,072 do not. At the edge itself the kernel is exact, and a
-    /// scanned plane outside the code range is not admitted.
+    /// The madd route's plan-time proof at its edges, on each vector
+    /// tier and the portable lanes: unsigned 8-bit codes reach 255, so
+    /// `65,793 · 255 · 128 = 2,147,483,520` leaves room for a bias of 127
+    /// but not 128, and one more tap fails; signed codes reach `|−128|`,
+    /// so 131,071 taps fit and 131,072 do not. The scalar tier always
+    /// takes the exact route. At the edge itself the kernel is exact, and
+    /// a scanned plane outside the code range is not admitted.
     #[test]
     fn mac_route_follows_the_range_proof() {
-        use crate::options::avx2_available;
         let lut = small_lut(LutOrder::InputOriented);
-        let madd = if avx2_available() { MacRoute::Madd } else { MacRoute::Exact };
-        let unsigned = NativeBackend::new_with(&lut, 8, ActEncoding::Unsigned, BackendKind::Avx2);
-        assert_eq!(unsigned.mac_route(65_793, &[0, 127]), madd);
-        assert_eq!(unsigned.mac_route(65_793, &[-128]), MacRoute::Exact);
-        assert_eq!(unsigned.mac_route(65_794, &[]), MacRoute::Exact);
-        let signed =
-            NativeBackend::new_with(&lut, 8, ActEncoding::SignedTwosComplement, BackendKind::Avx2);
-        assert_eq!(signed.mac_route(131_071, &[]), madd);
-        assert_eq!(signed.mac_route(131_072, &[]), MacRoute::Exact);
-        for kind in [BackendKind::Scalar, BackendKind::Swar] {
-            let other = NativeBackend::new_with(&lut, 1, ActEncoding::Unsigned, kind);
-            assert_eq!(other.mac_route(9, &[]), MacRoute::Exact, "{kind}");
-            assert!(other.prepare_madd_rows(&[1; 9], 1, &[0], true).is_none());
-        }
-        assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0], true).is_none());
+        let scalar = NativeBackend::new_with(&lut, 1, ActEncoding::Unsigned, BackendKind::Scalar);
+        assert_eq!(scalar.mac_route(9, &[]), MacRoute::Exact);
+        assert!(scalar.prepare_madd_rows(&[1; 9], 1, &[0], true).is_none());
+        assert_eq!(scalar.with_portable_lanes().mac_route(9, &[]), MacRoute::Exact);
 
-        let weights = vec![-128i8; 65_793];
-        let Some(rows) = unsigned.prepare_madd_rows(&weights, 1, &[0], true) else {
-            assert!(!avx2_available(), "the proof admits 65,793 taps");
-            return;
+        let tiers = [BackendKind::Swar, BackendKind::Avx2];
+        let backends = |encoding| {
+            let tiers = tiers.map(|kind| NativeBackend::new_with(&lut, 8, encoding, kind));
+            let portable = tiers[0].clone().with_portable_lanes();
+            tiers.into_iter().chain([portable])
         };
-        let codes = vec![255; 65_793];
-        let acc = dense_madd_scratch(&codes, &weights, &rows, &mut Scratch::new());
-        assert_eq!(acc, [-2_147_483_520]);
-        assert_eq!(acc, dense_acc(&codes, &weights, 1));
-        // A plane the plan proved in range is never scanned.
-        assert!(rows.admits(&[256]));
-        let scanned = unsigned.prepare_madd_rows(&weights[..9], 1, &[0], false).unwrap();
-        assert!(scanned.admits(&[0, 255, 7, 0, 0, 0, 0, 0, 0]));
-        assert!(!scanned.admits(&[0, 256, 7, 0, 0, 0, 0, 0, 0]));
-        assert!(!scanned.admits(&[-1, 0, 0, 0, 0, 0, 0, 0, 0]));
-    }
+        for signed in backends(ActEncoding::SignedTwosComplement) {
+            assert_eq!(signed.mac_route(131_071, &[]), MacRoute::Madd);
+            assert_eq!(signed.mac_route(131_072, &[]), MacRoute::Exact);
+        }
+        for unsigned in backends(ActEncoding::Unsigned) {
+            let tier = unsigned.simd();
+            assert_eq!(unsigned.mac_route(65_793, &[0, 127]), MacRoute::Madd, "{tier}");
+            assert_eq!(unsigned.mac_route(65_793, &[-128]), MacRoute::Exact);
+            assert_eq!(unsigned.mac_route(65_794, &[]), MacRoute::Exact);
+            assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0], true).is_none());
 
-    #[test]
-    fn popcount_limit_builder_overrides_resolved_default() {
-        let lut = small_lut(LutOrder::InputOriented);
-        let backend = NativeBackend::new(&lut, 4, ActEncoding::Unsigned);
-        assert_eq!(backend.clone().with_popcount_limit(0).popcount_max_bits(), 0);
-        assert_eq!(backend.with_popcount_limit(8).popcount_max_bits(), 8);
+            let weights = vec![-128i8; 65_793];
+            let rows = unsigned.prepare_madd_rows(&weights, 1, &[0], true).expect("madd rows");
+            let codes = vec![255; 65_793];
+            let acc = dense_madd_scratch(&codes, &weights, &rows, &mut Scratch::new());
+            assert_eq!(acc, [-2_147_483_520], "{tier}");
+            assert_eq!(acc, dense_acc(&codes, &weights, 1));
+            // A plane the plan proved in range is never scanned.
+            assert!(rows.admits(&[256]));
+            let scanned = unsigned.prepare_madd_rows(&weights[..9], 1, &[0], false).unwrap();
+            assert!(scanned.admits(&[0, 255, 7, 0, 0, 0, 0, 0, 0]));
+            assert!(!scanned.admits(&[0, 256, 7, 0, 0, 0, 0, 0, 0]));
+            assert!(!scanned.admits(&[-1, 0, 0, 0, 0, 0, 0, 0, 0]));
+        }
     }
 
     #[test]
     fn batched_kernels_handle_empty_batch() {
-        let shape =
-            PooledConvShape { in_ch: 2, out_ch: 2, kernel: 1, stride: 1, pad: 0, in_h: 1, in_w: 1 };
-        assert!(conv_direct_batch::<&[i32]>(&[], &shape, &[1, 2, 3, 4]).is_empty());
-        assert!(dwconv_acc_batch::<&[i32]>(&[], &shape, &[3, 4]).is_empty());
-        assert!(dense_acc_batch::<&[i32]>(&[], &[1, -1], 2).is_empty());
+        assert!(maxpool_batch::<&[i32]>(&[], 2, 2, 2, 2).is_empty());
+        assert!(avgpool_batch::<&[i32]>(&[], 2, 2, 2, 2).is_empty());
     }
 
     #[test]

@@ -71,11 +71,7 @@ impl PreparedNet {
     /// group size on a pooled layer).
     pub fn from_bundle(bundle: &DeployBundle, opts: &EngineOptions) -> Self {
         let act_bits = opts.act_bits.unwrap_or(bundle.act_bits);
-        let mut backend =
-            NativeBackend::new_with(&bundle.lut, act_bits, opts.encoding, opts.backend);
-        if let Some(bits) = opts.popcount_max_bits {
-            backend = backend.with_popcount_limit(bits);
-        }
+        let backend = NativeBackend::new_with(&bundle.lut, act_bits, opts.encoding, opts.backend);
         // Hidden activations must land in the encoding's code range:
         // unsigned (post-ReLU) clamps to [0, 2^M - 1]; signed two's
         // complement clamps two-sided to [-2^(M-1), 2^(M-1) - 1], which is
@@ -298,10 +294,11 @@ impl PreparedNet {
 
     /// Runs a batch through the plan layer by layer, each layer through
     /// its [`Kernel::run_batch`] entry point, returning outputs in input
-    /// order. Every requantizing kernel (pooled conv, direct conv,
-    /// depthwise, dense) executes a weight-stationary batched
-    /// implementation that decodes each weight/tap once per batch tile;
-    /// a solo request is simply a batch of one. Outputs are
+    /// order. Direct, depthwise and dense layers run their one kernel
+    /// image by image; pooled convs off the register route and pooling
+    /// batch in tiles that decode each tap once per tile (see
+    /// [`crate::kernel`]); a solo request is simply a batch of one.
+    /// Outputs are
     /// **bit-identical** for any batch composition (pinned by test), so
     /// serving layers may coalesce requests freely.
     ///
@@ -348,11 +345,10 @@ impl PreparedNet {
         }
         for (li, layer) in self.layers.iter().enumerate() {
             let ctx = layer.ctx(&self.backend, self.act_bits);
-            let tier = layer.kernel.span_tier(&ctx);
             let t0 = trace::now_ns();
             planes = layer.kernel.run_batch(&ctx, planes, scratch);
             let dur = trace::now_ns().saturating_sub(t0);
-            self.observe_layer(li, batch, tier, t0, dur);
+            self.observe_layer(li, batch, run_tier, t0, dur);
         }
         self.observe_run(batch, run_tier, run_start);
         planes

@@ -13,24 +13,22 @@
 //! batch.** Each kernel is compiled for its plan's tier, and the tier
 //! decides how it batches:
 //!
-//! * On the **avx2** tier, one kernel per op serves solo and batched calls
-//!   alike, and a batch is a plain loop over images: the
-//!   register-resident `vpshufb` scatter for pooled convs
-//!   ([`ScatterRoute::Registers`]) and the `vpmaddwd` kernels for direct,
-//!   depthwise and dense layers ([`MacRoute::Madd`]), whose im2col
-//!   staging already reuses each weight across every output pixel. Each
-//!   route is admitted by a plan-time range proof; a layer that fails it
-//!   runs the swar tier's int8 kernels below (never its popcount ones).
-//! * On the **swar** tier, requantizing kernels batch the
-//!   weight-stationary way (SWIS-style): a batch tile is transposed to
-//!   batch-minor columns and each weight/tap is decoded once per tile
+//! * Direct, depthwise and dense layers run one kernel for solo and
+//!   batched calls on every tier, and a batch is a plain loop over
+//!   images: on the swar and avx2 tiers the `pmaddwd` kernels
+//!   ([`MacRoute::Madd`], SSE2 or AVX2 lanes), whose im2col staging
+//!   already reuses each weight across every output pixel, and otherwise
+//!   the exact `i64` reference loop. The madd route is admitted by a
+//!   plan-time range proof.
+//! * Pooled convs run the register-resident `vpshufb` scatter on the
+//!   avx2 tier ([`ScatterRoute::Registers`]), image by image. On the
+//!   swar tier, and for avx2 layers off the register route, they batch
+//!   the weight-stationary way (SWIS-style): a batch tile is transposed
+//!   to batch-minor columns and each tap is decoded once per tile
 //!   instead of once per image, which only reassociates *independent*
-//!   per-image sums — see [`crate::backend`] for each kernel's exactness
-//!   argument. Images past the last full tile run the solo kernels. At
-//!   low activation bitwidths the direct-conv and dense kernels route
-//!   batches through the bit-plane popcount tiles instead
-//!   ([`swar::conv_direct_batch`]/[`swar::dense_acc_batch`]), where one
-//!   weight-plane load feeds eight images — same contract, same integers.
+//!   per-image sums — see [`crate::backend`] for the exactness argument.
+//!   Images past the last full tile run the solo kernel. Max and average
+//!   pooling batch the same way.
 //! * The **scalar** tier maps `run_solo` over every batch.
 //!
 //! Cheap elementwise kernels keep the default `run_batch`, which maps
@@ -52,8 +50,6 @@ use crate::backend::{
 };
 use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
-use crate::swar;
-use crate::trace;
 use wp_core::reference::PooledConvShape;
 use wp_kernels::OutputQuant;
 
@@ -87,15 +83,6 @@ pub struct KernelCtx<'a> {
 pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// Short op name (diagnostics, coverage reports).
     fn name(&self) -> &'static str;
-
-    /// The trace tier code a [`Kernel::run_batch`] span should carry (see
-    /// [`trace::tier_name`]): the backend tier by default; kernels whose
-    /// batches route through the swar tier's bit-plane popcount tiles
-    /// report the popcount variant so profiles distinguish it from the
-    /// int8 tile path.
-    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        trace::tier_code(ctx.backend.simd())
-    }
 
     /// The scatter route a pooled conv was prepared for; `None` for every
     /// other kernel.
@@ -142,11 +129,11 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// entry point the executor calls. Consumes the input planes
     /// (draining them back into the arena) and returns arena buffers.
     ///
-    /// Default: exactly that per-image [`Kernel::run_solo`] map. Every
-    /// requantizing kernel overrides this to call the swar tier's batched
-    /// tile kernels (bias+requant fused into the tile write-out), pinned
-    /// bit-identical to the map by the batch- and backend-parity tests;
-    /// on the avx2 tier's register and madd routes it keeps the map.
+    /// Default: exactly that per-image [`Kernel::run_solo`] map, which
+    /// direct, depthwise and dense layers keep. Pooled convs and
+    /// max/average pooling override it with batched tile kernels
+    /// (bias+requant fused into the pooled tile's write-out), pinned
+    /// bit-identical to the map by the batch- and backend-parity tests.
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -234,85 +221,21 @@ impl Kernel for PooledConvKernel {
     }
 }
 
-/// The weight copy a direct-conv or dense layer's route reads besides its
-/// int8 weights, built at plan time for the plan's tier only.
-#[derive(Debug, Clone)]
-enum TierWeights {
-    /// avx2 tier under the range proof: `i16` rows for the madd kernel,
-    /// which serves solo and batched calls alike.
-    Madd(MaddRows),
-    /// swar tier at an activation bitwidth its popcount threshold routes:
-    /// bit planes for the solo popcount kernel, and for the batched tiles
-    /// up to [`swar::POPCOUNT_BATCH_MAX_BITS`].
-    Popcount(swar::PackedWeights),
-    /// Every other plan: the int8 weights serve the reference loop and
-    /// the int8 tiles.
-    Int8,
+/// The madd route of a kernel holding `madd` weights.
+fn route_of<T>(madd: &Option<T>) -> Option<MacRoute> {
+    Some(if madd.is_some() { MacRoute::Madd } else { MacRoute::Exact })
 }
 
-impl TierWeights {
-    /// Builds the copy `backend` routes `[rows, T]` int8 `weights` to (see
-    /// [`NativeBackend::prepare_madd_rows`] for `bias` and
-    /// `input_in_range`).
-    fn new(
-        backend: &NativeBackend,
-        weights: &[i8],
-        rows: usize,
-        bias: &[i32],
-        input_in_range: bool,
-    ) -> Self {
-        if let Some(madd) = backend.prepare_madd_rows(weights, rows, bias, input_in_range) {
-            return TierWeights::Madd(madd);
-        }
-        if backend.simd() == ResolvedBackend::Swar
-            && backend.act_bits() <= backend.popcount_max_bits()
-        {
-            TierWeights::Popcount(swar::PackedWeights::pack(weights, rows, weights.len() / rows))
-        } else {
-            TierWeights::Int8
-        }
-    }
-
-    fn route(&self) -> MacRoute {
-        match self {
-            TierWeights::Madd(_) => MacRoute::Madd,
-            _ => MacRoute::Exact,
-        }
-    }
-
-    /// The bit planes batches route through, at bitwidths where the
-    /// batched popcount tiles beat the int8 tiles.
-    fn popcount_batch(&self, ctx: &KernelCtx<'_>) -> Option<&swar::PackedWeights> {
-        match self {
-            TierWeights::Popcount(packed) if ctx.act_bits <= swar::POPCOUNT_BATCH_MAX_BITS => {
-                Some(packed)
-            }
-            _ => None,
-        }
-    }
-
-    /// The trace tier of a batch through these weights.
-    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        match self.popcount_batch(ctx) {
-            Some(_) => trace::popcount_tier_code(),
-            None => trace::tier_code(ctx.backend.simd()),
-        }
-    }
-}
-
-/// Direct int8 convolution (uncompressed stem layers).
-///
-/// Compiled once per plan with the weight copy its tier routes to (see
-/// `TierWeights`): `i16` rows for the avx2 tier's madd kernel, bit
-/// planes for the swar tier's popcount kernels at low activation
-/// bitwidths, nothing extra otherwise.
+/// Direct int8 convolution (uncompressed stem layers). On the swar and
+/// avx2 tiers under the range proof it also holds its weights as
+/// [`MaddRows`].
 #[derive(Debug, Clone)]
 pub struct DirectConvKernel {
     /// Conv geometry.
     shape: PooledConvShape,
     /// `[K, C, R, S]` int8 weights.
     weights: Vec<i8>,
-    tier: TierWeights,
+    madd: Option<MaddRows>,
 }
 
 impl DirectConvKernel {
@@ -336,8 +259,8 @@ impl DirectConvKernel {
             shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
             "weight size mismatch"
         );
-        let tier = TierWeights::new(backend, &weights, shape.out_ch, bias, input_in_range);
-        Self { shape, weights, tier }
+        let madd = backend.prepare_madd_rows(&weights, shape.out_ch, bias, input_in_range);
+        Self { shape, weights, madd }
     }
 }
 
@@ -346,12 +269,8 @@ impl Kernel for DirectConvKernel {
         "direct_conv"
     }
 
-    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        self.tier.span_tier(ctx)
-    }
-
     fn mac_route(&self) -> Option<MacRoute> {
-        Some(self.tier.route())
+        route_of(&self.madd)
     }
 
     fn accumulate(
@@ -360,56 +279,19 @@ impl Kernel for DirectConvKernel {
         codes: &[i32],
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
-        let acc = match &self.tier {
-            TierWeights::Madd(madd) => {
+        let acc = match &self.madd {
+            Some(madd) => {
                 backend::conv_direct_madd_scratch(codes, &self.shape, &self.weights, madd, scratch)
             }
-            TierWeights::Popcount(packed) => {
-                swar::conv_direct_scratch(codes, &self.shape, packed, scratch)
-            }
-            TierWeights::Int8 => {
-                backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch)
-            }
+            None => backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch),
         };
         Some((acc, out_plane(&self.shape)))
     }
-
-    fn run_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        planes: Vec<Vec<i32>>,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) || matches!(self.tier, TierWeights::Madd(_)) {
-            return solo_map(self, ctx, planes, scratch);
-        }
-        let mut outs = scratch.take_planes(planes.len());
-        let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match self.tier.popcount_batch(ctx) {
-            Some(packed) => swar::conv_direct_batch_core(
-                &planes,
-                &self.shape,
-                packed,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-            None => backend::conv_direct_batch_core(
-                &planes,
-                &self.shape,
-                &self.weights,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-        }
-        scratch.put_planes(planes);
-        outs
-    }
 }
 
-/// Depthwise int8 convolution (one kernel per channel). On the avx2 tier
-/// under the range proof it also holds its weights as [`MaddTaps`].
+/// Depthwise int8 convolution (one kernel per channel). On the swar and
+/// avx2 tiers under the range proof it also holds its weights as
+/// [`MaddTaps`].
 #[derive(Debug, Clone)]
 pub struct DwConvKernel {
     /// Conv geometry (`out_ch == in_ch`).
@@ -451,7 +333,7 @@ impl Kernel for DwConvKernel {
     }
 
     fn mac_route(&self) -> Option<MacRoute> {
-        Some(if self.madd.is_some() { MacRoute::Madd } else { MacRoute::Exact })
+        route_of(&self.madd)
     }
 
     fn accumulate(
@@ -468,40 +350,17 @@ impl Kernel for DwConvKernel {
         };
         Some((acc, out_plane(&self.shape)))
     }
-
-    fn run_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        planes: Vec<Vec<i32>>,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) || self.madd.is_some() {
-            return solo_map(self, ctx, planes, scratch);
-        }
-        let mut outs = scratch.take_planes(planes.len());
-        backend::dwconv_acc_batch_core(
-            &planes,
-            &self.shape,
-            &self.weights,
-            &FusedOut { bias: ctx.bias, oq: ctx.oq },
-            scratch,
-            &mut outs,
-        );
-        scratch.put_planes(planes);
-        outs
-    }
 }
 
-/// Fully-connected int8 layer.
-///
-/// Like [`DirectConvKernel`], carries the weight copy its tier routes to.
+/// Fully-connected int8 layer. Like [`DirectConvKernel`], holds
+/// [`MaddRows`] on the madd route.
 #[derive(Debug, Clone)]
 pub struct DenseKernel {
     /// `[O, I]` int8 weights, row per output feature.
     weights: Vec<i8>,
     /// Output features `O`.
     out_features: usize,
-    tier: TierWeights,
+    madd: Option<MaddRows>,
 }
 
 impl DenseKernel {
@@ -520,8 +379,8 @@ impl DenseKernel {
     ) -> Self {
         assert!(out_features > 0, "dense layer needs at least one output feature");
         assert_eq!(weights.len() % out_features, 0, "weight size mismatch");
-        let tier = TierWeights::new(backend, &weights, out_features, bias, input_in_range);
-        Self { weights, out_features, tier }
+        let madd = backend.prepare_madd_rows(&weights, out_features, bias, input_in_range);
+        Self { weights, out_features, madd }
     }
 }
 
@@ -530,12 +389,8 @@ impl Kernel for DenseKernel {
         "dense"
     }
 
-    fn span_tier(&self, ctx: &KernelCtx<'_>) -> u8 {
-        self.tier.span_tier(ctx)
-    }
-
     fn mac_route(&self) -> Option<MacRoute> {
-        Some(self.tier.route())
+        route_of(&self.madd)
     }
 
     fn accumulate(
@@ -544,42 +399,11 @@ impl Kernel for DenseKernel {
         codes: &[i32],
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
-        let acc = match &self.tier {
-            TierWeights::Madd(madd) => {
-                backend::dense_madd_scratch(codes, &self.weights, madd, scratch)
-            }
-            TierWeights::Popcount(packed) => swar::dense_acc_scratch(codes, packed, scratch),
-            TierWeights::Int8 => {
-                backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch)
-            }
+        let acc = match &self.madd {
+            Some(madd) => backend::dense_madd_scratch(codes, &self.weights, madd, scratch),
+            None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
         };
         Some((acc, 1))
-    }
-
-    fn run_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        planes: Vec<Vec<i32>>,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) || matches!(self.tier, TierWeights::Madd(_)) {
-            return solo_map(self, ctx, planes, scratch);
-        }
-        let mut outs = scratch.take_planes(planes.len());
-        let w_out = FusedOut { bias: ctx.bias, oq: ctx.oq };
-        match self.tier.popcount_batch(ctx) {
-            Some(packed) => swar::dense_acc_batch_core(&planes, packed, &w_out, scratch, &mut outs),
-            None => backend::dense_acc_batch_core(
-                &planes,
-                &self.weights,
-                self.out_features,
-                &w_out,
-                scratch,
-                &mut outs,
-            ),
-        }
-        scratch.put_planes(planes);
-        outs
     }
 }
 

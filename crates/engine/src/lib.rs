@@ -14,12 +14,13 @@
 //!   convolution (bit-identical to
 //!   [`wp_core::reference::bitserial_conv_acc`], verified by test across
 //!   every activation bitwidth, encoding and LUT order), direct int8
-//!   convolution, depthwise, dense, pooling and residual ops — each with a
-//!   solo form and a weight-stationary **batched** form that decodes every
-//!   weight/tap once per batch tile and is bit-identical to solo, plus the
-//!   avx2 tier's per-image kernels (the register-resident pooled scatter
-//!   and the `vpmaddwd` direct, depthwise and dense kernels) that serve
-//!   solo and batched calls alike. The LUT
+//!   convolution, depthwise, dense, pooling and residual ops. Direct,
+//!   depthwise and dense layers run one `pmaddwd` kernel per op for solo
+//!   and batched calls alike (SSE2 lanes on the swar tier, AVX2 on the
+//!   avx2 tier), as does the avx2 tier's register-resident pooled
+//!   scatter; the pooled gather and the pooling ops also have a
+//!   weight-stationary **batched** form that decodes every tap once per
+//!   batch tile and is bit-identical to solo. The LUT
 //!   is flattened once into a [`LutCache`] — the host analogue of the
 //!   paper's §4.2 SRAM block cache — so lookups are a single indexed load
 //!   regardless of the bundle's [`wp_core::LutOrder`].
@@ -61,7 +62,6 @@ pub mod bundle;
 pub mod kernel;
 pub mod options;
 pub mod scratch;
-pub mod swar;
 pub mod trace;
 
 pub use backend::{LutCache, MacRoute, NativeBackend, PreparedIndices, ScatterRoute};

@@ -6,20 +6,19 @@
 //! * **scalar** — the straightforward per-element reference loops; the
 //!   always-available fallback, and the baseline the SWAR tier is gated
 //!   against in `engine_throughput`.
-//! * **swar** — bit-plane tiles packed into `u64` lanes: the 8×8
-//!   bit-matrix transpose in the pooled-conv fill, popcount bit-plane
-//!   direct/dense kernels at low activation bitwidths, and the
-//!   weight-stationary batched tile kernels with fused bias+requant
-//!   write-out. Portable Rust; no CPU features required.
-//! * **avx2** — `std::arch` AVX2 kernels, one per op, serving solo and
-//!   batched calls alike: the register-resident `vpshufb` scatter for
-//!   pooled convs whose pool and LUT fit it
-//!   ([`crate::backend::ScatterRoute`]), and `vpmaddwd` over staged
-//!   `i16` activations for direct, depthwise and dense layers
-//!   ([`crate::backend::MacRoute`]). Layers outside either route's
-//!   plan-time range proof run the swar tier's int8 kernels (never its
-//!   popcount kernels). Selected only when the CPU reports AVX2 at run
-//!   time.
+//! * **swar** — the 8×8 bit-matrix transpose (a `u64` SWAR trick) in the
+//!   pooled-conv fill, the weight-stationary batched pooled-gather and
+//!   pooling tiles with fused bias+requant write-out, and the madd
+//!   kernels for direct, depthwise and dense layers
+//!   ([`crate::backend::MacRoute`]) on SSE2, which every x86-64 CPU has
+//!   (plain arrays on other targets). No run-time detection needed.
+//! * **avx2** — the same kernels with the madd route's 256-bit AVX2
+//!   build, plus the register-resident `vpshufb` scatter for pooled
+//!   convs whose pool and LUT fit it
+//!   ([`crate::backend::ScatterRoute`]). Layers outside a route's
+//!   plan-time range proof run the exact reference loop (direct,
+//!   depthwise, dense) or the gather (pooled). Selected only when the
+//!   CPU reports AVX2 at run time.
 //!
 //! Callers pick a tier through [`BackendKind`] on the [`EngineOptions`]
 //! builder; `Auto` resolves via runtime CPU detection (and honors the
@@ -43,10 +42,10 @@ pub enum BackendKind {
     Auto,
     /// The per-element reference loops (always available).
     Scalar,
-    /// Bit-plane `u64` SWAR kernels + batched tile kernels.
+    /// Batched tile kernels and the SSE2 (or portable) madd kernels.
     Swar,
     /// `std::arch` AVX2 kernels: the register-resident pooled scatter and
-    /// the `vpmaddwd` direct, depthwise and dense kernels.
+    /// the madd direct, depthwise and dense kernels at 256 bits.
     Avx2,
 }
 
@@ -130,9 +129,9 @@ pub fn avx2_available() -> bool {
 pub enum ResolvedBackend {
     /// Per-element reference loops.
     Scalar,
-    /// Portable `u64` bit-plane / batched tile kernels.
+    /// Batched tile kernels and the SSE2 (or portable) madd kernels.
     Swar,
-    /// AVX2 register-resident pooled scatter and `vpmaddwd` direct,
+    /// AVX2 register-resident pooled scatter and 256-bit madd direct,
     /// depthwise and dense kernels.
     Avx2,
 }
@@ -186,10 +185,6 @@ pub struct EngineOptions {
     pub(crate) weight_seed: u64,
     /// Kernel tier selection, resolved at plan-compile time.
     pub(crate) backend: BackendKind,
-    /// Bit-plane popcount routing threshold override (see
-    /// [`crate::swar::resolve_popcount_max_bits`]); `None` resolves from
-    /// `WP_POPCOUNT_MAX_BITS` / the built-in default.
-    pub(crate) popcount_max_bits: Option<u8>,
 }
 
 impl Default for EngineOptions {
@@ -201,7 +196,6 @@ impl Default for EngineOptions {
             layer_multipliers: None,
             weight_seed: 0x5EED,
             backend: BackendKind::Auto,
-            popcount_max_bits: None,
         }
     }
 }
@@ -250,16 +244,6 @@ impl EngineOptions {
         self
     }
 
-    /// Overrides the activation bitwidth at or below which the swar tier
-    /// routes direct-conv and dense layers through the bit-plane popcount
-    /// kernels (0 disables them; `from_bundle` panics above 8).
-    /// Unset, the threshold resolves from `WP_POPCOUNT_MAX_BITS` or the
-    /// built-in default — see [`crate::swar::resolve_popcount_max_bits`].
-    pub fn with_popcount_max_bits(mut self, bits: u8) -> Self {
-        self.popcount_max_bits = Some(bits);
-        self
-    }
-
     /// The activation bitwidth override, if any.
     pub fn act_bits(&self) -> Option<u8> {
         self.act_bits
@@ -288,11 +272,6 @@ impl EngineOptions {
     /// The selected (unresolved) kernel tier.
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// The popcount routing threshold override, if any.
-    pub fn popcount_max_bits(&self) -> Option<u8> {
-        self.popcount_max_bits
     }
 }
 
@@ -332,15 +311,13 @@ mod tests {
             .with_requant_multiplier(0.5)
             .with_layer_multipliers(Some(vec![1.0, 2.0]))
             .with_weight_seed(7)
-            .with_backend(BackendKind::Swar)
-            .with_popcount_max_bits(2);
+            .with_backend(BackendKind::Swar);
         assert_eq!(opts.act_bits(), Some(3));
         assert_eq!(opts.encoding(), ActEncoding::SignedTwosComplement);
         assert_eq!(opts.requant_multiplier(), 0.5);
         assert_eq!(opts.layer_multipliers(), Some(&[1.0, 2.0][..]));
         assert_eq!(opts.weight_seed(), 7);
         assert_eq!(opts.backend(), BackendKind::Swar);
-        assert_eq!(opts.popcount_max_bits(), Some(2));
         let cleared = opts.with_layer_multipliers(None);
         assert_eq!(cleared.layer_multipliers(), None);
     }

@@ -1,8 +1,8 @@
 //! A per-worker scratch arena for the engine hot path.
 //!
 //! Every kernel used to allocate its working set per call — `vec![0i32;
-//! ...]` partial tables, `BitPlanes::new()` packs, per-tile
-//! `Vec<Vec<i32>>` output blocks — which put the global allocator on the
+//! ...]` partial tables, staged `i16` rows, per-tile `Vec<Vec<i32>>`
+//! output blocks — which put the global allocator on the
 //! hot path of every layer of every inference. [`Scratch`] replaces
 //! those with checked-out buffers that are returned after use and reused
 //! across layers *and* runs, so a warmed plan executes with **zero heap
@@ -24,8 +24,6 @@
 //! kernel — no locks, no contention,
 //! and buffer reuse keeps each worker's working set hot in its own
 //! cache, the host-side analogue of the paper's per-core SRAM budget.
-
-use crate::swar::{BatchBitPlanes, BitPlanes};
 
 /// Size classes cover capacities `2^0 ..= 2^63` — every `usize` length.
 const BUCKETS: usize = 64;
@@ -91,11 +89,6 @@ pub struct Scratch {
     /// Outer containers for batched plane sets (inners live in the `i32`
     /// pool between uses).
     planes: Vec<Vec<Vec<i32>>>,
-    /// Solo activation bit-plane packs (their internal storage grows
-    /// monotonically to the largest pack they've seen).
-    bitplanes: Vec<BitPlanes>,
-    /// Batched (8-lane) activation bit-plane packs.
-    batch_bitplanes: Vec<BatchBitPlanes>,
 }
 
 impl Default for Scratch {
@@ -114,8 +107,6 @@ impl Scratch {
             u8_classes: SizeClasses::new(),
             pairs: Vec::new(),
             planes: Vec::new(),
-            bitplanes: Vec::new(),
-            batch_bitplanes: Vec::new(),
         }
     }
 
@@ -188,26 +179,6 @@ impl Scratch {
             self.put_i32(plane);
         }
         self.planes.push(outer);
-    }
-
-    /// Checks out a solo activation bit-plane pack.
-    pub fn take_bitplanes(&mut self) -> BitPlanes {
-        self.bitplanes.pop().unwrap_or_default()
-    }
-
-    /// Returns a solo bit-plane pack.
-    pub fn put_bitplanes(&mut self, pack: BitPlanes) {
-        self.bitplanes.push(pack);
-    }
-
-    /// Checks out a batched (8-lane) activation bit-plane pack.
-    pub fn take_batch_bitplanes(&mut self) -> BatchBitPlanes {
-        self.batch_bitplanes.pop().unwrap_or_default()
-    }
-
-    /// Returns a batched bit-plane pack.
-    pub fn put_batch_bitplanes(&mut self, pack: BatchBitPlanes) {
-        self.batch_bitplanes.push(pack);
     }
 }
 

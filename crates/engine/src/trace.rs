@@ -246,21 +246,12 @@ pub fn tier_code(tier: ResolvedBackend) -> u8 {
     }
 }
 
-/// Tier code for a layer span that executed the swar tier's bit-plane
-/// popcount tiles (direct-conv/dense batches at low activation
-/// bitwidths) rather than its int8 kernels — distinguishable in profiles
-/// so the routing threshold can be judged from real traces.
-pub fn popcount_tier_code() -> u8 {
-    3
-}
-
-/// Reporting name for a [`tier_code`] / [`popcount_tier_code`] value.
+/// Reporting name for a [`tier_code`] value.
 pub fn tier_name(code: u8) -> &'static str {
     match code {
         0 => "scalar",
         1 => "swar",
         2 => "avx2",
-        3 => "swar+popcount",
         _ => "unknown",
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! The backend-selection API promises that `BackendKind` only changes
 //! *how fast* a plan runs, never *what* it computes: the swar tier's
-//! bit-plane fills, popcount kernels, batched tile kernels with fused
-//! bias+requant write-out and batched pooling — and the avx2 tier's
-//! 256-bit popcount inner loops — must reproduce the scalar reference
-//! loops exactly. These tests pin that promise end-to-end on whole
+//! bit-matrix fills, batched pooled-gather tiles with fused bias+requant
+//! write-out, batched pooling and SSE2 madd kernels — and the avx2 tier's
+//! register-resident scatter and AVX2 madd kernels — must reproduce the
+//! scalar reference loops exactly. These tests pin that promise end-to-end on whole
 //! networks covering every layer kind, across activation bitwidths
 //! 1..=8 × both encodings × both LUT memory orders × fuzzed shapes ×
 //! batch sizes {1, 2, 7, 16}, solo and batched.

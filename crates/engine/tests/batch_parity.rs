@@ -5,22 +5,28 @@
 //! `BatchRunner`) leans on that to coalesce requests invisibly. These
 //! tests pin the contract at two levels:
 //!
-//! * **Backend kernels** — property tests fuzz shapes and activations for
-//!   the batched direct-conv, depthwise and dense kernels against their
-//!   solo forms (the pooled scatter has its own sweep in the unit tests
-//!   and `tests/parity.rs`).
+//! * **Op kernels** — property tests fuzz shapes and activations for the
+//!   direct-conv, depthwise and dense [`Kernel::run_batch`] entry points
+//!   on the default tier against the solo reference loops (the pooled
+//!   scatter has its own sweep in the unit tests and `tests/parity.rs`).
+//!   Planes are scanned as a layer-0 kernel's are, so out-of-range codes
+//!   in a batch take the exact path beside in-range ones.
 //! * **Whole networks** — an all-kinds network (direct conv, pooled conv,
 //!   max pool, depthwise, residual add, avg pool, global avg pool, dense)
 //!   executes batched across batch sizes {1, 2, 7, 16} × worker threads
 //!   {1, 4} and must match per-image `run_one` everywhere.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::{Rng, SeedableRng};
 use wp_core::deploy::{ConvPayload, DeployBundle};
 use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
-use wp_core::reference::PooledConvShape;
+use wp_core::reference::{ActEncoding, PooledConvShape};
 use wp_core::{LookupTable, LutOrder, WeightPool};
+use wp_engine::kernel::{DenseKernel, DirectConvKernel, DwConvKernel, Kernel, KernelCtx};
 use wp_engine::{backend, BatchRunner, EngineOptions, NativeBackend, PreparedNet, Scratch};
+use wp_kernels::OutputQuant;
+use wp_quant::Requantizer;
 
 /// A bundle whose walk visits every kernel the engine implements.
 fn all_kinds_bundle(seed: u64) -> DeployBundle {
@@ -129,11 +135,44 @@ fn batch_runner_reports_offending_input_index() {
     BatchRunner::new(2).run_refs(&net, &refs);
 }
 
+/// A backend at 8-bit unsigned activations on the default tier (its LUT
+/// is irrelevant to the int8 ops).
+fn int8_backend() -> NativeBackend {
+    let pool = WeightPool::from_vectors(vec![vec![0.5; 8]]);
+    let lut = LookupTable::build(&pool, 8, LutOrder::InputOriented);
+    NativeBackend::new(&lut, 8, ActEncoding::Unsigned)
+}
+
+/// `kernel.run_batch` over `images` against each image's solo reference
+/// accumulators (`reference`), both finished by the same requant.
+fn check_batch_against_solo(
+    kernel: &dyn Kernel,
+    backend: &NativeBackend,
+    in_dims: (usize, usize, usize),
+    out_ch: usize,
+    images: &[Vec<i32>],
+    reference: impl Fn(&[i32]) -> Vec<i32>,
+) -> Result<(), TestCaseError> {
+    let bias: Vec<i32> = (0..out_ch as i32).map(|k| 3 * k - 7).collect();
+    let oq =
+        OutputQuant { requant: Requantizer::from_real_multiplier(1e-3), relu: false, out_bits: 8 };
+    let ctx = KernelCtx { backend, in_dims, bias: &bias, oq: &oq, act_bits: 8 };
+    let batched = kernel.run_batch(&ctx, images.to_vec(), &mut Scratch::new());
+    prop_assert_eq!(batched.len(), images.len());
+    for (img, out) in images.iter().zip(&batched) {
+        let mut want = reference(img);
+        let plane = want.len() / out_ch;
+        oq.apply_plane_in_place(&mut want, &bias, plane);
+        prop_assert_eq!(&want, out);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fuzzed direct conv: batched accumulators equal solo for arbitrary
-    /// geometry (including strides, padding and tail tiles).
+    /// Fuzzed direct conv: batched outputs equal solo for arbitrary
+    /// geometry (including strides and padding).
     #[test]
     fn prop_direct_conv_batch_matches_solo(
         seed in 0u64..1_000_000,
@@ -153,14 +192,14 @@ proptest! {
         let images: Vec<Vec<i32>> = (0..batch)
             .map(|_| (0..in_ch * hw * hw).map(|_| rng.gen_range(0..256)).collect())
             .collect();
-        let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-        let batched = backend::conv_direct_batch(&refs, &shape, &weights);
-        for (img, out) in images.iter().zip(&batched) {
-            prop_assert_eq!(&backend::conv_direct(img, &shape, &weights), out);
-        }
+        let backend = int8_backend();
+        let op = DirectConvKernel::new(shape, weights.clone(), &backend, &vec![0; out_ch], false);
+        check_batch_against_solo(&op, &backend, (in_ch, hw, hw), out_ch, &images, |img| {
+            backend::conv_direct(img, &shape, &weights)
+        })?;
     }
 
-    /// Fuzzed depthwise conv: batched accumulators equal solo.
+    /// Fuzzed depthwise conv: batched outputs equal solo.
     #[test]
     fn prop_dwconv_batch_matches_solo(
         seed in 0u64..1_000_000,
@@ -180,15 +219,16 @@ proptest! {
         let images: Vec<Vec<i32>> = (0..batch)
             .map(|_| (0..ch * hw * hw).map(|_| rng.gen_range(0..256)).collect())
             .collect();
-        let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-        let batched = backend::dwconv_acc_batch(&refs, &shape, &weights);
-        for (img, out) in images.iter().zip(&batched) {
-            prop_assert_eq!(&backend::dwconv_acc(img, &shape, &weights), out);
-        }
+        let backend = int8_backend();
+        let op = DwConvKernel::new(shape, weights.clone(), &backend, &vec![0; ch], false);
+        check_batch_against_solo(&op, &backend, (ch, hw, hw), ch, &images, |img| {
+            backend::dwconv_acc(img, &shape, &weights)
+        })?;
     }
 
-    /// Fuzzed dense: batched accumulators equal solo, including the
-    /// widened-accumulator path (dense takes arbitrary i32 activations).
+    /// Fuzzed dense: batched outputs equal solo, including planes far
+    /// outside the code range (dense takes arbitrary `i32` activations),
+    /// which take the exact path beside in-range ones.
     #[test]
     fn prop_dense_batch_matches_solo(
         seed in 0u64..1_000_000,
@@ -201,13 +241,16 @@ proptest! {
         let weights: Vec<i8> =
             (0..in_features * out_features).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
         let images: Vec<Vec<i32>> = (0..batch)
-            .map(|_| (0..in_features).map(|_| rng.gen_range(-magnitude..=magnitude)).collect())
+            .map(|b| {
+                let m = if b % 2 == 0 { magnitude } else { 0 };
+                (0..in_features).map(|_| rng.gen_range(-m..=m.max(255))).collect()
+            })
             .collect();
-        let refs: Vec<&[i32]> = images.iter().map(|x| x.as_slice()).collect();
-        let batched = backend::dense_acc_batch(&refs, &weights, out_features);
-        for (img, out) in images.iter().zip(&batched) {
-            prop_assert_eq!(&backend::dense_acc(img, &weights, out_features), out);
-        }
+        let backend = int8_backend();
+        let op = DenseKernel::new(weights.clone(), out_features, &backend, &vec![0; out_features], false);
+        check_batch_against_solo(&op, &backend, (in_features, 1, 1), out_features, &images, |img| {
+            backend::dense_acc(img, &weights, out_features)
+        })?;
     }
 
     /// Fuzzed whole-network parity: random seeds for the all-kinds net,
@@ -233,12 +276,14 @@ proptest! {
 fn batched_direct_conv_rejects_wrong_activation_size() {
     let shape =
         PooledConvShape { in_ch: 2, out_ch: 1, kernel: 1, stride: 1, pad: 0, in_h: 2, in_w: 2 };
-    let weights = vec![1i8, -1];
-    let good = vec![0i32; 8];
-    let bad = vec![0i32; 7];
-    // Full tile: 8 images, one of them wrong.
-    let mut refs: Vec<&[i32]> = vec![&good; NativeBackend::BATCH_TILE];
-    refs[3] = &bad;
-    let result = std::panic::catch_unwind(|| backend::conv_direct_batch(&refs, &shape, &weights));
-    assert!(result.is_err(), "wrong-size image inside a full tile must panic");
+    let backend = int8_backend();
+    let op = DirectConvKernel::new(shape, vec![1i8, -1], &backend, &[0], false);
+    let oq =
+        OutputQuant { requant: Requantizer::from_real_multiplier(1.0), relu: false, out_bits: 8 };
+    let ctx = KernelCtx { backend: &backend, in_dims: (2, 2, 2), bias: &[0], oq: &oq, act_bits: 8 };
+    // A full tile's worth of images, one of them wrong.
+    let mut planes = vec![vec![0i32; 8]; NativeBackend::BATCH_TILE];
+    planes[3] = vec![0i32; 7];
+    let result = std::panic::catch_unwind(|| op.run_batch(&ctx, planes, &mut Scratch::new()));
+    assert!(result.is_err(), "a wrong-size image inside a batch must panic");
 }

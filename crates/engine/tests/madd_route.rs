@@ -1,16 +1,21 @@
 //! The direct, depthwise and dense kernels' madd route against the
 //! reference.
 //!
-//! On the avx2 tier a direct, depthwise or dense layer whose plan-time
-//! range proof holds (`terms · max|code| · 128 + max|bias| ≤ i32::MAX`)
-//! multiplies staged `i16` activations with `vpmaddwd` into `i32`
-//! accumulators; solo and batched calls run the same per-image kernel.
+//! On the swar and avx2 tiers a direct, depthwise or dense layer whose
+//! plan-time range proof holds (`terms · max|code| · 128 + max|bias| ≤
+//! i32::MAX`) multiplies staged `i16` activations with `pmaddwd` into
+//! `i32` accumulators; solo and batched calls run the same per-image
+//! kernel. Every case runs on the swar tier's SSE2 lanes, the avx2
+//! tier's AVX2 lanes (the swar tier again where the CPU lacks AVX2) and
+//! the portable lanes other targets build
+//! (`NativeBackend::with_portable_lanes`).
 //! These tests sweep direct convs over input channels 1..=70 (tap counts
 //! on both sides of every multiple of 16), kernels {1, 3, 5}, strides
 //! {1, 2} and padding {0, 1, 2}, dense layers over 1..=300 input
 //! features and depthwise layers over 1..=40 channels, at every
 //! activation bitwidth, both encodings and batches {1, 7, 8, 16}. Every
-//! case asserts its route, requires solo and batched accumulators to
+//! case asserts its route on every build, requires solo and batched
+//! accumulators to
 //! equal the reference ([`wp_core::reference::direct_conv_acc`]; dense is
 //! its 1×1 case and depthwise its per-channel case) and finished planes
 //! to equal the scalar tier's.
@@ -26,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_core::reference::{direct_conv_acc, ActEncoding, PooledConvShape};
 use wp_core::{LookupTable, LutOrder, WeightPool};
 use wp_engine::kernel::{DenseKernel, DirectConvKernel, DwConvKernel, Kernel, KernelCtx};
-use wp_engine::{avx2_available, BackendKind, MacRoute, NativeBackend, Scratch};
+use wp_engine::{BackendKind, MacRoute, NativeBackend, Scratch};
 use wp_kernels::OutputQuant;
 use wp_quant::Requantizer;
 
@@ -122,6 +127,14 @@ fn backend(kind: BackendKind, act_bits: u8, encoding: ActEncoding) -> NativeBack
     NativeBackend::new_with(&lut, act_bits, encoding, kind)
 }
 
+/// Every build of the madd kernels: the swar tier's, the avx2 tier's and
+/// the portable lanes.
+fn madd_backends(act_bits: u8, encoding: ActEncoding) -> [NativeBackend; 3] {
+    let swar = backend(BackendKind::Swar, act_bits, encoding);
+    let portable = swar.clone().with_portable_lanes();
+    [swar, backend(BackendKind::Avx2, act_bits, encoding), portable]
+}
+
 /// Finishing with this leaves every test accumulator unchanged (`×1`, no
 /// ReLU, a 31-bit clamp far past the sums these shapes reach), so a
 /// batched call's finished planes are its accumulators.
@@ -129,9 +142,10 @@ fn identity_finish() -> OutputQuant {
     OutputQuant { requant: Requantizer::from_real_multiplier(1.0), relu: false, out_bits: 31 }
 }
 
-/// Runs one case: the kernel compiled for the avx2 tier must take the
-/// madd route (where the CPU has AVX2) and reproduce the reference accumulators solo and
-/// batched, and its finished planes must equal the scalar tier's.
+/// Runs one case: on every build the kernel must take the madd route and
+/// reproduce the reference accumulators solo and batched, and its
+/// finished planes must equal the scalar tier's, whose kernel takes the
+/// exact route.
 fn check_case(
     op: Op,
     encoding: ActEncoding,
@@ -139,33 +153,16 @@ fn check_case(
     weights: &[i8],
     planes: &[Vec<i32>],
     input_in_range: bool,
-) -> Result<MacRoute, String> {
-    let case = format!("{op:?} {encoding:?} M={act_bits} batch {}", planes.len());
-    let fast_backend = backend(BackendKind::Avx2, act_bits, encoding);
+) -> Result<(), String> {
     let scalar_backend = backend(BackendKind::Scalar, act_bits, encoding);
     let bias = vec![0i32; op.out_ch()];
-    let fast = op.kernel(weights, &fast_backend, &bias, input_in_range);
     let scalar = op.kernel(weights, &scalar_backend, &bias, input_in_range);
-    let want_route = if avx2_available() { MacRoute::Madd } else { MacRoute::Exact };
-    if fast.mac_route() != Some(want_route) {
-        return Err(format!("{case}: route {:?}, expected {want_route:?}", fast.mac_route()));
+    if scalar.mac_route() != Some(MacRoute::Exact) {
+        return Err(format!("{op:?}: scalar route {:?}", scalar.mac_route()));
     }
-
     let want: Vec<Vec<i32>> = planes.iter().map(|p| op.reference(p, weights)).collect();
     let identity = identity_finish();
     let ctx = |b, oq| KernelCtx { backend: b, in_dims: op.in_dims(), bias: &bias, oq, act_bits };
-    let mut scratch = Scratch::new();
-    for (p, w) in planes.iter().zip(&want) {
-        let (acc, _) = fast.accumulate(&ctx(&fast_backend, &identity), p, &mut scratch).unwrap();
-        if &acc != w {
-            return Err(format!("{case}: solo accumulators differ from the reference"));
-        }
-    }
-    let batched = fast.run_batch(&ctx(&fast_backend, &identity), planes.to_vec(), &mut scratch);
-    if batched != want {
-        return Err(format!("{case}: batched accumulators differ from the reference"));
-    }
-
     // A requant that spreads the outputs over the whole code range.
     let peak = want.iter().flatten().map(|&a| i64::from(a).abs()).max().unwrap_or(0).max(1);
     let oq = OutputQuant {
@@ -173,16 +170,35 @@ fn check_case(
         relu: encoding == ActEncoding::Unsigned,
         out_bits: act_bits,
     };
+    let mut scratch = Scratch::new();
     let expect = scalar.run_batch(&ctx(&scalar_backend, &oq), planes.to_vec(), &mut scratch);
-    if fast.run_batch(&ctx(&fast_backend, &oq), planes.to_vec(), &mut scratch) != expect {
-        return Err(format!("{case}: batched planes differ from the scalar tier"));
-    }
-    for (p, e) in planes.iter().zip(&expect) {
-        if &fast.run_solo(&ctx(&fast_backend, &oq), p, &mut scratch) != e {
-            return Err(format!("{case}: solo planes differ from the scalar tier"));
+
+    for (build, fast_backend) in madd_backends(act_bits, encoding).iter().enumerate() {
+        let case = format!("{op:?} {encoding:?} M={act_bits} batch {} build {build}", planes.len());
+        let fast = op.kernel(weights, fast_backend, &bias, input_in_range);
+        if fast.mac_route() != Some(MacRoute::Madd) {
+            return Err(format!("{case}: route {:?}, expected Madd", fast.mac_route()));
+        }
+        for (p, w) in planes.iter().zip(&want) {
+            let (acc, _) = fast.accumulate(&ctx(fast_backend, &identity), p, &mut scratch).unwrap();
+            if &acc != w {
+                return Err(format!("{case}: solo accumulators differ from the reference"));
+            }
+        }
+        let batched = fast.run_batch(&ctx(fast_backend, &identity), planes.to_vec(), &mut scratch);
+        if batched != want {
+            return Err(format!("{case}: batched accumulators differ from the reference"));
+        }
+        if fast.run_batch(&ctx(fast_backend, &oq), planes.to_vec(), &mut scratch) != expect {
+            return Err(format!("{case}: batched planes differ from the scalar tier"));
+        }
+        for (p, e) in planes.iter().zip(&expect) {
+            if &fast.run_solo(&ctx(fast_backend, &oq), p, &mut scratch) != e {
+                return Err(format!("{case}: solo planes differ from the scalar tier"));
+            }
         }
     }
-    Ok(want_route)
+    Ok(())
 }
 
 /// Seeded int8 weights (the full `-128..=127` range) and `batch` planes of
@@ -343,9 +359,7 @@ fn out_of_range_layer0_planes_take_the_exact_path() {
             planes[5][0] = -70_000;
             planes[5][1] = i32::from(i16::MAX) + 1;
             let bias = vec![0i32; op.out_ch()];
-            let fast_backend = backend(BackendKind::Avx2, act_bits, enc);
             let scalar_backend = backend(BackendKind::Scalar, act_bits, enc);
-            let fast = op.kernel(&weights, &fast_backend, &bias, false);
             let scalar = op.kernel(&weights, &scalar_backend, &bias, false);
             let oq = OutputQuant {
                 requant: Requantizer::from_real_multiplier(1e-4),
@@ -356,35 +370,46 @@ fn out_of_range_layer0_planes_take_the_exact_path() {
                 |b| KernelCtx { backend: b, in_dims: op.in_dims(), bias: &bias, oq: &oq, act_bits };
             let mut scratch = Scratch::new();
             let want = scalar.run_batch(&ctx(&scalar_backend), planes.clone(), &mut scratch);
-            let got = fast.run_batch(&ctx(&fast_backend), planes.clone(), &mut scratch);
-            assert_eq!(got, want, "{op:?} {enc:?}: batched");
-            for (p, w) in planes.iter().zip(&want) {
-                assert_eq!(&fast.run_solo(&ctx(&fast_backend), p, &mut scratch), w, "{op:?}");
-            }
-            for p in &planes {
-                let (acc, _) = fast.accumulate(&ctx(&fast_backend), p, &mut scratch).unwrap();
-                assert_eq!(acc, op.reference(p, &weights), "{op:?} {enc:?}: accumulators");
-            }
-
             // Every tap at 2^28 against the largest weights: the exact sum
-            // leaves `i32`, so both tiers must panic the same way.
+            // leaves `i32`, so every build must panic as the scalar tier
+            // does.
             let (c, h, w) = op.in_dims();
             let huge = vec![1 << 28; c * h * w];
             let heavy = vec![-128i8; op.weight_count()];
-            let fast = op.kernel(&heavy, &fast_backend, &bias, false);
-            let scalar = op.kernel(&heavy, &scalar_backend, &bias, false);
-            let want = panic_message(|| {
-                scalar.run_batch(&ctx(&scalar_backend), vec![huge.clone()], &mut Scratch::new());
+            let heavy_scalar = op.kernel(&heavy, &scalar_backend, &bias, false);
+            let overflow = panic_message(|| {
+                heavy_scalar.run_batch(
+                    &ctx(&scalar_backend),
+                    vec![huge.clone()],
+                    &mut Scratch::new(),
+                );
             });
-            assert!(want.as_deref().is_some_and(|m| m.contains("accumulator overflow")));
-            let got = panic_message(|| {
-                fast.run_batch(&ctx(&fast_backend), vec![huge.clone()], &mut Scratch::new());
-            });
-            assert_eq!(got, want, "{op:?} {enc:?}: batched overflow");
-            let got = panic_message(|| {
-                fast.run_solo(&ctx(&fast_backend), &huge, &mut Scratch::new());
-            });
-            assert_eq!(got, want, "{op:?} {enc:?}: solo overflow");
+            assert!(overflow.as_deref().is_some_and(|m| m.contains("accumulator overflow")));
+
+            for fast_backend in &madd_backends(act_bits, enc) {
+                let tier = fast_backend.simd();
+                let fast = op.kernel(&weights, fast_backend, &bias, false);
+                assert_eq!(fast.mac_route(), Some(MacRoute::Madd), "{op:?} {tier}");
+                let got = fast.run_batch(&ctx(fast_backend), planes.clone(), &mut scratch);
+                assert_eq!(got, want, "{op:?} {enc:?} {tier}: batched");
+                for (p, w) in planes.iter().zip(&want) {
+                    assert_eq!(&fast.run_solo(&ctx(fast_backend), p, &mut scratch), w, "{op:?}");
+                }
+                for p in &planes {
+                    let (acc, _) = fast.accumulate(&ctx(fast_backend), p, &mut scratch).unwrap();
+                    assert_eq!(acc, op.reference(p, &weights), "{op:?} {enc:?}: accumulators");
+                }
+
+                let fast = op.kernel(&heavy, fast_backend, &bias, false);
+                let got = panic_message(|| {
+                    fast.run_batch(&ctx(fast_backend), vec![huge.clone()], &mut Scratch::new());
+                });
+                assert_eq!(got, overflow, "{op:?} {enc:?} {tier}: batched overflow");
+                let got = panic_message(|| {
+                    fast.run_solo(&ctx(fast_backend), &huge, &mut Scratch::new());
+                });
+                assert_eq!(got, overflow, "{op:?} {enc:?} {tier}: solo overflow");
+            }
         }
     }
 }
@@ -438,16 +463,19 @@ fn network_planes_outside_the_range_match_the_scalar_tier() {
         };
         let opts = |kind| EngineOptions::new().with_backend(kind).with_requant_multiplier(1e-3);
         let scalar = PreparedNet::from_bundle(&bundle, &opts(BackendKind::Scalar));
-        let fast = PreparedNet::from_bundle(&bundle, &opts(BackendKind::Avx2));
         let mut inputs = scalar.fabricate_inputs(9, 3);
         inputs[1][5] = 40_000;
         inputs[4][0] = -70_000;
         inputs[7][9] = i32::from(i16::MAX) + 1;
         let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
         let want = scalar.run(&refs, &mut Scratch::new());
-        assert_eq!(fast.run(&refs, &mut Scratch::new()), want, "{input:?}: batched");
-        for (x, w) in inputs.iter().zip(&want) {
-            assert_eq!(&fast.run_one(x), w, "{input:?}: solo");
+        for kind in [BackendKind::Swar, BackendKind::Avx2] {
+            let fast = PreparedNet::from_bundle(&bundle, &opts(kind));
+            assert!(fast.mac_routes().iter().all(|&r| r == MacRoute::Madd), "{kind}");
+            assert_eq!(fast.run(&refs, &mut Scratch::new()), want, "{input:?} {kind}: batched");
+            for (x, w) in inputs.iter().zip(&want) {
+                assert_eq!(&fast.run_one(x), w, "{input:?} {kind}: solo");
+            }
         }
     }
 }

@@ -126,14 +126,13 @@ fn all_kinds_bundle() -> DeployBundle {
 
 #[test]
 fn warmed_runs_do_not_allocate() {
-    // The swar tier at a popcount-routable bitwidth: the steady state
-    // covers the batched tile kernels, the bit-plane popcount paths, the
-    // pooled gather and the fused write-out. The avx2 tier (where the CPU
-    // has it) runs the register-resident pooled scatter and the madd
-    // kernels of the direct, depthwise and dense layers, whose staged
-    // `i16` rows come from the arena too. Untraced — the traced path is
-    // allowed to allocate in its observers.
-    let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather, MacRoute::Exact)];
+    // The swar tier: the steady state covers the batched pooled-gather
+    // and pooling tiles, the fused write-out and the SSE2 madd kernels of
+    // the direct, depthwise and dense layers, whose staged `i16` rows
+    // come from the arena. The avx2 tier (where the CPU has it) runs the
+    // register-resident pooled scatter and the AVX2 madd kernels.
+    // Untraced — the traced path is allowed to allocate in its observers.
+    let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather, MacRoute::Madd)];
     if avx2_available() {
         tiers.push((BackendKind::Avx2, ScatterRoute::Registers, MacRoute::Madd));
     }

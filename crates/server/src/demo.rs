@@ -8,7 +8,7 @@
 //! at 8-bit activations every one of its pooled layers fits the engine's
 //! register-resident scatter (16 vectors, 8-bit LUT). Its counterpart,
 //! [`DemoSize::Stem`], is **stem-heavy** (direct convs, depthwise, dense
-//! — no pooled convs), exercising the weight-stationary batched
+//! — no pooled convs), exercising the engine's `pmaddwd`
 //! direct/depthwise/dense kernels end to end instead.
 //!
 //! Index maps are drawn from a **skewed** distribution (truncated
@@ -36,8 +36,8 @@ pub enum DemoSize {
     /// The stem-heavy serving demo: dominated by direct convs, a
     /// depthwise layer and a dense head, with **no** pooled convs at all
     /// — the regime the paper leaves uncompressed (stems, depthwise,
-    /// heads) and the one the engine's weight-stationary batched
-    /// direct/depthwise/dense kernels accelerate. Pairs with
+    /// heads) and the one the engine's `pmaddwd` direct/depthwise/dense
+    /// kernels accelerate. Pairs with
     /// [`DemoSize::Serve`] in the load generator so both batched regimes
     /// are measured.
     Stem,
@@ -47,8 +47,19 @@ pub enum DemoSize {
 pub fn demo_bundle(size: DemoSize, seed: u64) -> DeployBundle {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let pool_size = 16usize;
-    let vectors: Vec<Vec<f32>> =
-        (0..pool_size).map(|_| (0..8).map(|_| rng.gen_range(-0.5f32..0.5)).collect()).collect();
+    // Each vector is centred on zero mean after it is drawn (the draws
+    // themselves are unchanged, so the index maps below are too): the
+    // skewed index draw puts about half of a layer's taps on one vector,
+    // and one whose coordinates summed negative drove the non-negative
+    // post-ReLU inputs below zero, collapsing every output to the same
+    // logits.
+    let vectors: Vec<Vec<f32>> = (0..pool_size)
+        .map(|_| {
+            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+            let mean = v.iter().sum::<f32>() / v.len() as f32;
+            v.into_iter().map(|x| x - mean).collect()
+        })
+        .collect();
     let pool = WeightPool::from_vectors(vectors);
     let lut = LookupTable::build(&pool, 8, LutOrder::InputOriented);
     let conv = |in_ch: usize, out_ch: usize, compressed: bool| {
@@ -160,19 +171,23 @@ pub fn demo_prepared(size: DemoSize, seed: u64) -> PreparedNet {
 mod tests {
     use super::*;
 
+    /// Every seed the serving tools use (1 for `wp_serve --demo`, the
+    /// load generators and the examples) and its neighbours.
     #[test]
     fn demo_bundles_run_and_are_not_degenerate() {
-        for size in [DemoSize::Tiny, DemoSize::Serve, DemoSize::Stem] {
-            let net = demo_prepared(size, 42);
-            let inputs = net.fabricate_inputs(4, 1);
-            let outputs: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
-            // Distinct inputs must produce distinct logits (the bundle
-            // propagates signal rather than collapsing to a constant).
-            for i in 1..outputs.len() {
-                assert_ne!(outputs[0], outputs[i], "{size:?}: collapsed outputs");
+        for seed in (1..=10).chain([42]) {
+            for size in [DemoSize::Tiny, DemoSize::Serve, DemoSize::Stem] {
+                let net = demo_prepared(size, seed);
+                let inputs = net.fabricate_inputs(4, 1);
+                let outputs: Vec<Vec<i32>> = inputs.iter().map(|x| net.run_one(x)).collect();
+                // Distinct inputs must produce distinct logits (the bundle
+                // propagates signal rather than collapsing to a constant).
+                for i in 1..outputs.len() {
+                    assert_ne!(outputs[0], outputs[i], "{size:?} seed {seed}: collapsed outputs");
+                }
+                // And the same input twice is deterministic.
+                assert_eq!(net.run_one(&inputs[0]), outputs[0]);
             }
-            // And the same input twice is deterministic.
-            assert_eq!(net.run_one(&inputs[0]), outputs[0]);
         }
     }
 
@@ -210,19 +225,16 @@ mod tests {
     }
 
     /// Likewise, a silent fallback off the madd route would cost the stem
-    /// demo most of its speed.
+    /// demo most of its speed, on either vector tier.
     #[test]
     fn stem_demo_int8_layers_take_the_madd_route() {
-        if !wp_engine::avx2_available() {
-            return;
-        }
-        for act_bits in [2, 8] {
-            let opts = EngineOptions::default()
-                .with_act_bits(act_bits)
-                .with_backend(wp_engine::BackendKind::Avx2);
-            let routes =
-                PreparedNet::from_bundle(&demo_bundle(DemoSize::Stem, 1), &opts).mac_routes();
-            assert_eq!(routes, [wp_engine::MacRoute::Madd; 6], "act_bits {act_bits}");
+        for kind in [wp_engine::BackendKind::Swar, wp_engine::BackendKind::Avx2] {
+            for act_bits in [2, 8] {
+                let opts = EngineOptions::default().with_act_bits(act_bits).with_backend(kind);
+                let routes =
+                    PreparedNet::from_bundle(&demo_bundle(DemoSize::Stem, 1), &opts).mac_routes();
+                assert_eq!(routes, [wp_engine::MacRoute::Madd; 6], "{kind} act_bits {act_bits}");
+            }
         }
     }
 
