@@ -58,7 +58,7 @@ use wp_kernels::OutputQuant;
 /// kernel exploits this the same way the MCU kernel does — each activation
 /// bit row selects one contiguous slab, which the partial-dot sweep walks
 /// linearly (and the compiler vectorizes). The cache is read-only at run
-/// time, so [`crate::BatchRunner`] workers all read the plan's one copy.
+/// time, so every thread running the plan reads its one copy.
 ///
 /// A table the register route can serve (at most 16 vectors, every code
 /// within `i16`) also keeps each pattern's block as one 16-lane `i16`

@@ -6,9 +6,12 @@
 //! decoding across the chunk on top of thread parallelism. The prepared
 //! network — its LUT cache included — is shared read-only by every
 //! worker. Each worker builds a fresh [`Scratch`] arena and every call
-//! spawns its workers anew, so a served batch allocates its working set
-//! once per call; only [`PreparedNet::run`] against a caller-kept arena
-//! reaches the zero-allocation steady state.
+//! spawns its workers anew, so a call allocates its working set once;
+//! only [`PreparedNet::run`] against a caller-kept arena reaches the
+//! zero-allocation steady state. That makes the runner the one-off form
+//! for tools and benches, not the served path: the server's
+//! micro-batcher keeps persistent executors, each running tiles on an
+//! arena it keeps for its whole life.
 
 use crate::bundle::PreparedNet;
 use crate::scratch::Scratch;

@@ -36,9 +36,11 @@
 //!   arithmetic the instrumented kernels use. One layer loop,
 //!   [`PreparedNet::run`], executes every batch; a solo request is a
 //!   batch of one.
-//! * [`BatchRunner`] — splits a batch into per-worker chunks on
+//! * [`BatchRunner`] — splits one batch into per-worker chunks on
 //!   `std::thread::scope` threads; workers share the read-only prepared
-//!   network, LUT cache included.
+//!   network, LUT cache included. It is the one-off threaded form for
+//!   tools and benches: the server's micro-batcher runs
+//!   [`PreparedNet::run`] on persistent executors with kept arenas.
 //!
 //! # Example
 //!

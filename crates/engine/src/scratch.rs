@@ -19,11 +19,12 @@
 //! converge after a handful of runs.
 //!
 //! The arena is deliberately *not* shared: one `Scratch` per worker
-//! thread (each [`crate::BatchRunner`] call builds one per worker),
-//! threaded by `&mut` through [`crate::PreparedNet::run`] and every
-//! kernel — no locks, no contention,
-//! and buffer reuse keeps each worker's working set hot in its own
-//! cache, the host-side analogue of the paper's per-core SRAM budget.
+//! thread (the server's batcher executors each keep one for life; a
+//! [`crate::BatchRunner`] call builds a fresh one per worker), threaded
+//! by `&mut` through [`crate::PreparedNet::run`] and every kernel — no
+//! locks, no contention, and buffer reuse keeps each worker's working
+//! set hot in its own cache, the host-side analogue of the paper's
+//! per-core SRAM budget.
 
 /// Size classes cover capacities `2^0 ..= 2^63` — every `usize` length.
 const BUCKETS: usize = 64;

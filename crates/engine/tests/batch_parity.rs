@@ -1,8 +1,8 @@
 //! Batched == solo, bit-identical, for every layer kind.
 //!
 //! The Kernel trait's contract is that [`wp_engine::kernel::Kernel::run_batch`]
-//! reproduces `run_solo` exactly; the serving stack (micro-batcher,
-//! `BatchRunner`) leans on that to coalesce requests invisibly. These
+//! reproduces `run_solo` exactly; the serving stack (the micro-batcher's
+//! tiles, `BatchRunner`) leans on that to coalesce requests invisibly. These
 //! tests pin the contract at two levels:
 //!
 //! * **Op kernels** — property tests fuzz shapes and activations for the

@@ -26,17 +26,19 @@ impl OutputQuant {
     /// The pure requantization arithmetic: widening multiply, rounding
     /// shift and clamp, with no cycle accounting. Host-speed backends
     /// (`wp_engine`) call this directly so their outputs are bit-identical
-    /// to the instrumented kernels by construction.
+    /// to the instrumented kernels by construction. The clamp to the code
+    /// range runs on the unnarrowed product, so an accumulator that a
+    /// multiplier above 1 scales past `i32` saturates instead of wrapping.
     #[inline]
     pub fn apply_value(&self, acc: i32) -> i32 {
-        let q = self.requant.apply(acc);
-        if self.relu {
-            let hi = (1i32 << self.out_bits) - 1;
-            q.clamp(0, hi)
+        let q = self.requant.apply_wide(acc);
+        let (lo, hi) = if self.relu {
+            (0, (1i64 << self.out_bits) - 1)
         } else {
-            let hi = (1i32 << (self.out_bits - 1)) - 1;
-            q.clamp(-hi - 1, hi)
-        }
+            let hi = (1i64 << (self.out_bits - 1)) - 1;
+            (-hi - 1, hi)
+        };
+        q.clamp(lo, hi) as i32
     }
 
     /// Bias add + requantization over a whole accumulator block: `acc` is
@@ -154,6 +156,22 @@ mod tests {
     #[should_panic(expected = "accumulator/bias plane mismatch")]
     fn apply_plane_rejects_size_mismatch() {
         OutputQuant::identity(8).apply_plane(&[1, 2, 3], &[0, 0], 2);
+    }
+
+    /// An accumulator that a multiplier above 1 scales past `i32` clamps
+    /// to the code range on the side of its sign.
+    #[test]
+    fn scaling_past_i32_clamps_to_the_code_range() {
+        let signed = OutputQuant {
+            requant: Requantizer::from_real_multiplier(2.0),
+            relu: false,
+            out_bits: 8,
+        };
+        assert_eq!(signed.apply_value(1_500_000_000), 127);
+        assert_eq!(signed.apply_value(-1_500_000_000), -128);
+        let relu = OutputQuant { relu: true, ..signed };
+        assert_eq!(relu.apply_value(1_500_000_000), 255);
+        assert_eq!(relu.apply_value(-1_500_000_000), 0);
     }
 
     #[test]

@@ -59,10 +59,20 @@ impl Requantizer {
         Self { mult: mult as i32, shift: 31 - exp }
     }
 
-    /// Applies the multiplier with round-to-nearest (ties away from zero).
+    /// Applies the multiplier with round-to-nearest (ties away from zero),
+    /// saturating to the `i32` range: a multiplier above 1 can scale an
+    /// accumulator past it, and the result must clamp, not wrap.
     pub fn apply(&self, x: i32) -> i32 {
-        let prod = x as i64 * self.mult as i64;
-        round_shift(prod, self.shift)
+        self.apply_wide(x).clamp(i32::MIN.into(), i32::MAX.into()) as i32
+    }
+
+    /// [`Requantizer::apply`] before it narrows: the rounded product as
+    /// an `i64`, which a multiplier above 1 can take past `i32`. A caller
+    /// that clamps to a narrower code range anyway clamps this directly,
+    /// with one clamp per output instead of two.
+    #[inline]
+    pub fn apply_wide(&self, x: i32) -> i64 {
+        round_shift(x as i64 * self.mult as i64, self.shift)
     }
 
     /// The exact real multiplier this requantizer implements.
@@ -72,16 +82,16 @@ impl Requantizer {
 }
 
 /// Arithmetic right shift with round-to-nearest, ties away from zero.
-fn round_shift(value: i64, shift: i32) -> i32 {
+fn round_shift(value: i64, shift: i32) -> i64 {
     debug_assert!((0..63).contains(&shift));
     if shift == 0 {
-        return value as i32;
+        return value;
     }
     let offset = 1i64 << (shift - 1);
     if value >= 0 {
-        ((value + offset) >> shift) as i32
+        (value + offset) >> shift
     } else {
-        -(((-value + offset) >> shift) as i32)
+        -((-value + offset) >> shift)
     }
 }
 
@@ -114,6 +124,22 @@ mod tests {
         assert_eq!(r.apply(12), 2); // 1.5 rounds away from zero
         assert_eq!(r.apply(11), 1); // 1.375 rounds down
         assert_eq!(r.apply(-12), -2); // ties away from zero
+    }
+
+    /// A multiplier above 1 can scale an accumulator past `i32`: the
+    /// result saturates instead of wrapping to the opposite sign.
+    #[test]
+    fn scaling_past_i32_saturates() {
+        let r = Requantizer::from_real_multiplier(2.0);
+        assert_eq!(r.apply(1_500_000_000), i32::MAX);
+        assert_eq!(r.apply(-1_500_000_000), i32::MIN);
+        assert_eq!(r.apply(i32::MAX), i32::MAX);
+        assert_eq!(r.apply(i32::MIN), i32::MIN);
+        // Just inside the range the product is still exact.
+        assert_eq!(r.apply(1_000_000_000), 2_000_000_000);
+        let big = Requantizer::from_real_multiplier((1u64 << 30) as f64);
+        assert_eq!(big.apply(3), i32::MAX);
+        assert_eq!(big.apply(-3), i32::MIN);
     }
 
     #[test]

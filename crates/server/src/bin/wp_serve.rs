@@ -24,7 +24,9 @@
 //!   `scalar`, `swar`, or `avx2`. The resolved tier is printed per model
 //!   and reported in `/v1/models` and `/metrics`.
 //! * `--max-batch N`, `--max-wait-us N` — micro-batcher flush thresholds.
-//! * `--threads N` — engine worker threads per batch.
+//! * `--threads N` — persistent executor threads per model, each running
+//!   `BATCH_TILE`-image tiles of the flushed batches on its own kept
+//!   arena (default: available parallelism).
 //! * `--event-threads N` — epoll event-loop threads; together they own
 //!   every connection.
 //! * `--trace-events N` — give every model an N-event trace ring;
@@ -144,7 +146,9 @@ const HELP: &str = "wp_serve — weight-pool inference server
                          auto honors WP_BACKEND, then CPU detection)
     --max-batch N        micro-batch flush size (default 32)
     --max-wait-us N      micro-batch flush deadline (default 2000)
-    --threads N          engine worker threads per batch
+    --threads N          executor threads per model, each running batch
+                         tiles on its own kept arena (default: available
+                         parallelism)
     --event-threads N    epoll event-loop threads (default 2)
     --trace-events N     per-model trace ring of N events, exported at
                          GET /v1/models/NAME/trace as Chrome trace JSON

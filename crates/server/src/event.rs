@@ -8,7 +8,7 @@
 //!                                  ├── readiness: nonblocking read → RequestParser
 //!                                  │     sync endpoints: route() inline
 //!                                  │     POST /v1/infer: Batcher::submit_callback
-//!                                  │        (whole request, one callback: flusher
+//!                                  │        (whole request, one callback: executor
 //!                                  │         thread → completion queue → eventfd)
 //!                                  ├── completions: encode response → WriteBuf
 //!                                  │     (chunked transfer encoding ≥ 32 KiB)
@@ -27,8 +27,8 @@
 //!   syscall savings of edge mode are noise next to inference work.
 //! * **Blocking is banned on event threads.** Inference hands the whole
 //!   request off through [`crate::batcher::Batcher::submit_callback`]
-//!   with one callback; the batcher invokes it once — on the flusher
-//!   thread after the request's last plane, or inline on a refusal — and
+//!   with one callback; the batcher invokes it once — on the executor
+//!   that runs the request's last plane, or inline on a refusal — and
 //!   it pushes the reply onto this thread's completion queue and writes
 //!   its eventfd. A connection with an inference in flight parses no
 //!   further pipelined requests, which is what guarantees in-order
@@ -216,7 +216,7 @@ impl Drop for Epoll {
 }
 
 /// A nonblocking eventfd used to wake an event thread out of
-/// `epoll_wait` from other threads (the acceptor, batcher flushers, the
+/// `epoll_wait` from other threads (the acceptor, batcher executors, the
 /// shutdown path). Closes on drop.
 pub struct EventFd {
     fd: i32,
@@ -282,7 +282,7 @@ struct Completion {
 struct ThreadShared {
     /// Freshly accepted sockets from the acceptor.
     incoming: Mutex<Vec<TcpStream>>,
-    /// Finished inference requests from batcher flusher threads.
+    /// Finished inference requests from batcher executor threads.
     completions: Mutex<Vec<Completion>>,
     /// Kicks the thread out of `epoll_wait` when either queue fills.
     wake: EventFd,
@@ -521,7 +521,7 @@ impl EventLoop {
                     let entry = Arc::clone(&plan.entry);
                     let shared = Arc::clone(&self.shared);
                     let submitted = Instant::now();
-                    // Runs once: on the flusher thread after the request's
+                    // Runs once: on the executor that runs the request's
                     // last plane, or right here if the request is refused.
                     let done = move |result: Result<Vec<Vec<i32>>, InferError>| {
                         let reply = match result {

@@ -19,8 +19,9 @@
 //! * [`protocol`] — the JSON request/response types.
 //! * [`batcher`] — [`Batcher`]: admits a request's planes whole or not
 //!   at all, pinned to one plan; flushes on `max_batch` or `max_wait`,
-//!   whichever first; results return through one completion callback
-//!   per request.
+//!   whichever first; persistent executors run each flush as
+//!   `BATCH_TILE`-image tiles on arenas they keep; results return through
+//!   one completion callback per request.
 //! * [`registry`] — [`ModelRegistry`]: named models, atomic hot-swap
 //!   reload.
 //! * [`metrics`] — global HTTP [`Metrics`] + per-model

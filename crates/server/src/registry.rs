@@ -1,6 +1,6 @@
 //! The model registry: named deployed models with atomic hot-swap reload.
 //!
-//! Each registered model owns one [`Batcher`] (queue + flusher thread)
+//! Each registered model owns one [`Batcher`] (queue + executor threads)
 //! and one [`ModelSlot`] holding the compiled plan. Reloading rebuilds
 //! the plan — from the original bundle file for file-backed models, or
 //! from a caller-provided bundle — and swaps the slot's `Arc` under a

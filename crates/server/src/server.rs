@@ -10,8 +10,9 @@
 //!                                 ▼  ModelRegistry.resolve()
 //!                        per-model Batcher queue
 //!                                 │  flush on max_batch or max_wait
-//!                                 ▼
-//!                  BatchRunner.run_refs (batched, bit-identical)
+//!                                 ▼  cut into BATCH_TILE-image tiles
+//!                  persistent executors × threads, each claiming tiles:
+//!                  PreparedNet::run on a kept arena (bit-identical)
 //! ```
 //!
 //! The **event front** ([`crate::event`]) multiplexes thousands of

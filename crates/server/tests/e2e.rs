@@ -377,7 +377,7 @@ struct ParkOnFirstSpan {
 impl TraceSink for ParkOnFirstSpan {
     fn record_span(&self, _: &TraceEvent) {
         let Some(parked) = self.parked.lock().unwrap().take() else { return };
-        // A failed test drops its channel ends; the flusher then carries
+        // A failed test drops its channel ends; the executor then carries
         // on instead of wedging shutdown.
         let _ = parked.send(());
         let _ = self.release.lock().unwrap().recv();
@@ -416,7 +416,9 @@ fn hot_swap_between_batches_never_splits_a_request() {
     let (status, body) = std::thread::scope(|scope| {
         let client =
             scope.spawn(|| Client::connect(&handle).request("POST", "/v1/infer", Some(&req)));
-        parked_rx.recv_timeout(Duration::from_secs(30)).expect("flusher parked in its first batch");
+        parked_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("executor parked in its first batch");
         *slot.write().unwrap() = second;
         release_tx.send(()).unwrap();
         client.join().unwrap()
