@@ -9,15 +9,16 @@
 //! 3. **Batched vs solo** whole-network execution on one thread.
 //! 4. **Backend tiers**: the same serving demos A/B'd across the
 //!    `scalar` / `swar` / `avx2` kernel tiers, batched and one image per
-//!    call, outputs verified bit-identical, with the ≥2x
-//!    swar-over-scalar acceptance gate (pooled-conv and stem sections,
-//!    batched) enforced at exit, and ≥10x swar over scalar solo and
-//!    batched on the stem demo, whose direct, depthwise and dense layers
-//!    run the madd kernels on the swar tier's SSE2 lanes. Where the CPU
-//!    has AVX2, the register-resident pooled scatter is gated at ≥2x swar
-//!    solo and ≥1.5x swar batched on the pooled demo; the stem demo's
-//!    avx2-over-swar ratio (the same madd kernel body at twice the
-//!    register width) is recorded, not gated.
+//!    call, outputs verified bit-identical. The tiers take turns, in an
+//!    order rotated every trial, each on its own kept arena, and every
+//!    ratio divides per-tier medians, so host drift lands on every tier
+//!    alike. Gated at exit: swar ≥2x scalar batched on both demos, and
+//!    ≥10x scalar solo and batched on the stem demo, whose direct,
+//!    depthwise and dense layers run the madd kernels on the swar tier's
+//!    SSE2 lanes. Where the CPU has AVX2, the register-resident pooled
+//!    scatter is gated at ≥2x swar solo and ≥1.5x swar batched on the
+//!    pooled demo; the stem demo's avx2-over-swar ratio (the same madd
+//!    kernel body at twice the register width) is recorded, not gated.
 //! 5. **Tracing overhead + profile**: the serving demo with and without
 //!    the engine's aggregate [`wp_engine::NetProfile`] attached, timed in
 //!    alternation on one kept arena per arm and reported as medians and
@@ -165,79 +166,96 @@ fn main() {
     // --- 4. Backend tiers: scalar vs swar (vs avx2) -----------------------
     // The backend-selection A/B: the same serving demos compiled per
     // kernel tier via EngineOptions::with_backend, run through the plain
-    // PreparedNet::run serving path on one thread. The scalar tier executes the
-    // reference per-element loops per image; swar adds the bit-matrix
-    // fills, the weight-stationary batched pooled-gather tiles with fused
-    // bias+requant write-out, batched pooling, and the pmaddwd kernels for
+    // PreparedNet::run serving path on one thread. The scalar tier
+    // executes the reference per-element loops per image; swar adds the
+    // bit-matrix fills, the weight-stationary batched pooled-gather tiles
+    // with fused bias+requant write-out, and the pmaddwd kernels for
     // every direct, depthwise and dense layer on SSE2 lanes; avx2 runs
     // the pooled demo's convs on the register-resident scatter and the
     // pmaddwd kernels on AVX2 lanes. Outputs must be bit-identical across
-    // every tier, and the acceptance gates pin swar >= 2x scalar on both
-    // serving regimes. Both demos also run one image per call (the solo
-    // serving path and calibration) on every tier.
+    // every tier. Each trial times every tier once batched and once one
+    // image per call, starting from a different tier each time, on one
+    // warmed arena per tier kept across trials; the gates divide medians.
     let ab_batch = if effort.fast { 16 } else { 64 };
+    let tier_trials = if effort.fast { 7 } else { 11 };
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Swar];
     if avx2_available() {
         kinds.push(BackendKind::Avx2);
     }
-    // (key, batched (tier, img/s), solo (tier, img/s), avx2 over swar)
     let mut sections = Vec::new();
     for (label, key, size) in [
         ("pooled-conv serving demo", "pooled_conv", wp_server::demo::DemoSize::Serve),
         ("stem demo", "stem", wp_server::demo::DemoSize::Stem),
     ] {
         let (bundle, opts) = wp_server::demo::demo_deployment(size, 1);
-        println!("== Backend tiers ({label}, batch {ab_batch}, 1 thread) ==");
-        let mut rates: Vec<(&'static str, f64)> = Vec::new();
-        let mut solo_rates: Vec<(&'static str, f64)> = Vec::new();
-        let mut reference: Option<Vec<Vec<i32>>> = None;
-        for &kind in &kinds {
-            let net = PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind));
-            let inputs = net.fabricate_inputs(ab_batch, 5);
-            let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-            let out = net.run(&refs, &mut Scratch::new());
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(&out, r, "{} outputs must be bit-identical", kind),
-            }
-            let mut best = f64::INFINITY;
-            let mut solo_best = f64::INFINITY;
-            for _ in 0..reps.min(5) {
-                let t = Instant::now();
-                std::hint::black_box(net.run(&refs, &mut Scratch::new()));
-                best = best.min(t.elapsed().as_secs_f64());
-                let mut scratch = Scratch::new();
-                let t = Instant::now();
-                for one in refs.chunks(1) {
-                    let out = std::hint::black_box(net.run(one, &mut scratch));
-                    scratch.put_planes(out);
-                }
-                solo_best = solo_best.min(t.elapsed().as_secs_f64());
-            }
-            let name = net.backend_kind().name();
-            let ips = ab_batch as f64 / best;
-            let solo_ips = ab_batch as f64 / solo_best;
-            println!("{name:>7}: {ips:>10.1} images/sec batched  {solo_ips:>10.1} solo");
-            solo_rates.push((name, solo_ips));
-            rates.push((name, ips));
-        }
-        let scalar = rates[0].1;
-        let swar = rates[1].1;
         println!(
-            "swar vs scalar: {:.2}x batched, {:.2}x solo  (outputs verified identical)",
-            swar / scalar,
-            solo_rates[1].1 / solo_rates[0].1
+            "== Backend tiers ({label}, batch {ab_batch}, 1 thread, {tier_trials} rotating \
+             trials per tier, kept arenas) =="
         );
-        // (solo, batched), where the avx2 tier ran.
-        let avx2_over_swar = match (rates.get(2), solo_rates.get(2)) {
-            (Some(avx2), Some(avx2_solo)) => Some((avx2_solo.1 / solo_rates[1].1, avx2.1 / swar)),
-            _ => None,
-        };
-        if let Some((solo, batched)) = avx2_over_swar {
-            println!("avx2 vs swar:   {solo:.2}x solo, {batched:.2}x batched");
+        let nets: Vec<PreparedNet> = kinds
+            .iter()
+            .map(|&kind| PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind)))
+            .collect();
+        let inputs = nets[0].fabricate_inputs(ab_batch, 5);
+        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
+        let mut arenas: Vec<Scratch> = nets.iter().map(|_| Scratch::new()).collect();
+        let reference = nets[0].run(&refs, &mut arenas[0]);
+        for (net, arena) in nets.iter().zip(&mut arenas).skip(1) {
+            let out = net.run(&refs, arena);
+            assert_eq!(out, reference, "{} outputs must be bit-identical", net.backend_kind());
+            arena.put_planes(out);
+        }
+        // images/sec per tier, batched and one image per call.
+        let mut batched = vec![Vec::with_capacity(tier_trials); nets.len()];
+        let mut solo = batched.clone();
+        for trial in 0..tier_trials {
+            for turn in 0..nets.len() {
+                let t = (trial + turn) % nets.len();
+                let (net, arena) = (&nets[t], &mut arenas[t]);
+                let start = Instant::now();
+                let out = std::hint::black_box(net.run(&refs, arena));
+                batched[t].push(ab_batch as f64 / start.elapsed().as_secs_f64());
+                arena.put_planes(out);
+                let start = Instant::now();
+                for one in refs.chunks(1) {
+                    let out = std::hint::black_box(net.run(one, arena));
+                    arena.put_planes(out);
+                }
+                solo[t].push(ab_batch as f64 / start.elapsed().as_secs_f64());
+            }
+        }
+        let tiers: Vec<TierRates> = nets
+            .iter()
+            .zip(batched.into_iter().zip(solo))
+            .map(|(net, (batched, solo))| TierRates {
+                name: net.backend_kind().name(),
+                batched: quartiles(batched),
+                solo: quartiles(solo),
+            })
+            .collect();
+        for tier in &tiers {
+            let ([b25, b50, b75], [s25, s50, s75]) = (tier.batched, tier.solo);
+            println!(
+                "{:>7}: {b50:>10.1} images/sec batched ({b25:.1} .. {b75:.1})  \
+                 {s50:>10.1} solo ({s25:.1} .. {s75:.1})",
+                tier.name
+            );
+        }
+        let section = TierSection { key, tiers };
+        println!(
+            "swar vs scalar: {:.2}x batched, {:.2}x solo  (medians; outputs verified identical)",
+            section.ratio(1, 0, false),
+            section.ratio(1, 0, true)
+        );
+        if section.tiers.len() > 2 {
+            println!(
+                "avx2 vs swar:   {:.2}x solo, {:.2}x batched",
+                section.ratio(2, 1, true),
+                section.ratio(2, 1, false)
+            );
         }
         println!();
-        sections.push((key, rates, solo_rates, avx2_over_swar));
+        sections.push(section);
     }
 
     // --- 5. Tracing overhead + per-layer profile --------------------------
@@ -276,11 +294,7 @@ fn main() {
             }
         }
     }
-    let [off, on] = rates.map(|mut r| {
-        r.sort_by(f64::total_cmp);
-        let at = |q: f64| r[((r.len() - 1) as f64 * q).round() as usize];
-        [at(0.25), at(0.5), at(0.75)]
-    });
+    let [off, on] = rates.map(quartiles);
     let overhead_pct = (off[1] / on[1] - 1.0) * 100.0;
     let tier = plain.backend_kind().name();
     println!(
@@ -314,33 +328,8 @@ fn main() {
     println!();
 
     if let Some(path) = &out_path {
-        let tiers = |rates: &[(&str, f64)]| -> String {
-            rates
-                .iter()
-                .map(|(name, ips)| format!("\"{name}\":{ips:.1}"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let body: Vec<String> = sections
-            .iter()
-            .map(|(key, rates, solo_rates, avx2_over_swar)| {
-                let mut extra = format!(
-                    ",\"solo_images_per_sec\":{{{}}},\"swar_over_scalar_solo\":{:.2}",
-                    tiers(solo_rates),
-                    solo_rates[1].1 / solo_rates[0].1
-                );
-                if let Some((solo, batched)) = avx2_over_swar {
-                    extra += &format!(
-                        ",\"avx2_over_swar\":{{\"solo\":{solo:.2},\"batched\":{batched:.2}}}"
-                    );
-                }
-                format!(
-                    "\"{key}\":{{\"batch\":{ab_batch},\"images_per_sec\":{{{}}},\"swar_over_scalar\":{:.2}{extra}}}",
-                    tiers(rates),
-                    rates[1].1 / rates[0].1
-                )
-            })
-            .collect();
+        let body: Vec<String> =
+            sections.iter().map(|section| section.json(ab_batch, tier_trials)).collect();
         let layer_rows: Vec<String> = prof
             .layers
             .iter()
@@ -351,9 +340,6 @@ fn main() {
                 )
             })
             .collect();
-        let arm = |[p25, median, p75]: [f64; 3]| {
-            format!("{{\"p25\":{p25:.1},\"median\":{median:.1},\"p75\":{p75:.1}}}")
-        };
         let report = format!(
             "{{\"bench\":\"engine_backends\",{},{},\
              \"trace_overhead\":{{\"batch\":{ab_batch},\"backend\":\"{tier}\",\"trials\":{trials},\
@@ -362,29 +348,29 @@ fn main() {
              \"profile\":{{\"model\":\"demo-serve\",\"share_sum\":{share_sum:.4},\"layers\":[{}]}}}}\n",
             fingerprint(),
             body.join(","),
-            arm(off),
-            arm(on),
+            quartiles_json(off),
+            quartiles_json(on),
             layer_rows.join(",")
         );
         std::fs::write(path, &report).expect("write bench JSON");
         println!("wrote {path}");
     }
 
-    // Acceptance gates: the swar tier must hold >=2x over scalar on both
-    // serving regimes (floor well under the typical measured margin, so
-    // shared-runner scheduler noise cannot flake CI).
-    for (key, rates, _, _) in &sections {
-        let ratio = rates[1].1 / rates[0].1;
+    // Acceptance gates, on ratios of medians: the swar tier must hold >=2x
+    // over scalar on both serving regimes (floor well under the typical
+    // measured margin, so shared-runner scheduler noise cannot flake CI).
+    for section in &sections {
+        let ratio = section.ratio(1, 0, false);
         assert!(
             ratio >= 2.0,
-            "swar backend only {ratio:.2}x over scalar on the {key} section (gate: >=2x)"
+            "swar backend only {ratio:.2}x over scalar on the {} section (gate: >=2x)",
+            section.key
         );
     }
     // On the stem demo the swar tier's SSE2 madd kernels must hold >=10x
     // over the scalar reference loops, solo and batched.
-    let (_, stem_rates, stem_solo, _) = &sections[1];
-    for (arm, rates) in [("solo", stem_solo), ("batched", stem_rates)] {
-        let ratio = rates[1].1 / rates[0].1;
+    for (arm, solo) in [("solo", true), ("batched", false)] {
+        let ratio = sections[1].ratio(1, 0, solo);
         assert!(
             ratio >= 10.0,
             "swar only {ratio:.2}x over scalar {arm} on the stem demo (gate: >=10x)"
@@ -394,11 +380,80 @@ fn main() {
     // hold >=2x over the swar tier's gather on solo calls and >=1.5x on
     // batched ones (the batched gather already amortizes its index
     // decode across the tile).
-    if let Some((solo, batched)) = sections[0].3 {
+    if sections[0].tiers.len() > 2 {
+        let (solo, batched) = (sections[0].ratio(2, 1, true), sections[0].ratio(2, 1, false));
         assert!(solo >= 2.0, "avx2 only {solo:.2}x over swar solo on the pooled demo (gate: >=2x)");
         assert!(
             batched >= 1.5,
             "avx2 only {batched:.2}x over swar batched on the pooled demo (gate: >=1.5x)"
         );
+    }
+}
+
+/// The 25th, 50th and 75th percentiles of `samples`.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// `{"p25":..,"median":..,"p75":..}` for [`quartiles`] output.
+fn quartiles_json([p25, median, p75]: [f64; 3]) -> String {
+    format!("{{\"p25\":{p25:.1},\"median\":{median:.1},\"p75\":{p75:.1}}}")
+}
+
+/// One tier's images/sec quartiles in section 4, batched and one image
+/// per call.
+struct TierRates {
+    name: &'static str,
+    batched: [f64; 3],
+    solo: [f64; 3],
+}
+
+/// Section 4's result for one demo: its tiers in `scalar`, `swar`,
+/// (`avx2`) order.
+struct TierSection {
+    key: &'static str,
+    tiers: Vec<TierRates>,
+}
+
+impl TierSection {
+    /// Tier `a`'s median over tier `b`'s, one image per call or batched.
+    fn ratio(&self, a: usize, b: usize, solo: bool) -> f64 {
+        let median = |t: &TierRates| if solo { t.solo[1] } else { t.batched[1] };
+        median(&self.tiers[a]) / median(&self.tiers[b])
+    }
+
+    /// The section's JSON entry: per-tier medians (the keys earlier
+    /// reports carried), ratios of medians, and every tier's quartiles.
+    fn json(&self, batch: usize, trials: usize) -> String {
+        let tiers = |arm: fn(&TierRates) -> String| {
+            self.tiers
+                .iter()
+                .map(|t| format!("\"{}\":{}", t.name, arm(t)))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut extra = String::new();
+        if self.tiers.len() > 2 {
+            extra = format!(
+                ",\"avx2_over_swar\":{{\"solo\":{:.2},\"batched\":{:.2}}}",
+                self.ratio(2, 1, true),
+                self.ratio(2, 1, false)
+            );
+        }
+        format!(
+            "\"{}\":{{\"batch\":{batch},\"trials\":{trials},\"images_per_sec\":{{{}}},\
+             \"swar_over_scalar\":{:.2},\"solo_images_per_sec\":{{{}}},\
+             \"swar_over_scalar_solo\":{:.2}{extra},\
+             \"quartiles\":{{\"batched\":{{{}}},\"solo\":{{{}}}}}}}",
+            self.key,
+            tiers(|t| format!("{:.1}", t.batched[1])),
+            self.ratio(1, 0, false),
+            tiers(|t| format!("{:.1}", t.solo[1])),
+            self.ratio(1, 0, true),
+            tiers(|t| quartiles_json(t.batched)),
+            tiers(|t| quartiles_json(t.solo)),
+        )
     }
 }

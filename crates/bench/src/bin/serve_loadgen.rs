@@ -38,12 +38,14 @@
 //! reason to exist is thousands of open-but-quiet keep-alive connections
 //! costing a handful of event threads nothing. `--connections N`
 //! (default 2000) opens that many keep-alive connections (each proves
-//! itself live with one request, then sits), re-measures batched
-//! throughput *through the herd*, and gates: every connection served,
-//! `connections / event-threads >= 500`, and herd-loaded throughput
-//! within 10% of the unloaded measurement. `--mostly-idle` runs only
-//! this scenario (the CI smoke hook); by default it runs after the A/B
-//! sections. Results land in the `event_front` section of the JSON.
+//! itself live with one request, then sits) on one of two identical
+//! servers, drives the batched workload through that herd server and
+//! the herd-free one in turn (5 trials each, alternating which goes
+//! first), and gates: every connection served, `connections /
+//! event-threads >= 500`, and the herd server's median throughput within
+//! 10% of the herd-free one's. `--mostly-idle` runs only this scenario
+//! (the CI smoke hook); by default it runs after the A/B sections.
+//! Results land in the `event_front` section of the JSON.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -471,6 +473,9 @@ fn poke(stream: &mut BufReader<TcpStream>, host: &str) -> u16 {
     read_response(stream).0
 }
 
+/// Measured passes per arm of the mostly-idle herd scenario.
+const HERD_TRIALS: usize = 5;
+
 /// The mostly-idle herd scenario: `connections` keep-alive connections
 /// parked on a small pool of event threads while the batched workload
 /// runs through them. Gates the event front's acceptance criteria and
@@ -479,66 +484,55 @@ fn run_event_front_section(args: &Args) -> String {
     let model = "demo-serve";
     let event_threads = 2usize;
     let (inputs, expected) = oracle(model);
-    // The herd must outlive the measurement, so the idle reaper gets a
-    // horizon far beyond the run; batching config matches the A/B
-    // batched arm so throughput numbers are comparable.
+    // Two identical servers; the herd parks on the second. The herd must
+    // outlive the measurement, so the idle reaper gets a horizon far
+    // beyond the run; batching config matches the A/B batched arm so
+    // throughput numbers are comparable.
     let batcher = BatcherConfig {
         max_batch: 32,
         max_wait: Duration::from_millis(2),
         ..BatcherConfig::default()
     };
-    let registry = Arc::new(ModelRegistry::new(batcher, Arc::new(Metrics::new())));
-    let (bundle, opts) = demo_deployment(DemoSize::Serve, DEMO_SEED);
-    registry.insert_bundle(model, &bundle, opts);
-    let mut server = serve(
-        ServerConfig {
+    let start_server = || {
+        let registry = Arc::new(ModelRegistry::new(batcher, Arc::new(Metrics::new())));
+        let (bundle, opts) = demo_deployment(DemoSize::Serve, DEMO_SEED);
+        registry.insert_bundle(model, &bundle, opts);
+        let config = ServerConfig {
             event_threads,
             idle_timeout: Duration::from_secs(600),
             ..ServerConfig::default()
-        },
-        registry,
-    )
-    .expect("bind event-front server");
-    let addr = server.addr().to_string();
+        };
+        serve(config, registry).expect("bind event-front server")
+    };
+    let mut servers = [start_server(), start_server()];
+    let addrs = servers.each_ref().map(|server| server.addr().to_string());
+    let addr = &addrs[1];
 
     println!("-- event front: {} mostly-idle connections --", args.connections);
     // A measurement this scenario gates at +/-10% needs enough requests
     // to settle, independent of the smoke cap; warm up first so neither
     // arm pays first-touch costs.
     let requests = args.requests.max(256);
-    drive("warmup", &addr, model, &inputs, &expected, 64, args.concurrency);
-
-    // Each arm takes its best of two passes: the gate compares two
-    // measurements on shared hardware, and one descheduled pass must not
-    // masquerade as an event-front regression.
-    let best_of = |label: &str| -> RunResult {
-        let a = drive(label, &addr, model, &inputs, &expected, requests, args.concurrency);
-        let b = drive(label, &addr, model, &inputs, &expected, requests, args.concurrency);
-        if b.rps() > a.rps() {
-            b
-        } else {
-            a
-        }
-    };
-    let unloaded = best_of("no idle herd");
-    report(&unloaded);
+    for addr in &addrs {
+        drive("warmup", addr, model, &inputs, &expected, 64, args.concurrency);
+    }
 
     // Open the herd. Every connection proves itself live with one
     // request, then sits in keep-alive.
     let herd_started = Instant::now();
     let mut herd = Vec::with_capacity(args.connections);
     for i in 0..args.connections {
-        let stream = TcpStream::connect(&addr).unwrap_or_else(|e| {
+        let stream = TcpStream::connect(addr).unwrap_or_else(|e| {
             panic!("herd connect {i}/{} failed: {e} (check ulimit -n)", args.connections)
         });
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let mut stream = BufReader::new(stream);
-        assert_eq!(poke(&mut stream, &addr), 200, "herd connection {i} refused");
+        assert_eq!(poke(&mut stream, addr), 200, "herd connection {i} refused");
         herd.push(stream);
     }
     println!("herd up: {} connections in {:.2}s", herd.len(), herd_started.elapsed().as_secs_f64());
-    let (status, body) = http_get(&addr, "/metrics");
+    let (status, body) = http_get(addr, "/metrics");
     assert_eq!(status, 200, "metrics probe failed");
     let open = snapshot_counter(&body, "connections_open");
     assert!(
@@ -560,34 +554,57 @@ fn run_event_front_section(args: &Args) -> String {
         }
         sampled
     };
-    let running = AtomicBool::new(true);
+    // The arms take turns, the herd parked throughout, so host drift
+    // lands on both alike; the pokers trickle only while the herd arm
+    // runs.
+    let poking = AtomicBool::new(false);
+    let done = AtomicBool::new(false);
     let poke_errors = AtomicUsize::new(0);
-    let loaded = std::thread::scope(|scope| {
-        let running = &running;
-        let poke_errors = &poke_errors;
-        let addr_ref = &addr;
+    let runs = std::thread::scope(|scope| {
+        let (poking, done, poke_errors) = (&poking, &done, &poke_errors);
         let poker = scope.spawn(move || {
             let mut pokers = pokers;
-            while running.load(Ordering::Relaxed) {
-                for stream in &mut pokers {
-                    if poke(stream, addr_ref) != 200 {
-                        poke_errors.fetch_add(1, Ordering::Relaxed);
+            while !done.load(Ordering::Relaxed) {
+                if poking.load(Ordering::Relaxed) {
+                    for stream in &mut pokers {
+                        if poke(stream, addr) != 200 {
+                            poke_errors.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
-                std::thread::sleep(Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(50));
             }
             pokers
         });
-        let loaded = best_of("with idle herd");
-        running.store(false, Ordering::Relaxed);
+        let mut runs: [Vec<RunResult>; 2] = [Vec::new(), Vec::new()];
+        for trial in 0..HERD_TRIALS {
+            for arm in [trial % 2, 1 - trial % 2] {
+                poking.store(arm == 1, Ordering::Relaxed);
+                let label = ["no idle herd", "with idle herd"][arm];
+                let run = drive(
+                    label,
+                    &addrs[arm],
+                    model,
+                    &inputs,
+                    &expected,
+                    requests,
+                    args.concurrency,
+                );
+                report(&run);
+                runs[arm].push(run);
+            }
+        }
+        done.store(true, Ordering::Relaxed);
         herd.extend(poker.join().expect("poker thread"));
-        loaded
+        runs
     });
-    report(&loaded);
     drop(herd);
-    server.shutdown();
+    for server in &mut servers {
+        server.shutdown();
+    }
 
-    let errors = unloaded.errors + loaded.errors + poke_errors.load(Ordering::Relaxed);
+    let errors = runs.iter().flatten().map(|run| run.errors).sum::<usize>()
+        + poke_errors.load(Ordering::Relaxed);
     assert_eq!(errors, 0, "the event front must serve every request with zero errors");
     let conns_per_thread = args.connections as f64 / event_threads as f64;
     assert!(
@@ -596,31 +613,45 @@ fn run_event_front_section(args: &Args) -> String {
          from {} connections on {event_threads} threads)",
         args.connections
     );
-    let ratio = loaded.rps() / unloaded.rps();
+    // Per arm: req/s quartiles, and the median of the runs' p99 latencies.
+    let [unloaded, loaded] = runs.map(|runs| {
+        let mut rps: Vec<f64> = runs.iter().map(RunResult::rps).collect();
+        let mut p99: Vec<u64> = runs.iter().map(|run| run.percentile(0.99)).collect();
+        rps.sort_by(f64::total_cmp);
+        p99.sort_unstable();
+        let at = |q: f64| rps[((rps.len() - 1) as f64 * q).round() as usize];
+        ([at(0.25), at(0.5), at(0.75)], p99[p99.len() / 2])
+    });
+    let ratio = loaded.0[1] / unloaded.0[1];
     println!(
-        "idle-herd throughput ratio: {ratio:.3} ({:.1} -> {:.1} req/s, {:.0} conns/event-thread)",
-        unloaded.rps(),
-        loaded.rps(),
-        conns_per_thread
+        "idle-herd throughput ratio: {ratio:.3} (medians of {HERD_TRIALS} alternating runs: \
+         {:.1} -> {:.1} req/s, {:.0} conns/event-thread)",
+        unloaded.0[1], loaded.0[1], conns_per_thread
     );
     assert!(
         ratio >= 0.9,
         "{} parked connections must not cost more than 10% batched throughput \
-         (got {:.1} -> {:.1} req/s, ratio {ratio:.3})",
+         (medians {:.1} -> {:.1} req/s, ratio {ratio:.3})",
         args.connections,
-        unloaded.rps(),
-        loaded.rps()
+        unloaded.0[1],
+        loaded.0[1]
     );
+    let quartiles = |[p25, median, p75]: [f64; 3]| {
+        format!("{{\"p25\":{p25:.1},\"median\":{median:.1},\"p75\":{p75:.1}}}")
+    };
     format!(
         "{{\"connections\":{},\"event_threads\":{event_threads},\
-         \"connections_per_event_thread\":{conns_per_thread:.0},\
+         \"connections_per_event_thread\":{conns_per_thread:.0},\"trials\":{HERD_TRIALS},\
          \"rps_unloaded\":{:.1},\"rps_mostly_idle\":{:.1},\"idle_load_ratio\":{ratio:.3},\
+         \"rps_quartiles\":{{\"unloaded\":{},\"mostly_idle\":{}}},\
          \"p99_us_unloaded\":{},\"p99_us_mostly_idle\":{},\"errors\":{errors}}}",
         args.connections,
-        unloaded.rps(),
-        loaded.rps(),
-        unloaded.percentile(0.99),
-        loaded.percentile(0.99)
+        unloaded.0[1],
+        loaded.0[1],
+        quartiles(unloaded.0),
+        quartiles(loaded.0),
+        unloaded.1,
+        loaded.1
     )
 }
 

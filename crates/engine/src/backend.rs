@@ -250,7 +250,7 @@ pub struct NativeBackend {
     /// The resolved kernel tier. `Scalar` keeps every op on the
     /// per-element reference loops (generic bit-unpack, per-image
     /// batching); `Swar`/`Avx2` engage the SWAR bit-matrix fill, the
-    /// batched pooled-gather and pooling tiles and the madd kernels
+    /// batched pooled-gather tiles and the madd kernels
     /// (SSE2 or AVX2 lanes), and `Avx2` the register-resident pooled
     /// scatter. Every tier computes identical integers.
     simd: ResolvedBackend,
@@ -265,10 +265,9 @@ impl NativeBackend {
     /// `BATCH_TILE`-lane accumulator row in registers across all of that
     /// filter's taps, and its batch-minor columns cost `BATCH_TILE×` the
     /// solo working set — eight lanes fill two 256-bit `i32` vectors
-    /// while the columns stay cache-resident; the max- and average-pool
-    /// tiles use the same width. The register-route pooled scatter and
-    /// the madd kernels do not tile: they run every image through the
-    /// per-image kernel.
+    /// while the columns stay cache-resident. It is the only tile kernel:
+    /// the register-route pooled scatter, the madd kernels and pooling
+    /// run every image through their per-image kernel.
     pub const BATCH_TILE: usize = 8;
 
     /// Builds a backend executing at `act_bits`-bit activations under
@@ -1190,9 +1189,8 @@ pub struct MaddRows {
     terms: usize,
     /// 16-tap chunks per row.
     chunks: usize,
-    /// The code range each input plane is checked against before it is
-    /// staged, when the plan cannot prove its input in range.
-    scan: Option<(i32, i32)>,
+    /// The code range the range proof assumed of every staged plane.
+    range: (i32, i32),
     lanes: MaddLanes,
 }
 
@@ -1209,7 +1207,7 @@ pub struct MaddTaps {
     channels: usize,
     kernel: usize,
     /// As [`MaddRows`]'s.
-    scan: Option<(i32, i32)>,
+    range: (i32, i32),
     lanes: MaddLanes,
 }
 
@@ -1218,26 +1216,17 @@ pub struct MaddTaps {
 /// pairs: the unpacks interleave per 128-bit half.
 const DW_CHANNEL_OF: [usize; 16] = [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15];
 
-/// Whether every code of `codes` lies in `scan`'s range (always, when the
-/// plan proved the layer's input in range and left `scan` empty).
-fn in_scan_range(codes: &[i32], scan: Option<(i32, i32)>) -> bool {
-    scan.is_none_or(|(lo, hi)| codes.iter().all(|&c| (lo..=hi).contains(&c)))
-}
-
-impl MaddRows {
-    /// Whether this plane takes the madd kernel; a plane outside the
-    /// scanned code range takes the exact path.
-    pub fn admits(&self, codes: &[i32]) -> bool {
-        in_scan_range(codes, self.scan)
-    }
-}
-
-impl MaddTaps {
-    /// Whether this plane takes the madd kernel (see
-    /// [`MaddRows::admits`]).
-    pub fn admits(&self, codes: &[i32]) -> bool {
-        in_scan_range(codes, self.scan)
-    }
+/// Debug builds check that a plane about to be staged for the madd route
+/// lies in the code range its range proof assumed. A plan never stages
+/// any other: [`crate::PreparedNet::run`] checks every input plane at
+/// entry, and every later plane is in range by construction (requant
+/// clamps into it; pooling and the saturating residual add keep it). So
+/// only a direct kernel caller can trip this.
+fn debug_assert_in_range(codes: &[i32], (lo, hi): (i32, i32)) {
+    debug_assert!(
+        codes.iter().all(|c| (lo..=hi).contains(c)),
+        "madd input code outside [{lo}, {hi}]"
+    );
 }
 
 impl NativeBackend {
@@ -1265,18 +1254,10 @@ impl NativeBackend {
         }
     }
 
-    /// The scan a madd layer needs: none when the plan proves its input
-    /// planes in range (a requantizing layer ran before it), else this
-    /// backend's code range.
-    fn madd_scan(&self, input_in_range: bool) -> Option<(i32, i32)> {
-        (!input_in_range).then(|| self.encoding.code_range(self.act_bits))
-    }
-
     /// Repacks `[filters, T]` int8 weight rows (a direct conv's `[K, C, R,
     /// S]` or a dense layer's `[O, I]`) for the madd route — or `None` when
-    /// [`NativeBackend::mac_route`] gives this layer the exact route.
-    /// `input_in_range` says whether the plan proves every input plane in
-    /// the code range; if not, each plane is scanned before it is staged.
+    /// [`NativeBackend::mac_route`] gives this layer the exact route. Every
+    /// plane the rows multiply must lie in this backend's code range.
     ///
     /// # Panics
     ///
@@ -1286,7 +1267,6 @@ impl NativeBackend {
         weights: &[i8],
         filters: usize,
         bias: &[i32],
-        input_in_range: bool,
     ) -> Option<MaddRows> {
         assert!(filters > 0 && weights.len().is_multiple_of(filters), "weight size mismatch");
         let terms = weights.len() / filters;
@@ -1300,8 +1280,8 @@ impl NativeBackend {
                 vecs[f * chunks + t / MADD_LANES][t % MADD_LANES] = i16::from(w);
             }
         }
-        let scan = self.madd_scan(input_in_range);
-        Some(MaddRows { vecs, filters, terms, chunks, scan, lanes })
+        let range = self.encoding.code_range(self.act_bits);
+        Some(MaddRows { vecs, filters, terms, chunks, range, lanes })
     }
 
     /// Repacks `[C, R, S]` depthwise weights for the madd route (see
@@ -1316,7 +1296,6 @@ impl NativeBackend {
         shape: &PooledConvShape,
         weights: &[i8],
         bias: &[i32],
-        input_in_range: bool,
     ) -> Option<MaddTaps> {
         assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
         let (channels, kk) = (shape.in_ch, shape.kernel * shape.kernel);
@@ -1338,13 +1317,8 @@ impl NativeBackend {
                 }
             }
         }
-        Some(MaddTaps {
-            vecs,
-            channels,
-            kernel: shape.kernel,
-            scan: self.madd_scan(input_in_range),
-            lanes,
-        })
+        let range = self.encoding.code_range(self.act_bits);
+        Some(MaddTaps { vecs, channels, kernel: shape.kernel, range, lanes })
     }
 }
 
@@ -1352,7 +1326,7 @@ impl NativeBackend {
 /// route: row `oy·OW + ox` holds that output pixel's receptive field in
 /// the `[C, R, S]` order of the weight rows. `cols` arrives zeroed, so
 /// padding taps and each row's tail past `C·R·S` stay zero. The codes
-/// must already be known to fit `i16`.
+/// lie in the code range, which fits `i16`.
 fn im2col_i16(codes: &[i32], shape: &PooledConvShape, row_len: usize, cols: &mut [i16]) {
     let geo = shape.geometry();
     let (oh, ow) = (geo.out_h(), geo.out_w());
@@ -1382,26 +1356,21 @@ fn im2col_i16(codes: &[i32], shape: &PooledConvShape, row_len: usize, cols: &mut
     }
 }
 
-/// Direct-conv accumulators on the madd route: the image is staged as
-/// im2col rows from the `i16` pool and multiplied against `madd`'s rows,
-/// 4 pixels × 3 filters per register block. A plane outside the scanned
-/// code range runs the exact reference loop on `weights` instead — same
-/// integers, or the same overflow panic. The returned buffer comes from
-/// the arena.
+/// Direct-conv accumulators on the madd route: the image, whose codes lie
+/// in the code range, is staged as im2col rows from the `i16` pool and
+/// multiplied against `madd`'s rows, 4 pixels × 3 filters per register
+/// block. The returned buffer comes from the arena.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches (`madd` must come from `weights`).
+/// Panics on shape mismatches.
 pub(crate) fn conv_direct_madd_scratch(
     codes: &[i32],
     shape: &PooledConvShape,
-    weights: &[i8],
     madd: &MaddRows,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
-    if !madd.admits(codes) {
-        return conv_direct_scratch(codes, shape, weights, scratch);
-    }
+    debug_assert_in_range(codes, madd.range);
     assert_eq!(codes.len(), shape.in_ch * shape.in_h * shape.in_w, "activation size mismatch");
     assert_eq!(
         (madd.filters, madd.terms),
@@ -1414,8 +1383,6 @@ pub(crate) fn conv_direct_madd_scratch(
     let mut cols = scratch.take_i16(pixels * row_len);
     im2col_i16(codes, shape, row_len, &mut cols);
     let mut out = scratch.take_i32(shape.out_ch * pixels);
-    // The codes passed the range check, so the staged `i16` values are
-    // exact.
     madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(
         cols.as_chunks().0,
         pixels,
@@ -1426,23 +1393,19 @@ pub(crate) fn conv_direct_madd_scratch(
     out
 }
 
-/// Dense accumulators on the madd route: the input is staged as one
-/// `i16` row and dotted with 8 weight rows per register block. Planes
-/// outside the scanned range run the exact loop (see
-/// [`conv_direct_madd_scratch`]).
+/// Dense accumulators on the madd route: the input, whose codes lie in
+/// the code range, is staged as one `i16` row and dotted with 8 weight
+/// rows per register block.
 ///
 /// # Panics
 ///
 /// Panics if `codes` does not match the rows' input features.
 pub(crate) fn dense_madd_scratch(
     codes: &[i32],
-    weights: &[i8],
     madd: &MaddRows,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
-    if !madd.admits(codes) {
-        return dense_acc_scratch(codes, weights, madd.filters, scratch);
-    }
+    debug_assert_in_range(codes, madd.range);
     assert_eq!(codes.len(), madd.terms, "weight size mismatch");
     let mut row = scratch.take_i16(madd.chunks * MADD_LANES);
     for (d, &v) in row.iter_mut().zip(codes) {
@@ -1454,26 +1417,22 @@ pub(crate) fn dense_madd_scratch(
     out
 }
 
-/// Depthwise accumulators on the madd route: the image is staged
-/// channel-interleaved (`[H + 2p][W + 2p][C]`, channels padded to whole
-/// 16-channel blocks, a zero border for the padding) so one vector load
-/// reads 16 channels at one position, and each pair of taps costs two
-/// unpacks and two `pmaddwd`. Planes outside the scanned range run the
-/// exact loop (see [`conv_direct_madd_scratch`]).
+/// Depthwise accumulators on the madd route: the image, whose codes lie
+/// in the code range, is staged channel-interleaved (`[H + 2p][W +
+/// 2p][C]`, channels padded to whole 16-channel blocks, a zero border for
+/// the padding) so one vector load reads 16 channels at one position, and
+/// each pair of taps costs two unpacks and two `pmaddwd`.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches (`madd` must come from `weights`).
+/// Panics on shape mismatches.
 pub(crate) fn dwconv_madd_scratch(
     codes: &[i32],
     shape: &PooledConvShape,
-    weights: &[i8],
     madd: &MaddTaps,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
-    if !madd.admits(codes) {
-        return dwconv_acc_scratch(codes, shape, weights, scratch);
-    }
+    debug_assert_in_range(codes, madd.range);
     let (c, in_h, in_w) = (shape.in_ch, shape.in_h, shape.in_w);
     assert_eq!(codes.len(), c * in_h * in_w, "activation size mismatch");
     assert_eq!(
@@ -2185,21 +2144,6 @@ impl WriteOut for FusedOut<'_> {
     }
 }
 
-/// Transposes a full tile of `B` equally-sized activation planes into
-/// batch-minor columns: the value of image `b` at flat position `pos`
-/// lands at `pos * B + b`, so one position's values for the whole tile
-/// are contiguous (the layout every tile kernel sweeps). `columns` must
-/// be pre-sized to `len * B` (every slot is written).
-fn fill_columns<S: AsRef<[i32]>, const B: usize>(tile: &[S], columns: &mut [i32]) {
-    debug_assert_eq!(tile.len(), B);
-    debug_assert_eq!(columns.len(), tile[0].as_ref().len() * B);
-    for (b, codes) in tile.iter().enumerate() {
-        for (pos, &v) in codes.as_ref().iter().enumerate() {
-            columns[pos * B + b] = v;
-        }
-    }
-}
-
 /// Max pooling over non-overlapping square windows (mirrors
 /// `wp_kernels::cmsis::maxpool` arithmetic).
 ///
@@ -2219,22 +2163,50 @@ pub(crate) fn maxpool_scratch(
     size: usize,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
+    pool_windows(codes, (ch, h, w), size, scratch, i32::MIN, i32::max, |best| best)
+}
+
+/// Reduces each channel's non-overlapping `size × size` windows with
+/// `reduce` (starting from `init`) and maps each window's result through
+/// `finish` — the one per-image kernel of max and average pooling on
+/// every tier. Each output row first reduces its window's `size` input
+/// rows elementwise into a row buffer, a contiguous sweep the compiler
+/// vectorizes, and then reduces each `size`-wide run of that buffer to
+/// one output. Rows and columns past the last whole window are dropped,
+/// as in the CMSIS kernels. The returned buffer comes from the arena.
+///
+/// # Panics
+///
+/// Panics if the window exceeds the input or `codes` is not `ch · h · w`
+/// codes.
+fn pool_windows(
+    codes: &[i32],
+    (ch, h, w): (usize, usize, usize),
+    size: usize,
+    scratch: &mut Scratch,
+    init: i32,
+    reduce: impl Fn(i32, i32) -> i32,
+    finish: impl Fn(i32) -> i32,
+) -> Vec<i32> {
     assert!(h >= size && w >= size, "pool window larger than input");
+    assert_eq!(codes.len(), ch * h * w, "activation size mismatch");
     let (oh, ow) = (h / size, w / size);
     let mut out = scratch.take_i32(ch * oh * ow);
-    for c in 0..ch {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = i32::MIN;
-                for dy in 0..size {
-                    for dx in 0..size {
-                        best = best.max(codes[(c * h + oy * size + dy) * w + ox * size + dx]);
-                    }
+    let mut row = scratch.take_i32(ow * size);
+    for (plane, out) in codes.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow)) {
+        for (window, out) in plane.chunks_exact(size * w).zip(out.chunks_exact_mut(ow)) {
+            row.fill(init);
+            for line in window.chunks_exact(w) {
+                for (r, &v) in row.iter_mut().zip(line) {
+                    *r = reduce(*r, v);
                 }
-                out[(c * oh + oy) * ow + ox] = best;
+            }
+            for (o, run) in out.iter_mut().zip(row.chunks_exact(size)) {
+                *o = finish(run.iter().fold(init, |a, &v| reduce(a, v)));
             }
         }
     }
+    scratch.put_i32(row);
     out
 }
 
@@ -2257,24 +2229,9 @@ pub(crate) fn avgpool_scratch(
     size: usize,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
-    assert!(h >= size && w >= size, "pool window larger than input");
-    let (oh, ow) = (h / size, w / size);
     let div = (size * size) as i32;
-    let mut out = scratch.take_i32(ch * oh * ow);
-    for c in 0..ch {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0i32;
-                for dy in 0..size {
-                    for dx in 0..size {
-                        acc += codes[(c * h + oy * size + dy) * w + ox * size + dx];
-                    }
-                }
-                out[(c * oh + oy) * ow + ox] = (acc + div / 2).div_euclid(div);
-            }
-        }
-    }
-    out
+    let mean = |sum: i32| (sum + div / 2).div_euclid(div);
+    pool_windows(codes, (ch, h, w), size, scratch, 0, |a, v| a + v, mean)
 }
 
 /// Global average pooling to one value per channel (rounded integer mean,
@@ -2336,160 +2293,6 @@ pub(crate) fn residual_add_range_scratch(
 /// Panics if lengths differ.
 pub fn residual_add(a: &[i32], b: &[i32], out_bits: u8) -> Vec<i32> {
     residual_add_range(a, b, 0, (1i32 << out_bits) - 1)
-}
-
-/// Batched [`maxpool`]: full tiles of [`NativeBackend::BATCH_TILE`] images
-/// run the window loop once with the max taken across batch-minor lanes;
-/// tail images fall back to the solo kernel. Bit-identical to mapping
-/// [`maxpool`] over the batch.
-///
-/// # Panics
-///
-/// Panics if the window exceeds the input or an image's size does not
-/// match `ch * h * w`.
-pub fn maxpool_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    maxpool_batch_core(batch, ch, h, w, size, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched max-pool engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
-pub(crate) fn maxpool_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    assert!(h >= size && w >= size, "pool window larger than input");
-    const B: usize = NativeBackend::BATCH_TILE;
-    let (oh, ow) = (h / size, w / size);
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                outs.push(maxpool_scratch(codes.as_ref(), ch, h, w, size, scratch));
-            }
-            continue;
-        }
-        for codes in tile {
-            assert_eq!(codes.as_ref().len(), ch * h * w, "activation size mismatch");
-        }
-        let mut columns = scratch.take_i32(ch * h * w * B);
-        fill_columns::<_, B>(tile, &mut columns);
-        let (cols, rest) = columns.as_chunks::<B>();
-        debug_assert!(rest.is_empty());
-        let base = outs.len();
-        for _ in 0..B {
-            outs.push(scratch.take_i32(ch * oh * ow));
-        }
-        for c in 0..ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = [i32::MIN; B];
-                    for dy in 0..size {
-                        for dx in 0..size {
-                            let col = &cols[(c * h + oy * size + dy) * w + ox * size + dx];
-                            for (b, &p) in best.iter_mut().zip(col) {
-                                *b = (*b).max(p);
-                            }
-                        }
-                    }
-                    let o = (c * oh + oy) * ow + ox;
-                    for (out, &b) in outs[base..].iter_mut().zip(&best) {
-                        out[o] = b;
-                    }
-                }
-            }
-        }
-        scratch.put_i32(columns);
-    }
-}
-
-/// Batched [`avgpool`]: lane-parallel window sums with the same rounded
-/// integer division as the solo kernel. Bit-identical to mapping
-/// [`avgpool`] over the batch.
-///
-/// # Panics
-///
-/// Panics if the window exceeds the input or an image's size does not
-/// match `ch * h * w`.
-pub fn avgpool_batch<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-) -> Vec<Vec<i32>> {
-    let mut outs = Vec::with_capacity(batch.len());
-    avgpool_batch_core(batch, ch, h, w, size, &mut Scratch::new(), &mut outs);
-    outs
-}
-
-/// The batched average-pool engine (see
-/// [`NativeBackend::conv_pooled_prepared_batch_core`] for the
-/// outs/scratch contract).
-pub(crate) fn avgpool_batch_core<S: AsRef<[i32]>>(
-    batch: &[S],
-    ch: usize,
-    h: usize,
-    w: usize,
-    size: usize,
-    scratch: &mut Scratch,
-    outs: &mut Vec<Vec<i32>>,
-) {
-    assert!(h >= size && w >= size, "pool window larger than input");
-    const B: usize = NativeBackend::BATCH_TILE;
-    let (oh, ow) = (h / size, w / size);
-    let div = (size * size) as i32;
-    for tile in batch.chunks(B) {
-        if tile.len() < B {
-            for codes in tile {
-                outs.push(avgpool_scratch(codes.as_ref(), ch, h, w, size, scratch));
-            }
-            continue;
-        }
-        for codes in tile {
-            assert_eq!(codes.as_ref().len(), ch * h * w, "activation size mismatch");
-        }
-        let mut columns = scratch.take_i32(ch * h * w * B);
-        fill_columns::<_, B>(tile, &mut columns);
-        let (cols, rest) = columns.as_chunks::<B>();
-        debug_assert!(rest.is_empty());
-        let base = outs.len();
-        for _ in 0..B {
-            outs.push(scratch.take_i32(ch * oh * ow));
-        }
-        for c in 0..ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = [0i32; B];
-                    for dy in 0..size {
-                        for dx in 0..size {
-                            let col = &cols[(c * h + oy * size + dy) * w + ox * size + dx];
-                            for (a, &p) in acc.iter_mut().zip(col) {
-                                *a += p;
-                            }
-                        }
-                    }
-                    let o = (c * oh + oy) * ow + ox;
-                    for (out, &a) in outs[base..].iter_mut().zip(&acc) {
-                        out[o] = (a + div / 2).div_euclid(div);
-                    }
-                }
-            }
-        }
-        scratch.put_i32(columns);
-    }
 }
 
 #[cfg(test)]
@@ -2668,14 +2471,13 @@ mod tests {
     /// `65,793 · 255 · 128 = 2,147,483,520` leaves room for a bias of 127
     /// but not 128, and one more tap fails; signed codes reach `|−128|`,
     /// so 131,071 taps fit and 131,072 do not. The scalar tier always
-    /// takes the exact route. At the edge itself the kernel is exact, and
-    /// a scanned plane outside the code range is not admitted.
+    /// takes the exact route. At the edge itself the kernel is exact.
     #[test]
     fn mac_route_follows_the_range_proof() {
         let lut = small_lut(LutOrder::InputOriented);
         let scalar = NativeBackend::new_with(&lut, 1, ActEncoding::Unsigned, BackendKind::Scalar);
         assert_eq!(scalar.mac_route(9, &[]), MacRoute::Exact);
-        assert!(scalar.prepare_madd_rows(&[1; 9], 1, &[0], true).is_none());
+        assert!(scalar.prepare_madd_rows(&[1; 9], 1, &[0]).is_none());
         assert_eq!(scalar.with_portable_lanes().mac_route(9, &[]), MacRoute::Exact);
 
         let tiers = [BackendKind::Swar, BackendKind::Avx2];
@@ -2693,27 +2495,41 @@ mod tests {
             assert_eq!(unsigned.mac_route(65_793, &[0, 127]), MacRoute::Madd, "{tier}");
             assert_eq!(unsigned.mac_route(65_793, &[-128]), MacRoute::Exact);
             assert_eq!(unsigned.mac_route(65_794, &[]), MacRoute::Exact);
-            assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0], true).is_none());
+            assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0]).is_none());
 
             let weights = vec![-128i8; 65_793];
-            let rows = unsigned.prepare_madd_rows(&weights, 1, &[0], true).expect("madd rows");
+            let rows = unsigned.prepare_madd_rows(&weights, 1, &[0]).expect("madd rows");
             let codes = vec![255; 65_793];
-            let acc = dense_madd_scratch(&codes, &weights, &rows, &mut Scratch::new());
+            let acc = dense_madd_scratch(&codes, &rows, &mut Scratch::new());
             assert_eq!(acc, [-2_147_483_520], "{tier}");
             assert_eq!(acc, dense_acc(&codes, &weights, 1));
-            // A plane the plan proved in range is never scanned.
-            assert!(rows.admits(&[256]));
-            let scanned = unsigned.prepare_madd_rows(&weights[..9], 1, &[0], false).unwrap();
-            assert!(scanned.admits(&[0, 255, 7, 0, 0, 0, 0, 0, 0]));
-            assert!(!scanned.admits(&[0, 256, 7, 0, 0, 0, 0, 0, 0]));
-            assert!(!scanned.admits(&[-1, 0, 0, 0, 0, 0, 0, 0, 0]));
         }
     }
 
     #[test]
     fn batched_kernels_handle_empty_batch() {
-        assert!(maxpool_batch::<&[i32]>(&[], 2, 2, 2, 2).is_empty());
-        assert!(avgpool_batch::<&[i32]>(&[], 2, 2, 2, 2).is_empty());
+        use crate::kernel::{AvgPoolKernel, Kernel, KernelCtx, MaxPoolKernel};
+        let lut = small_lut(LutOrder::InputOriented);
+        let oq = OutputQuant {
+            requant: wp_quant::Requantizer::from_real_multiplier(1.0),
+            relu: false,
+            out_bits: 8,
+        };
+        for kind in [BackendKind::Scalar, BackendKind::Swar, BackendKind::Avx2] {
+            let backend = NativeBackend::new_with(&lut, 8, ActEncoding::Unsigned, kind);
+            let ctx = KernelCtx {
+                backend: &backend,
+                in_dims: (2, 2, 2),
+                bias: &[],
+                oq: &oq,
+                act_bits: 8,
+            };
+            let kernels: [&dyn Kernel; 2] =
+                [&MaxPoolKernel { size: 2 }, &AvgPoolKernel { size: 2 }];
+            for kernel in kernels {
+                assert!(kernel.run_batch(&ctx, Vec::new(), &mut Scratch::new()).is_empty());
+            }
+        }
     }
 
     #[test]

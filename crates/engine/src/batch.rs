@@ -60,22 +60,23 @@ impl BatchRunner {
     ///
     /// # Panics
     ///
-    /// Panics if any input has the wrong size, or if a worker thread
-    /// panics (the panic is propagated).
+    /// Panics, naming the batch index, if
+    /// [`PreparedNet::check_input`] refuses any input; or if a worker
+    /// thread panics (the panic is propagated).
     pub fn run_refs(&self, net: &PreparedNet, inputs: &[&[i32]]) -> Vec<Vec<i32>> {
         if inputs.is_empty() {
             return Vec::new();
         }
-        net.validate_batch_inputs(inputs.iter().map(|x| x.len()));
+        net.check_batch(inputs);
         let workers = self.planned_workers(inputs.len());
         if workers <= 1 {
-            return net.run(inputs, &mut Scratch::new());
+            return net.run_checked(inputs, &mut Scratch::new());
         }
         let chunk = inputs.len().div_ceil(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = inputs
                 .chunks(chunk)
-                .map(|chunk| scope.spawn(move || net.run(chunk, &mut Scratch::new())))
+                .map(|chunk| scope.spawn(move || net.run_checked(chunk, &mut Scratch::new())))
                 .collect();
             handles.into_iter().flat_map(|h| h.join().expect("batch worker panicked")).collect()
         })

@@ -92,11 +92,6 @@ impl PreparedNet {
         let resolved = bundle.spec.resolve();
         let mut payloads = bundle.convs.iter();
         let mut layers = Vec::with_capacity(resolved.len());
-        // `run` does not range-check its input planes, so only the layers
-        // after the first requantizing one see planes proven to lie in
-        // the code range (requant clamps into it; pooling and the
-        // saturating residual add keep it).
-        let mut input_in_range = false;
         for (li, layer) in resolved.iter().enumerate() {
             // Pool/residual layers don't requantize; only the layers that
             // do consume a per-layer multiplier slot.
@@ -145,13 +140,7 @@ impl PreparedNet {
                                 cs.out_ch * cs.in_ch * cs.kernel * cs.kernel,
                                 "weight size mismatch"
                             );
-                            Arc::new(DirectConvKernel::new(
-                                shape,
-                                weights.clone(),
-                                &backend,
-                                &bias,
-                                input_in_range,
-                            ))
+                            Arc::new(DirectConvKernel::new(shape, weights.clone(), &backend, &bias))
                         }
                     };
                     (kernel, bias)
@@ -170,7 +159,7 @@ impl PreparedNet {
                         .map(|_| rng.gen_range(-127i32..=127) as i8)
                         .collect();
                     let bias = vec![0i32; channels];
-                    let kernel = DwConvKernel::new(shape, weights, &backend, &bias, input_in_range);
+                    let kernel = DwConvKernel::new(shape, weights, &backend, &bias);
                     (Arc::new(kernel), bias)
                 }
                 LayerSpec::Dense { in_features, out_features, .. } => {
@@ -178,8 +167,7 @@ impl PreparedNet {
                         .map(|_| rng.gen_range(-127i32..=127) as i8)
                         .collect();
                     let bias = vec![0i32; out_features];
-                    let kernel =
-                        DenseKernel::new(weights, out_features, &backend, &bias, input_in_range);
+                    let kernel = DenseKernel::new(weights, out_features, &backend, &bias);
                     (Arc::new(kernel), bias)
                 }
                 LayerSpec::MaxPool { size } => (Arc::new(MaxPoolKernel { size }), Vec::new()),
@@ -188,7 +176,6 @@ impl PreparedNet {
                 LayerSpec::ResidualAdd => (Arc::new(ResidualAddKernel), Vec::new()),
             };
             layers.push(PreparedLayer { kernel, in_dims, bias, oq });
-            input_in_range |= requantizes;
         }
         assert!(payloads.next().is_none(), "bundle has more conv payloads than spec convs");
         Self { backend, layers, input: bundle.spec.input, act_bits, profile: None, sink: None }
@@ -281,26 +268,50 @@ impl PreparedNet {
         (0..n).map(|_| (0..c * h * w).map(|_| rng.gen_range(lo..=hi)).collect()).collect()
     }
 
+    /// Checks one input plane against the plan: its length must be the
+    /// network's `C·H·W`, and every code must lie in the encoding's range
+    /// at the plan's activation bitwidth — the `M`-bit codes the
+    /// bit-serial kernels are defined on. [`PreparedNet::run`] runs this
+    /// check over every plane before any layer executes, and the server's
+    /// micro-batcher refuses a request with its message. Every later
+    /// plane is in range by construction: requant clamps into the range,
+    /// and pooling and the saturating residual add keep it.
+    ///
+    /// # Errors
+    ///
+    /// The first fault found: a wrong length, or the first code outside
+    /// the range.
+    pub fn check_input(&self, input: &[i32]) -> Result<(), InputError> {
+        let (c, h, w) = self.input;
+        if input.len() != c * h * w {
+            return Err(InputError::Length { len: input.len(), dims: self.input });
+        }
+        let (lo, hi) = self.backend.encoding().code_range(self.act_bits);
+        match input.iter().find(|&&code| !(lo..=hi).contains(&code)) {
+            Some(&code) => Err(InputError::Code { code, range: (lo, hi) }),
+            None => Ok(()),
+        }
+    }
+
     /// Runs one inference as a batch of one through [`PreparedNet::run`]
     /// with a fresh arena — the convenience form for tools, tests and
     /// expected-output builders.
     ///
     /// # Panics
     ///
-    /// Panics if `input` does not match the network's input size.
+    /// Panics if [`PreparedNet::check_input`] refuses `input`.
     pub fn run_one(&self, input: &[i32]) -> Vec<i32> {
         self.run(&[input], &mut Scratch::new()).pop().expect("one output per input")
     }
 
     /// Runs a batch through the plan layer by layer, each layer through
     /// its [`Kernel::run_batch`] entry point, returning outputs in input
-    /// order. Direct, depthwise and dense layers run their one kernel
-    /// image by image; pooled convs off the register route and pooling
-    /// batch in tiles that decode each tap once per tile (see
-    /// [`crate::kernel`]); a solo request is simply a batch of one.
-    /// Outputs are
-    /// **bit-identical** for any batch composition (pinned by test), so
-    /// serving layers may coalesce requests freely.
+    /// order. Pooled convs off the register route batch in tiles that
+    /// decode each tap once per tile; every other layer runs its one
+    /// kernel image by image (see [`crate::kernel`]); a solo request is
+    /// simply a batch of one. Outputs are **bit-identical** for any batch
+    /// composition (pinned by test), so serving layers may coalesce
+    /// requests freely.
     ///
     /// Input staging, every intermediate plane set and every kernel
     /// working set come from (and return to) `scratch`. Hand the returned
@@ -310,12 +321,18 @@ impl PreparedNet {
     ///
     /// # Panics
     ///
-    /// Panics if any input has the wrong size. All inputs are validated
-    /// up front — before any layer executes — and the panic message names
-    /// the offending batch index, not a position buried inside a layer
-    /// loop.
+    /// Panics if [`PreparedNet::check_input`] refuses any input. Every
+    /// input is checked up front — before any layer executes — and the
+    /// panic message names the offending batch index, not a position
+    /// buried inside a layer loop.
     pub fn run(&self, inputs: &[&[i32]], scratch: &mut Scratch) -> Vec<Vec<i32>> {
-        self.validate_batch_inputs(inputs.iter().map(|x| x.len()));
+        self.check_batch(inputs);
+        self.run_checked(inputs, scratch)
+    }
+
+    /// [`PreparedNet::run`] on a batch [`PreparedNet::check_batch`] has
+    /// already passed.
+    pub(crate) fn run_checked(&self, inputs: &[&[i32]], scratch: &mut Scratch) -> Vec<Vec<i32>> {
         if self.profile.is_none() && self.sink.is_none() {
             // The untraced hot path: one Option check per run, zero
             // per-layer overhead (pinned by the trace_overhead bench).
@@ -450,19 +467,15 @@ impl PreparedNet {
         }
     }
 
-    /// Validates a batch's input lengths up front, before any layer
-    /// executes, panicking with the offending *batch* index — shared by
-    /// [`PreparedNet::run`] and [`crate::BatchRunner`] so the message
-    /// never degrades to a chunk-local position from inside a worker's
-    /// layer loop.
-    pub(crate) fn validate_batch_inputs(&self, lens: impl Iterator<Item = usize>) {
-        let (c, h, w) = self.input;
-        let expected = c * h * w;
-        for (i, len) in lens.enumerate() {
-            assert!(
-                len == expected,
-                "input {i} has {len} codes; model expects {c}x{h}x{w} = {expected}"
-            );
+    /// Runs [`PreparedNet::check_input`] over a whole batch before any
+    /// layer executes, panicking with the offending *batch* index — shared
+    /// by [`PreparedNet::run`] and [`crate::BatchRunner`] so the message
+    /// never degrades to a chunk-local position from inside a worker.
+    pub(crate) fn check_batch(&self, inputs: &[&[i32]]) {
+        for (i, input) in inputs.iter().enumerate() {
+            if let Err(e) = self.check_input(input) {
+                panic!("input {i} {e}");
+            }
         }
     }
 
@@ -507,7 +520,33 @@ impl PreparedNet {
     }
 }
 
-/// Copies a (validated) input batch into arena planes.
+/// Why [`PreparedNet::check_input`] refuses an input plane. Its
+/// [`std::fmt::Display`] form completes a sentence that starts with the
+/// plane's name (`"input 3 has 7 codes; ..."`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputError {
+    /// The plane holds `len` codes, not the network's `C·H·W`.
+    Length { len: usize, dims: (usize, usize, usize) },
+    /// `code` lies outside the encoding's range at the plan's bitwidth.
+    Code { code: i32, range: (i32, i32) },
+}
+
+impl std::fmt::Display for InputError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            InputError::Length { len, dims: (c, h, w) } => {
+                write!(f, "has {len} codes; model expects {c}x{h}x{w} = {}", c * h * w)
+            }
+            InputError::Code { code, range: (lo, hi) } => {
+                write!(f, "has activation code {code} outside [{lo}, {hi}]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InputError {}
+
+/// Copies a checked input batch into arena planes.
 fn stage_batch(inputs: &[&[i32]], scratch: &mut Scratch) -> Vec<Vec<i32>> {
     let mut planes = scratch.take_planes(inputs.len());
     for x in inputs {

@@ -19,7 +19,9 @@
 //!   ([`MacRoute::Madd`], SSE2 or AVX2 lanes), whose im2col staging
 //!   already reuses each weight across every output pixel, and otherwise
 //!   the exact `i64` reference loop. The madd route is admitted by a
-//!   plan-time range proof.
+//!   plan-time range proof over the code range, which every plane a plan
+//!   stages lies in: [`crate::PreparedNet::run`] checks its input planes
+//!   at entry.
 //! * Pooled convs run the register-resident `vpshufb` scatter on the
 //!   avx2 tier ([`ScatterRoute::Registers`]), image by image. On the
 //!   swar tier, and for avx2 layers off the register route, they batch
@@ -27,12 +29,11 @@
 //!   to batch-minor columns and each tap is decoded once per tile
 //!   instead of once per image, which only reassociates *independent*
 //!   per-image sums — see [`crate::backend`] for the exactness argument.
-//!   Images past the last full tile run the solo kernel. Max and average
-//!   pooling batch the same way.
-//! * The **scalar** tier maps `run_solo` over every batch.
-//!
-//! Cheap elementwise kernels keep the default `run_batch`, which maps
-//! `run_solo` per image.
+//!   Images past the last full tile run the solo kernel. The **scalar**
+//!   tier maps `run_solo` over every batch.
+//! * Pooling and the residual add have no weights to share across a
+//!   batch, so they keep the default `run_batch`, which maps `run_solo`
+//!   per image, on every tier.
 //!
 //! Every method threads a [`Scratch`] arena: activation planes, raw
 //! accumulators and kernel working sets are checked out of per-worker
@@ -52,12 +53,6 @@ use crate::options::ResolvedBackend;
 use crate::scratch::Scratch;
 use wp_core::reference::PooledConvShape;
 use wp_kernels::OutputQuant;
-
-/// Whether this call executes on the scalar tier — reference per-element
-/// loops, one image at a time, no batched tile kernels.
-fn scalar_tier(ctx: &KernelCtx<'_>) -> bool {
-    ctx.backend.simd() == ResolvedBackend::Scalar
-}
 
 /// Everything a kernel needs at run time beyond its own compiled state:
 /// the executing backend (LUT cache, activation encoding), the layer's
@@ -130,10 +125,10 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// (draining them back into the arena) and returns arena buffers.
     ///
     /// Default: exactly that per-image [`Kernel::run_solo`] map, which
-    /// direct, depthwise and dense layers keep. Pooled convs and
-    /// max/average pooling override it with batched tile kernels
-    /// (bias+requant fused into the pooled tile's write-out), pinned
-    /// bit-identical to the map by the batch- and backend-parity tests.
+    /// every kernel but the pooled conv keeps. Pooled convs override it
+    /// with batched tile kernels (bias+requant fused into the tile's
+    /// write-out), pinned bit-identical to the map by the batch- and
+    /// backend-parity tests.
     fn run_batch(
         &self,
         ctx: &KernelCtx<'_>,
@@ -151,8 +146,7 @@ pub(crate) fn out_plane(shape: &PooledConvShape) -> usize {
 }
 
 /// Maps [`Kernel::run_solo`] over a batch: the default
-/// [`Kernel::run_batch`], and the scalar tier's batched story for every
-/// kernel.
+/// [`Kernel::run_batch`], and the scalar tier's pooled convs.
 fn solo_map<K: Kernel + ?Sized>(
     kernel: &K,
     ctx: &KernelCtx<'_>,
@@ -204,7 +198,7 @@ impl Kernel for PooledConvKernel {
         planes: Vec<Vec<i32>>,
         scratch: &mut Scratch,
     ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
+        if ctx.backend.simd() == ResolvedBackend::Scalar {
             return solo_map(self, ctx, planes, scratch);
         }
         let mut outs = scratch.take_planes(planes.len());
@@ -240,9 +234,8 @@ pub struct DirectConvKernel {
 
 impl DirectConvKernel {
     /// Compiles the kernel for `backend`'s tier. `bias` enters the madd
-    /// route's range proof, and `input_in_range` says whether the plan
-    /// proves every input plane in the code range (see
-    /// [`NativeBackend::prepare_madd_rows`]).
+    /// route's range proof, which assumes every input plane lies in the
+    /// code range (see [`NativeBackend::prepare_madd_rows`]).
     ///
     /// # Panics
     ///
@@ -252,14 +245,13 @@ impl DirectConvKernel {
         weights: Vec<i8>,
         backend: &NativeBackend,
         bias: &[i32],
-        input_in_range: bool,
     ) -> Self {
         assert_eq!(
             weights.len(),
             shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
             "weight size mismatch"
         );
-        let madd = backend.prepare_madd_rows(&weights, shape.out_ch, bias, input_in_range);
+        let madd = backend.prepare_madd_rows(&weights, shape.out_ch, bias);
         Self { shape, weights, madd }
     }
 }
@@ -280,9 +272,7 @@ impl Kernel for DirectConvKernel {
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match &self.madd {
-            Some(madd) => {
-                backend::conv_direct_madd_scratch(codes, &self.shape, &self.weights, madd, scratch)
-            }
+            Some(madd) => backend::conv_direct_madd_scratch(codes, &self.shape, madd, scratch),
             None => backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch),
         };
         Some((acc, out_plane(&self.shape)))
@@ -303,7 +293,7 @@ pub struct DwConvKernel {
 
 impl DwConvKernel {
     /// Compiles the kernel for `backend`'s tier (see
-    /// [`DirectConvKernel::new`] for `bias` and `input_in_range`).
+    /// [`DirectConvKernel::new`] for `bias`).
     ///
     /// # Panics
     ///
@@ -314,7 +304,6 @@ impl DwConvKernel {
         weights: Vec<i8>,
         backend: &NativeBackend,
         bias: &[i32],
-        input_in_range: bool,
     ) -> Self {
         assert_eq!(shape.out_ch, shape.in_ch, "depthwise conv requires in_ch == out_ch");
         assert_eq!(
@@ -322,7 +311,7 @@ impl DwConvKernel {
             shape.in_ch * shape.kernel * shape.kernel,
             "weight size mismatch"
         );
-        let madd = backend.prepare_madd_taps(&shape, &weights, bias, input_in_range);
+        let madd = backend.prepare_madd_taps(&shape, &weights, bias);
         Self { shape, weights, madd }
     }
 }
@@ -343,9 +332,7 @@ impl Kernel for DwConvKernel {
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match &self.madd {
-            Some(madd) => {
-                backend::dwconv_madd_scratch(codes, &self.shape, &self.weights, madd, scratch)
-            }
+            Some(madd) => backend::dwconv_madd_scratch(codes, &self.shape, madd, scratch),
             None => backend::dwconv_acc_scratch(codes, &self.shape, &self.weights, scratch),
         };
         Some((acc, out_plane(&self.shape)))
@@ -365,7 +352,7 @@ pub struct DenseKernel {
 
 impl DenseKernel {
     /// Compiles the kernel for `backend`'s tier (see
-    /// [`DirectConvKernel::new`] for `bias` and `input_in_range`).
+    /// [`DirectConvKernel::new`] for `bias`).
     ///
     /// # Panics
     ///
@@ -375,11 +362,10 @@ impl DenseKernel {
         out_features: usize,
         backend: &NativeBackend,
         bias: &[i32],
-        input_in_range: bool,
     ) -> Self {
         assert!(out_features > 0, "dense layer needs at least one output feature");
         assert_eq!(weights.len() % out_features, 0, "weight size mismatch");
-        let madd = backend.prepare_madd_rows(&weights, out_features, bias, input_in_range);
+        let madd = backend.prepare_madd_rows(&weights, out_features, bias);
         Self { weights, out_features, madd }
     }
 }
@@ -400,7 +386,7 @@ impl Kernel for DenseKernel {
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match &self.madd {
-            Some(madd) => backend::dense_madd_scratch(codes, &self.weights, madd, scratch),
+            Some(madd) => backend::dense_madd_scratch(codes, madd, scratch),
             None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
         };
         Some((acc, 1))
@@ -433,22 +419,6 @@ impl Kernel for MaxPoolKernel {
         let (c, h, w) = ctx.in_dims;
         backend::maxpool_scratch(codes, c, h, w, self.size, scratch)
     }
-
-    fn run_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        planes: Vec<Vec<i32>>,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
-            return solo_map(self, ctx, planes, scratch);
-        }
-        let (c, h, w) = ctx.in_dims;
-        let mut outs = scratch.take_planes(planes.len());
-        backend::maxpool_batch_core(&planes, c, h, w, self.size, scratch, &mut outs);
-        scratch.put_planes(planes);
-        outs
-    }
 }
 
 /// Average pooling over non-overlapping square windows (pass-through).
@@ -475,22 +445,6 @@ impl Kernel for AvgPoolKernel {
     fn run_solo(&self, ctx: &KernelCtx<'_>, codes: &[i32], scratch: &mut Scratch) -> Vec<i32> {
         let (c, h, w) = ctx.in_dims;
         backend::avgpool_scratch(codes, c, h, w, self.size, scratch)
-    }
-
-    fn run_batch(
-        &self,
-        ctx: &KernelCtx<'_>,
-        planes: Vec<Vec<i32>>,
-        scratch: &mut Scratch,
-    ) -> Vec<Vec<i32>> {
-        if scalar_tier(ctx) {
-            return solo_map(self, ctx, planes, scratch);
-        }
-        let (c, h, w) = ctx.in_dims;
-        let mut outs = scratch.take_planes(planes.len());
-        backend::avgpool_batch_core(&planes, c, h, w, self.size, scratch, &mut outs);
-        scratch.put_planes(planes);
-        outs
     }
 }
 

@@ -17,10 +17,10 @@
 //!   convolution, depthwise, dense, pooling and residual ops. Direct,
 //!   depthwise and dense layers run one `pmaddwd` kernel per op for solo
 //!   and batched calls alike (SSE2 lanes on the swar tier, AVX2 on the
-//!   avx2 tier), as does the avx2 tier's register-resident pooled
-//!   scatter; the pooled gather and the pooling ops also have a
-//!   weight-stationary **batched** form that decodes every tap once per
-//!   batch tile and is bit-identical to solo. The LUT
+//!   avx2 tier), as do the avx2 tier's register-resident pooled scatter
+//!   and the pooling ops; the pooled gather also has a weight-stationary
+//!   **batched** form that decodes every tap once per batch tile and is
+//!   bit-identical to solo. The LUT
 //!   is flattened once into a [`LutCache`] — the host analogue of the
 //!   paper's §4.2 SRAM block cache — so lookups are a single indexed load
 //!   regardless of the bundle's [`wp_core::LutOrder`].
@@ -35,7 +35,9 @@
 //!   requantization via the exact same [`wp_kernels::OutputQuant`]
 //!   arithmetic the instrumented kernels use. One layer loop,
 //!   [`PreparedNet::run`], executes every batch; a solo request is a
-//!   batch of one.
+//!   batch of one. It checks every input plane first
+//!   ([`PreparedNet::check_input`]): the plane's length, and that each
+//!   code is an `M`-bit code of the plan's encoding.
 //! * [`BatchRunner`] — splits one batch into per-worker chunks on
 //!   `std::thread::scope` threads; workers share the read-only prepared
 //!   network, LUT cache included. It is the one-off threaded form for
@@ -68,7 +70,7 @@ pub mod trace;
 
 pub use backend::{LutCache, MacRoute, NativeBackend, PreparedIndices, ScatterRoute};
 pub use batch::BatchRunner;
-pub use bundle::PreparedNet;
+pub use bundle::{InputError, PreparedNet};
 pub use kernel::{Kernel, KernelCtx};
 pub use options::{avx2_available, BackendKind, EngineOptions, ResolvedBackend};
 pub use scratch::Scratch;

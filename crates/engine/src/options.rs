@@ -7,9 +7,9 @@
 //!   always-available fallback, and the baseline the SWAR tier is gated
 //!   against in `engine_throughput`.
 //! * **swar** — the 8×8 bit-matrix transpose (a `u64` SWAR trick) in the
-//!   pooled-conv fill, the weight-stationary batched pooled-gather and
-//!   pooling tiles with fused bias+requant write-out, and the madd
-//!   kernels for direct, depthwise and dense layers
+//!   pooled-conv fill, the weight-stationary batched pooled-gather tiles
+//!   with fused bias+requant write-out, and the madd kernels for direct,
+//!   depthwise and dense layers
 //!   ([`crate::backend::MacRoute`]) on SSE2, which every x86-64 CPU has
 //!   (plain arrays on other targets). No run-time detection needed.
 //! * **avx2** — the same kernels with the madd route's 256-bit AVX2

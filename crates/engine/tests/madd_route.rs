@@ -20,14 +20,12 @@
 //! its 1×1 case and depthwise its per-channel case) and finished planes
 //! to equal the scalar tier's.
 //!
-//! Planes the plan cannot prove in range (those a layer-0 kernel sees)
-//! are scanned: a code outside the range — past `i16::MAX`, or large
-//! enough that the reference sum leaves `i32` — takes the exact path and
-//! gives the scalar tier's result, or the same panic.
+//! Every plane is in the code range, as every plane a plan stages is:
+//! `PreparedNet::run` refuses any other at entry
+//! (`tests/batch_parity.rs` pins that check).
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use wp_core::reference::{direct_conv_acc, ActEncoding, PooledConvShape};
 use wp_core::{LookupTable, LutOrder, WeightPool};
 use wp_engine::kernel::{DenseKernel, DirectConvKernel, DwConvKernel, Kernel, KernelCtx};
@@ -69,19 +67,13 @@ impl Op {
     }
 
     /// The op compiled for `backend`'s tier.
-    fn kernel(
-        self,
-        weights: &[i8],
-        backend: &NativeBackend,
-        bias: &[i32],
-        input_in_range: bool,
-    ) -> Box<dyn Kernel> {
+    fn kernel(self, weights: &[i8], backend: &NativeBackend, bias: &[i32]) -> Box<dyn Kernel> {
         let w = weights.to_vec();
         match self {
-            Op::Direct(s) => Box::new(DirectConvKernel::new(s, w, backend, bias, input_in_range)),
-            Op::Depthwise(s) => Box::new(DwConvKernel::new(s, w, backend, bias, input_in_range)),
+            Op::Direct(s) => Box::new(DirectConvKernel::new(s, w, backend, bias)),
+            Op::Depthwise(s) => Box::new(DwConvKernel::new(s, w, backend, bias)),
             Op::Dense { out_features, .. } => {
-                Box::new(DenseKernel::new(w, out_features, backend, bias, input_in_range))
+                Box::new(DenseKernel::new(w, out_features, backend, bias))
             }
         }
     }
@@ -152,11 +144,10 @@ fn check_case(
     act_bits: u8,
     weights: &[i8],
     planes: &[Vec<i32>],
-    input_in_range: bool,
 ) -> Result<(), String> {
     let scalar_backend = backend(BackendKind::Scalar, act_bits, encoding);
     let bias = vec![0i32; op.out_ch()];
-    let scalar = op.kernel(weights, &scalar_backend, &bias, input_in_range);
+    let scalar = op.kernel(weights, &scalar_backend, &bias);
     if scalar.mac_route() != Some(MacRoute::Exact) {
         return Err(format!("{op:?}: scalar route {:?}", scalar.mac_route()));
     }
@@ -175,7 +166,7 @@ fn check_case(
 
     for (build, fast_backend) in madd_backends(act_bits, encoding).iter().enumerate() {
         let case = format!("{op:?} {encoding:?} M={act_bits} batch {} build {build}", planes.len());
-        let fast = op.kernel(weights, fast_backend, &bias, input_in_range);
+        let fast = op.kernel(weights, fast_backend, &bias);
         if fast.mac_route() != Some(MacRoute::Madd) {
             return Err(format!("{case}: route {:?}, expected Madd", fast.mac_route()));
         }
@@ -241,7 +232,6 @@ proptest! {
         act_bits in 1u8..=8,
         signed in prop::sample::select(vec![false, true]),
         batch in prop::sample::select(vec![1usize, 7, 8, 16]),
-        input_in_range in prop::sample::select(vec![false, true]),
     ) {
         // The smallest input the kernel fits in, plus a few pixels.
         let hw = kernel.saturating_sub(2 * pad).max(1) + extra;
@@ -250,7 +240,7 @@ proptest! {
         });
         let enc = encoding(signed);
         let (weights, planes) = fabricate(op, enc, act_bits, batch, seed);
-        let result = check_case(op, enc, act_bits, &weights, &planes, input_in_range);
+        let result = check_case(op, enc, act_bits, &weights, &planes);
         prop_assert!(result.is_ok(), "{}", result.unwrap_err());
     }
 }
@@ -279,8 +269,7 @@ fn direct_conv_madd_covers_every_tap_count_edge() {
             let enc = encoding(case % 2 == 1);
             let batch = [1, 7, 8, 16][case % 4];
             let (weights, planes) = fabricate(op, enc, act_bits, batch, case as u64);
-            check_case(op, enc, act_bits, &weights, &planes, !case.is_multiple_of(5))
-                .unwrap_or_else(|e| panic!("{e}"));
+            check_case(op, enc, act_bits, &weights, &planes).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }
@@ -294,8 +283,7 @@ fn dense_madd_matches_the_reference() {
         let enc = encoding(in_features.is_multiple_of(2));
         let batch = [1, 7, 8, 16][in_features % 4];
         let (weights, planes) = fabricate(op, enc, act_bits, batch, in_features as u64);
-        check_case(op, enc, act_bits, &weights, &planes, !in_features.is_multiple_of(3))
-            .unwrap_or_else(|e| panic!("{e}"));
+        check_case(op, enc, act_bits, &weights, &planes).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -321,161 +309,7 @@ fn depthwise_madd_matches_the_reference() {
             let enc = encoding(case.is_multiple_of(2));
             let batch = [1, 7, 8, 16][case % 4];
             let (weights, planes) = fabricate(op, enc, act_bits, batch, case as u64);
-            check_case(op, enc, act_bits, &weights, &planes, !case.is_multiple_of(4))
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-}
-
-/// The panic message of `f`, or `None` if it returned.
-fn panic_message(f: impl FnOnce()) -> Option<String> {
-    let err = catch_unwind(AssertUnwindSafe(f)).err()?;
-    Some(
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default(),
-    )
-}
-
-/// Layer-0 planes outside the code range: values past `i16::MAX` take the
-/// exact path and give the scalar tier's planes, solo and batched (mixed
-/// into a batch of in-range planes), and a plane whose reference sum
-/// leaves `i32` panics exactly as the scalar tier does.
-#[test]
-fn out_of_range_layer0_planes_take_the_exact_path() {
-    let shape =
-        PooledConvShape { in_ch: 6, out_ch: 5, kernel: 3, stride: 1, pad: 1, in_h: 4, in_w: 5 };
-    let ops = [
-        Op::Direct(shape),
-        Op::Depthwise(PooledConvShape { out_ch: 6, ..shape }),
-        Op::Dense { in_features: 40, out_features: 7 },
-    ];
-    let act_bits = 4;
-    for op in ops {
-        for enc in [ActEncoding::Unsigned, ActEncoding::SignedTwosComplement] {
-            let (weights, mut planes) = fabricate(op, enc, act_bits, 9, 0x0B0E);
-            planes[2][3] = 40_000;
-            planes[5][0] = -70_000;
-            planes[5][1] = i32::from(i16::MAX) + 1;
-            let bias = vec![0i32; op.out_ch()];
-            let scalar_backend = backend(BackendKind::Scalar, act_bits, enc);
-            let scalar = op.kernel(&weights, &scalar_backend, &bias, false);
-            let oq = OutputQuant {
-                requant: Requantizer::from_real_multiplier(1e-4),
-                relu: false,
-                out_bits: 8,
-            };
-            let ctx =
-                |b| KernelCtx { backend: b, in_dims: op.in_dims(), bias: &bias, oq: &oq, act_bits };
-            let mut scratch = Scratch::new();
-            let want = scalar.run_batch(&ctx(&scalar_backend), planes.clone(), &mut scratch);
-            // Every tap at 2^28 against the largest weights: the exact sum
-            // leaves `i32`, so every build must panic as the scalar tier
-            // does.
-            let (c, h, w) = op.in_dims();
-            let huge = vec![1 << 28; c * h * w];
-            let heavy = vec![-128i8; op.weight_count()];
-            let heavy_scalar = op.kernel(&heavy, &scalar_backend, &bias, false);
-            let overflow = panic_message(|| {
-                heavy_scalar.run_batch(
-                    &ctx(&scalar_backend),
-                    vec![huge.clone()],
-                    &mut Scratch::new(),
-                );
-            });
-            assert!(overflow.as_deref().is_some_and(|m| m.contains("accumulator overflow")));
-
-            for fast_backend in &madd_backends(act_bits, enc) {
-                let tier = fast_backend.simd();
-                let fast = op.kernel(&weights, fast_backend, &bias, false);
-                assert_eq!(fast.mac_route(), Some(MacRoute::Madd), "{op:?} {tier}");
-                let got = fast.run_batch(&ctx(fast_backend), planes.clone(), &mut scratch);
-                assert_eq!(got, want, "{op:?} {enc:?} {tier}: batched");
-                for (p, w) in planes.iter().zip(&want) {
-                    assert_eq!(&fast.run_solo(&ctx(fast_backend), p, &mut scratch), w, "{op:?}");
-                }
-                for p in &planes {
-                    let (acc, _) = fast.accumulate(&ctx(fast_backend), p, &mut scratch).unwrap();
-                    assert_eq!(acc, op.reference(p, &weights), "{op:?} {enc:?}: accumulators");
-                }
-
-                let fast = op.kernel(&heavy, fast_backend, &bias, false);
-                let got = panic_message(|| {
-                    fast.run_batch(&ctx(fast_backend), vec![huge.clone()], &mut Scratch::new());
-                });
-                assert_eq!(got, overflow, "{op:?} {enc:?} {tier}: batched overflow");
-                let got = panic_message(|| {
-                    fast.run_solo(&ctx(fast_backend), &huge, &mut Scratch::new());
-                });
-                assert_eq!(got, overflow, "{op:?} {enc:?} {tier}: solo overflow");
-            }
-        }
-    }
-}
-
-/// Networks whose first requantizing layer sits behind a pass-through
-/// (`max_pool`), or is layer 0 itself: planes outside the code range
-/// reach it unscanned by `PreparedNet::run`, so it must scan them and
-/// take the exact path; the layers after it see requantized planes.
-/// Solo and batched runs mixing such planes with in-range ones equal the
-/// scalar tier's (with the direct conv last, its outputs show any wrapped
-/// `i16` directly).
-#[test]
-fn network_planes_outside_the_range_match_the_scalar_tier() {
-    use wp_core::deploy::{ConvPayload, DeployBundle};
-    use wp_core::netspec::{ConvSpec, LayerSpec, NetSpec};
-    use wp_engine::{EngineOptions, PreparedNet};
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A7E);
-    let pool = WeightPool::from_vectors(vec![vec![0.5; 8]]);
-    let lut = LookupTable::build(&pool, 8, LutOrder::InputOriented);
-    let conv = LayerSpec::Conv(ConvSpec {
-        in_ch: 4,
-        out_ch: 8,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-        compressed: false,
-    });
-    let networks = [
-        ((4, 8, 8), vec![LayerSpec::MaxPool { size: 2 }, conv]),
-        ((4, 4, 4), vec![conv]),
-        (
-            (4, 4, 4),
-            vec![
-                conv,
-                LayerSpec::DwConv { channels: 8, kernel: 3, stride: 1, pad: 1 },
-                LayerSpec::GlobalAvgPool,
-                LayerSpec::Dense { in_features: 8, out_features: 3, compressed: false },
-            ],
-        ),
-    ];
-    for (input, layers) in networks {
-        let spec = NetSpec { name: "madd-layer0".into(), input, classes: 3, layers };
-        let weights = (0..8 * 4 * 9).map(|_| rng.gen_range(-128i32..=127) as i8).collect();
-        let bundle = DeployBundle {
-            spec,
-            pool: pool.clone(),
-            lut: lut.clone(),
-            convs: vec![ConvPayload::Direct { weights, scale: 0.01 }],
-            act_bits: 4,
-        };
-        let opts = |kind| EngineOptions::new().with_backend(kind).with_requant_multiplier(1e-3);
-        let scalar = PreparedNet::from_bundle(&bundle, &opts(BackendKind::Scalar));
-        let mut inputs = scalar.fabricate_inputs(9, 3);
-        inputs[1][5] = 40_000;
-        inputs[4][0] = -70_000;
-        inputs[7][9] = i32::from(i16::MAX) + 1;
-        let refs: Vec<&[i32]> = inputs.iter().map(|x| x.as_slice()).collect();
-        let want = scalar.run(&refs, &mut Scratch::new());
-        for kind in [BackendKind::Swar, BackendKind::Avx2] {
-            let fast = PreparedNet::from_bundle(&bundle, &opts(kind));
-            assert!(fast.mac_routes().iter().all(|&r| r == MacRoute::Madd), "{kind}");
-            assert_eq!(fast.run(&refs, &mut Scratch::new()), want, "{input:?} {kind}: batched");
-            for (x, w) in inputs.iter().zip(&want) {
-                assert_eq!(&fast.run_one(x), w, "{input:?} {kind}: solo");
-            }
+            check_case(op, enc, act_bits, &weights, &planes).unwrap_or_else(|e| panic!("{e}"));
         }
     }
 }

@@ -11,7 +11,8 @@
 use rand::{Rng, SeedableRng};
 use wp_core::reference::{bitserial_conv_acc, direct_conv_acc, ActEncoding, PooledConvShape};
 use wp_core::{LookupTable, LutOrder, WeightPool};
-use wp_engine::{backend, NativeBackend};
+use wp_engine::kernel::{AvgPoolKernel, GlobalAvgPoolKernel, Kernel, KernelCtx, MaxPoolKernel};
+use wp_engine::{backend, BackendKind, NativeBackend, Scratch};
 use wp_kernels::{conv_bitserial, BitSerialOptions, OutputQuant, PrecomputeMode};
 use wp_mcu::{Mcu, McuSpec};
 use wp_quant::Requantizer;
@@ -152,25 +153,96 @@ fn direct_and_dense_match_reference() {
     assert_eq!(got, expect);
 }
 
-/// Pooling and residual helpers match the CMSIS kernels value-for-value.
+/// One pooling op of the sweep below.
+#[derive(Debug, Clone, Copy)]
+enum Pool {
+    Max(usize),
+    Avg(usize),
+    Global,
+}
+
+impl Pool {
+    /// The layer kernel a plan compiles for this op.
+    fn kernel(self) -> Box<dyn Kernel> {
+        match self {
+            Pool::Max(size) => Box::new(MaxPoolKernel { size }),
+            Pool::Avg(size) => Box::new(AvgPoolKernel { size }),
+            Pool::Global => Box::new(GlobalAvgPoolKernel),
+        }
+    }
+
+    /// The engine's free function for this op.
+    fn native(self, codes: &[i32], (c, h, w): (usize, usize, usize)) -> Vec<i32> {
+        match self {
+            Pool::Max(size) => backend::maxpool(codes, c, h, w, size),
+            Pool::Avg(size) => backend::avgpool(codes, c, h, w, size),
+            Pool::Global => backend::global_avgpool(codes, c, h, w),
+        }
+    }
+
+    /// The CMSIS kernel for this op.
+    fn cmsis(self, mcu: &mut Mcu, codes: &[i32], (c, h, w): (usize, usize, usize)) -> Vec<i32> {
+        match self {
+            Pool::Max(size) => wp_kernels::cmsis::maxpool(mcu, codes, c, h, w, size),
+            Pool::Avg(size) => wp_kernels::cmsis::avgpool(mcu, codes, c, h, w, size),
+            Pool::Global => wp_kernels::cmsis::global_avgpool(mcu, codes, c, h, w),
+        }
+    }
+}
+
+/// Pooling and residual helpers match the CMSIS kernels value-for-value: a
+/// seeded sweep of max, average and global average pooling over channels
+/// 1–8, H and W 1–13 (sizes the window does not divide included) and
+/// windows 1–4, with unsigned and signed (negative) codes. Each case also
+/// runs the layer kernel on every tier, solo and over a batch of nine
+/// images (a full tile of eight and a tail of one).
 #[test]
 fn pooling_ops_match_cmsis() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x9001);
+    let mut mcu = Mcu::new(McuSpec::mc_large());
+    let lut = LookupTable::build(&random_pool(&mut rng, 2, 8), 8, LutOrder::InputOriented);
+    let oq =
+        OutputQuant { requant: Requantizer::from_real_multiplier(1.0), relu: false, out_bits: 8 };
+    let mut case = 0usize;
+    for h in 1..=13usize {
+        for w in 1..=13usize {
+            let windows = 1..=h.min(w).min(4);
+            let ops = windows.flat_map(|size| [Pool::Max(size), Pool::Avg(size)]);
+            for op in ops.chain([Pool::Global]) {
+                case += 1;
+                let dims = (1 + case % 8, h, w);
+                let encoding = [ActEncoding::Unsigned, ActEncoding::SignedTwosComplement][case % 2];
+                let images: Vec<Vec<i32>> =
+                    (0..9).map(|_| random_codes(&mut rng, dims.0 * h * w, 8, encoding)).collect();
+                let want: Vec<Vec<i32>> =
+                    images.iter().map(|x| op.cmsis(&mut mcu, x, dims)).collect();
+                let label = format!("{op:?} over {dims:?}, {encoding:?}");
+                for (x, want) in images.iter().zip(&want) {
+                    assert_eq!(&op.native(x, dims), want, "{label}");
+                }
+                let kernel = op.kernel();
+                for kind in [BackendKind::Scalar, BackendKind::Swar, BackendKind::Avx2] {
+                    let tier = NativeBackend::new_with(&lut, 8, encoding, kind);
+                    let ctx = KernelCtx {
+                        backend: &tier,
+                        in_dims: dims,
+                        bias: &[],
+                        oq: &oq,
+                        act_bits: 8,
+                    };
+                    let mut scratch = Scratch::new();
+                    for (x, want) in images.iter().zip(&want) {
+                        assert_eq!(&kernel.run_solo(&ctx, x, &mut scratch), want, "{label} {kind}");
+                    }
+                    let batched = kernel.run_batch(&ctx, images.clone(), &mut scratch);
+                    assert_eq!(batched, want, "{label} {kind}: batched");
+                }
+            }
+        }
+    }
+
     let codes: Vec<i32> = (0..4 * 6 * 6).map(|_| rng.gen_range(0..256)).collect();
     let other: Vec<i32> = (0..4 * 6 * 6).map(|_| rng.gen_range(0..256)).collect();
-    let mut mcu = Mcu::new(McuSpec::mc_large());
-    assert_eq!(
-        backend::maxpool(&codes, 4, 6, 6, 2),
-        wp_kernels::cmsis::maxpool(&mut mcu, &codes, 4, 6, 6, 2)
-    );
-    assert_eq!(
-        backend::avgpool(&codes, 4, 6, 6, 3),
-        wp_kernels::cmsis::avgpool(&mut mcu, &codes, 4, 6, 6, 3)
-    );
-    assert_eq!(
-        backend::global_avgpool(&codes, 4, 6, 6),
-        wp_kernels::cmsis::global_avgpool(&mut mcu, &codes, 4, 6, 6)
-    );
     assert_eq!(
         backend::residual_add(&codes, &other, 8),
         wp_kernels::cmsis::residual_add(&mut mcu, &codes, &other, 8)

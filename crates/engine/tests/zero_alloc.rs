@@ -127,9 +127,9 @@ fn all_kinds_bundle() -> DeployBundle {
 #[test]
 fn warmed_runs_do_not_allocate() {
     // The swar tier: the steady state covers the batched pooled-gather
-    // and pooling tiles, the fused write-out and the SSE2 madd kernels of
-    // the direct, depthwise and dense layers, whose staged `i16` rows
-    // come from the arena. The avx2 tier (where the CPU has it) runs the
+    // tiles, the fused write-out, the pooling kernels' row buffers and
+    // the SSE2 madd kernels of the direct, depthwise and dense layers,
+    // whose staged `i16` rows come from the arena. The avx2 tier (where the CPU has it) runs the
     // register-resident pooled scatter and the AVX2 madd kernels.
     // Untraced — the traced path is allowed to allocate in its observers.
     let mut tiers = vec![(BackendKind::Swar, ScatterRoute::Gather, MacRoute::Madd)];

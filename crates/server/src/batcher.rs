@@ -285,10 +285,12 @@ impl Batcher {
     /// executes, or synchronously *before this returns* when the request
     /// is refused or has no planes. Callers never poll and never block.
     ///
-    /// Every plane is checked here, against the plan in the slot, and the
-    /// request runs on that plan whatever the registry swaps in later:
-    /// [`InferError::BadInput`] for a wrong-size plane or out-of-range
-    /// code, [`InferError::Overloaded`] when the request's planes do not
+    /// Every plane is checked here by [`PreparedNet::check_input`] of the
+    /// plan in the slot, and the request runs on that plan whatever the
+    /// registry swaps in later: [`InferError::BadInput`], carrying the
+    /// check's message, for a wrong-size plane or out-of-range code
+    /// (the same text [`PreparedNet::run`] would panic with),
+    /// [`InferError::Overloaded`] when the request's planes do not
     /// fit under `max_queue`, and [`InferError::ShuttingDown`] after
     /// [`Batcher::shutdown`]. A refused request runs none of its planes.
     /// `span_id` (a [`trace::span_id_from`] of the request id, 0 when
@@ -332,21 +334,10 @@ impl Batcher {
         responder: Responder,
     ) -> Result<(), (InferError, Responder)> {
         let net = self.slot.read().expect("model slot poisoned").clone();
-        let (c, h, w) = net.input_shape();
-        let (lo, hi) = net.backend().encoding().code_range(net.act_bits());
-        for input in &inputs {
-            let message = if input.len() != c * h * w {
-                format!(
-                    "expected {} activation codes ({c}x{h}x{w}), got {}",
-                    c * h * w,
-                    input.len()
-                )
-            } else if let Some(&bad) = input.iter().find(|&&v| !(lo..=hi).contains(&v)) {
-                format!("activation code {bad} outside [{lo}, {hi}]")
-            } else {
-                continue;
-            };
-            return Err((InferError::BadInput(message), responder));
+        for (i, input) in inputs.iter().enumerate() {
+            if let Err(e) = net.check_input(input) {
+                return Err((InferError::BadInput(format!("input {i} {e}")), responder));
+            }
         }
         if inputs.is_empty() {
             // Nothing to run: no tile would ever complete it.

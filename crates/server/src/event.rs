@@ -11,7 +11,7 @@
 //!                                  │        (whole request, one callback: executor
 //!                                  │         thread → completion queue → eventfd)
 //!                                  ├── completions: encode response → WriteBuf
-//!                                  │     (chunked transfer encoding ≥ 32 KiB)
+//!                                  │     (Content-Length framed, drained on EPOLLOUT)
 //!                                  └── deadline wheel sweep: idle reap /
 //!                                        slowloris 408 / dead-peer close
 //! ```

@@ -12,10 +12,9 @@
 //! Supported: request line + headers + `Content-Length` bodies,
 //! keep-alive (HTTP/1.1 default, opt-in for 1.0), pipelined requests
 //! (leftover bytes stay buffered for the next parse), case-insensitive
-//! header lookup. Responses are framed with `Content-Length`, or with
-//! chunked transfer encoding for large bodies ([`encode_response`]). Not
-//! supported (connection is closed or the request rejected): chunked
-//! *request* bodies and upgrades.
+//! header lookup. Every response is framed with `Content-Length`
+//! ([`encode_response`]). Not supported (connection is closed or the
+//! request rejected): chunked request bodies and upgrades.
 
 use std::io::{self, Write};
 
@@ -24,14 +23,6 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 32 * 1024 * 1024;
-
-/// Response bodies at or above this size are written with chunked
-/// transfer encoding instead of a single `Content-Length` buffer, so a
-/// slow reader drains a large response in bounded pieces.
-pub const CHUNK_THRESHOLD: usize = 32 * 1024;
-
-/// Chunk payload size used when a response is chunk-encoded.
-pub const CHUNK_SIZE: usize = 16 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -281,20 +272,34 @@ fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
     Ok(Request { method, path, http11, headers, body: Vec::new() })
 }
 
-/// The body length a parsed head promises.
+/// The body length a parsed head promises. Each `Content-Length` value
+/// must be all ASCII digits, and repeated `Content-Length` headers must
+/// agree; anything else is malformed (a 400, as RFC 9112 §6.3 requires).
+/// A lenient reading here could frame the body differently from a proxy
+/// in front, and the two would then disagree on where the next request
+/// starts.
 fn body_length(request: &Request) -> Result<usize, HttpError> {
     if let Some(te) = request.header("transfer-encoding") {
         if !te.eq_ignore_ascii_case("identity") {
             return Err(HttpError::Malformed(format!("unsupported transfer-encoding {te}")));
         }
     }
-    let Some(len) = request.header("content-length") else {
-        return Ok(0);
-    };
-    let len: usize = len
-        .trim()
-        .parse()
-        .map_err(|_| HttpError::Malformed(format!("bad content-length {len:?}")))?;
+    let mut length = None;
+    for (name, value) in &request.headers {
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let bad = || HttpError::Malformed(format!("bad content-length {value:?}"));
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad());
+        }
+        let len: usize = value.parse().map_err(|_| bad())?;
+        if length.is_some_and(|first| first != len) {
+            return Err(HttpError::Malformed("conflicting content-length headers".into()));
+        }
+        length = Some(len);
+    }
+    let len = length.unwrap_or(0);
     if len > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge(format!("body of {len} bytes")));
     }
@@ -346,10 +351,9 @@ impl Status {
     }
 }
 
-/// Renders one full response into bytes, choosing the framing: bodies
-/// under [`CHUNK_THRESHOLD`] get a `Content-Length`, larger ones are
-/// chunk-encoded in [`CHUNK_SIZE`] pieces. The decoded body is identical
-/// either way — framing is a transport detail, pinned by e2e tests.
+/// Renders one full response into bytes, framed with `Content-Length`.
+/// The body is already whole, so the connection's write buffer drains it
+/// in as many writes as the socket takes, whatever its size.
 pub fn encode_response(
     status: Status,
     content_type: &str,
@@ -358,35 +362,20 @@ pub fn encode_response(
     keep_alive: bool,
 ) -> Vec<u8> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let chunked = body.len() >= CHUNK_THRESHOLD;
     let mut out = Vec::with_capacity(body.len() + 256);
     let _ = write!(
         out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         status.0,
         status.reason(),
         content_type,
+        body.len(),
     );
-    if chunked {
-        let _ = write!(out, "Transfer-Encoding: chunked\r\n");
-    } else {
-        let _ = write!(out, "Content-Length: {}\r\n", body.len());
-    }
-    let _ = write!(out, "Connection: {connection}\r\n");
     for (name, value) in extra_headers {
         let _ = write!(out, "{name}: {value}\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    if chunked {
-        for chunk in body.chunks(CHUNK_SIZE) {
-            let _ = write!(out, "{:x}\r\n", chunk.len());
-            out.extend_from_slice(chunk);
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"0\r\n\r\n");
-    } else {
-        out.extend_from_slice(body);
-    }
+    out.extend_from_slice(body);
     out
 }
 
@@ -451,15 +440,26 @@ mod tests {
 
     #[test]
     fn malformed_lengths_and_bytes_are_rejected() {
-        // Content-Length that isn't a number, or is negative.
+        // A Content-Length that is not all ASCII digits: not a number,
+        // negative, signed, or empty.
+        for len in ["banana", "-5", "+5", "5 5", ""] {
+            assert!(
+                matches!(
+                    parse(format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nabcde")),
+                    Err(HttpError::Malformed(_))
+                ),
+                "content-length {len:?}"
+            );
+        }
+        // Two Content-Length headers that disagree (a request-smuggling
+        // split behind a proxy that reads the other one).
         assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"),
+            parse("POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 50\r\n\r\nab"),
             Err(HttpError::Malformed(_))
         ));
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n"),
-            Err(HttpError::Malformed(_))
-        ));
+        // Repeated headers that agree frame the body as one would.
+        let r = request("POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab");
+        assert_eq!(r.body, b"ab");
         // A head that stops without its blank-line terminator.
         assert!(matches!(parse("POST / HTTP/1.1\r\nHost: x"), Err(HttpError::Malformed(_))));
         // Non-UTF-8 bytes in the head.
@@ -585,38 +585,22 @@ mod tests {
         assert!(text.ends_with("\r\n\r\nwp_http_requests_total 1\n"));
     }
 
-    /// Small responses are `Content-Length`-framed; large ones switch to
-    /// chunked encoding whose decoded payload is byte-identical.
+    /// Every response is `Content-Length`-framed, however large its body.
     #[test]
-    fn encode_response_picks_framing_by_size() {
+    fn encode_response_frames_every_body_by_content_length() {
         let small = encode_response(Status::OK, "application/json", &[], b"{}", true);
         let text = String::from_utf8(small).unwrap();
         assert!(text.contains("Content-Length: 2\r\n"));
-        assert!(!text.contains("Transfer-Encoding"));
+        assert!(text.ends_with("\r\n\r\n{}"));
 
-        let body: Vec<u8> = (0..CHUNK_THRESHOLD + 1000).map(|i| b'a' + (i % 26) as u8).collect();
+        let body: Vec<u8> = (0..40 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
         let big =
             encode_response(Status::OK, "application/json", &[("X-Request-Id", "r")], &body, true);
-        let text = String::from_utf8(big.clone()).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(!text.contains("Content-Length"));
-        assert!(text.contains("X-Request-Id: r\r\n"));
-        // Decode the chunks back and compare.
         let head_end = big.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        let mut decoded = Vec::new();
-        let mut at = head_end;
-        loop {
-            let line_end = big[at..].windows(2).position(|w| w == b"\r\n").unwrap() + at;
-            let len = usize::from_str_radix(std::str::from_utf8(&big[at..line_end]).unwrap(), 16)
-                .unwrap();
-            at = line_end + 2;
-            if len == 0 {
-                break;
-            }
-            decoded.extend_from_slice(&big[at..at + len]);
-            at += len + 2;
-        }
-        assert_eq!(decoded, body, "chunked payload must decode to the identical body");
-        assert_eq!(&big[at..], b"\r\n", "terminal CRLF after the zero chunk");
+        let head = std::str::from_utf8(&big[..head_end]).unwrap();
+        assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())));
+        assert!(!head.contains("Transfer-Encoding"));
+        assert!(head.contains("X-Request-Id: r\r\n"));
+        assert_eq!(&big[head_end..], &body[..]);
     }
 }

@@ -33,7 +33,7 @@
 //!   bodies).
 //! * [`event`] — the connection front: a vendored-FFI epoll readiness
 //!   loop; a few event threads carry thousands of mostly-idle keep-alive
-//!   connections (per-connection slab, deadline wheel, chunked responses
+//!   connections (per-connection slab, deadline wheel, responses drained
 //!   from nonblocking write buffers). Being epoll-based, it makes the
 //!   crate Linux-only.
 //! * [`conn`] — the event front's data structures: generation-checked

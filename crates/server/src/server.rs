@@ -5,7 +5,7 @@
 //!                 ┌─ event front ─────────────────────────────────┐
 //! TcpListener ──▶ │ epoll readiness loop × event_threads:         │
 //!   accept        │   nonblocking sockets, incremental parse,     │
-//!                 │   callback infer, chunked writes on EPOLLOUT  │
+//!                 │   callback infer, buffered writes on EPOLLOUT │
 //!                 └───────────────┬───────────────────────────────┘
 //!                                 ▼  ModelRegistry.resolve()
 //!                        per-model Batcher queue

@@ -1,7 +1,8 @@
 //! The event front's own end-to-end suite: deadline behavior (slowloris
 //! 408, dead-peer write timeout), overload 503 + `Retry-After`, hostile
 //! framing (trickled heads, pipelining, mid-body disconnects), and
-//! chunked responses decoding to exactly the JSON of direct execution.
+//! large `Content-Length`-framed responses carrying exactly the JSON of
+//! direct execution.
 //!
 //! Everything here drives a real server over real loopback sockets.
 
@@ -57,9 +58,9 @@ impl RespReader {
         self.buf.extend_from_slice(&chunk[..n]);
     }
 
-    /// Reads one full response, decoding `Content-Length` or chunked
-    /// framing. Returns `(status, headers, body, was_chunked)`.
-    fn read_response(&mut self) -> (u16, Vec<(String, String)>, Vec<u8>, bool) {
+    /// Reads one full response, which must be `Content-Length`-framed.
+    /// Returns `(status, headers, body)`.
+    fn read_response(&mut self) -> (u16, Vec<(String, String)>, Vec<u8>) {
         let head_end = loop {
             if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 break pos + 4;
@@ -82,45 +83,13 @@ impl RespReader {
             headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
         };
 
-        if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-            let mut body = Vec::new();
-            loop {
-                let line_end = loop {
-                    if let Some(i) = self.buf.windows(2).position(|w| w == b"\r\n") {
-                        break i;
-                    }
-                    self.fill();
-                };
-                let size = usize::from_str_radix(
-                    std::str::from_utf8(&self.buf[..line_end]).expect("chunk size utf-8").trim(),
-                    16,
-                )
-                .expect("chunk size hex");
-                self.buf.drain(..line_end + 2);
-                if size == 0 {
-                    while self.buf.len() < 2 {
-                        self.fill();
-                    }
-                    assert_eq!(&self.buf[..2], b"\r\n", "chunked epilogue");
-                    self.buf.drain(..2);
-                    return (status, headers, body, true);
-                }
-                while self.buf.len() < size + 2 {
-                    self.fill();
-                }
-                body.extend_from_slice(&self.buf[..size]);
-                assert_eq!(&self.buf[size..size + 2], b"\r\n", "chunk terminator");
-                self.buf.drain(..size + 2);
-            }
-        }
-
         let len: usize = header("content-length").expect("framing header").parse().unwrap();
         while self.buf.len() < len {
             self.fill();
         }
         let body = self.buf[..len].to_vec();
         self.buf.drain(..len);
-        (status, headers, body, false)
+        (status, headers, body)
     }
 }
 
@@ -137,7 +106,7 @@ fn post_infer(stream: &mut TcpStream, req: &InferRequest) {
 fn infer_roundtrip(
     handle: &ServerHandle,
     req: &InferRequest,
-) -> (u16, Vec<(String, String)>, Vec<u8>, bool) {
+) -> (u16, Vec<(String, String)>, Vec<u8>) {
     let mut client = RespReader::connect(handle);
     post_infer(&mut client.stream, req);
     client.read_response()
@@ -146,7 +115,7 @@ fn infer_roundtrip(
 fn metrics_snapshot(handle: &ServerHandle) -> MetricsSnapshot {
     let mut client = RespReader::connect(handle);
     write!(client.stream, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    let (status, _, body, _) = client.read_response();
+    let (status, _, body) = client.read_response();
     assert_eq!(status, 200);
     serde_json::from_str(&String::from_utf8(body).unwrap()).expect("metrics json")
 }
@@ -280,8 +249,7 @@ fn overload_gets_503_with_retry_after() {
     let net = handle.registry().get("demo").unwrap().net();
     let inputs = net.fabricate_inputs(4, 7);
 
-    let (status, headers, body, _) =
-        infer_roundtrip(&handle, &InferRequest { model: None, inputs });
+    let (status, headers, body) = infer_roundtrip(&handle, &InferRequest { model: None, inputs });
     assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
     let retry = headers
         .iter()
@@ -295,7 +263,7 @@ fn overload_gets_503_with_retry_after() {
     let ok_input = handle.registry().get("demo").unwrap().net().fabricate_inputs(1, 8);
     let recovered = Instant::now();
     loop {
-        let (status, _, _, _) =
+        let (status, _, _) =
             infer_roundtrip(&handle, &InferRequest { model: None, inputs: ok_input.clone() });
         if status == 200 {
             break;
@@ -330,7 +298,7 @@ fn partial_heads_across_many_writes_parse_correctly() {
         client.stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(1));
     }
-    let (status, _, resp_body, _) = client.read_response();
+    let (status, _, resp_body) = client.read_response();
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp_body));
     let resp: InferResponse = serde_json::from_str(&String::from_utf8(resp_body).unwrap()).unwrap();
     assert_eq!(resp.outputs, vec![expected]);
@@ -357,14 +325,14 @@ fn interleaved_pipelined_requests_answer_in_order() {
     let mut client = RespReader::connect(&handle);
     client.stream.write_all(pipelined.as_bytes()).unwrap();
 
-    let (s1, _, b1, _) = client.read_response();
+    let (s1, _, b1) = client.read_response();
     assert_eq!(s1, 200);
     assert!(String::from_utf8_lossy(&b1).contains("\"ok\""), "healthz first");
-    let (s2, _, b2, _) = client.read_response();
+    let (s2, _, b2) = client.read_response();
     assert_eq!(s2, 200);
     let resp: InferResponse = serde_json::from_str(&String::from_utf8(b2).unwrap()).unwrap();
     assert_eq!(resp.outputs, vec![expected], "infer second, bit-identical");
-    let (s3, _, b3, _) = client.read_response();
+    let (s3, _, b3) = client.read_response();
     assert_eq!(s3, 200);
     assert!(String::from_utf8_lossy(&b3).contains("\"input_len\""), "models last");
     handle.shutdown();
@@ -395,11 +363,11 @@ fn mid_body_disconnect_is_reaped_cleanly() {
     handle.shutdown();
 }
 
-/// A response that crosses the chunked-encoding threshold must decode,
-/// byte for byte, to the JSON of the request's `run_one` outputs — and a
-/// small response stays `Content-Length`-framed with the same identity.
+/// A response far over 32 KiB is `Content-Length`-framed like a small one,
+/// and each carries, byte for byte, the JSON of its request's `run_one`
+/// outputs.
 #[test]
-fn chunked_responses_are_bit_identical_to_run_one() {
+fn large_responses_are_content_length_framed_and_bit_identical_to_run_one() {
     let mut handle = start(
         ServerConfig::default(),
         BatcherConfig {
@@ -417,23 +385,15 @@ fn chunked_responses_are_bit_identical_to_run_one() {
             .unwrap()
             .into_bytes()
     };
-    let fetch = |req: &InferRequest| {
-        let (status, _, body, chunked) = infer_roundtrip(&handle, req);
+    for (planes, seed) in [(4000, 21), (1, 22)] {
+        let req = InferRequest { model: None, inputs: net.fabricate_inputs(planes, seed) };
+        let (status, headers, body) = infer_roundtrip(&handle, &req);
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body[..body.len().min(300)]));
-        (body, chunked)
-    };
-
-    // Enough planes that the response JSON crosses CHUNK_THRESHOLD.
-    let big = InferRequest { model: None, inputs: net.fabricate_inputs(4000, 21) };
-    let (big_body, big_chunked) = fetch(&big);
-    assert!(big_body.len() > 32 * 1024, "test must cross the chunk threshold");
-    assert!(big_chunked, "large response must use chunked framing");
-    assert_eq!(big_body, expected_body(&big), "chunked body must be the run_one JSON exactly");
-
-    let small = InferRequest { model: None, inputs: net.fabricate_inputs(1, 22) };
-    let (small_body, small_chunked) = fetch(&small);
-    assert!(!small_chunked, "small responses keep Content-Length framing");
-    assert_eq!(small_body, expected_body(&small), "small body must be the run_one JSON exactly");
+        assert!(planes == 1 || body.len() > 32 * 1024, "the large body must pass 32 KiB");
+        let length = headers.iter().find(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+        assert_eq!(length.map(|(_, v)| v.parse::<usize>().unwrap()), Some(body.len()));
+        assert_eq!(body, expected_body(&req), "{planes} planes: body must be the run_one JSON");
+    }
 
     handle.shutdown();
 }
@@ -450,7 +410,7 @@ fn event_front_metrics_are_exposed() {
 
     let mut client = RespReader::connect(&handle);
     post_infer(&mut client.stream, &InferRequest { model: None, inputs: vec![input] });
-    let (status, _, _, _) = client.read_response();
+    let (status, _, _) = client.read_response();
     assert_eq!(status, 200);
 
     let snap = metrics_snapshot(&handle);
@@ -463,7 +423,7 @@ fn event_front_metrics_are_exposed() {
 
     let mut client = RespReader::connect(&handle);
     write!(client.stream, "GET /metrics?format=prometheus HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    let (status, _, body, _) = client.read_response();
+    let (status, _, body) = client.read_response();
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains("wp_connections_accepted_total"), "{text}");
