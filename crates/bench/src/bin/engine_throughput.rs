@@ -24,6 +24,13 @@
 //!    alternation on one kept arena per arm and reported as medians and
 //!    quartiles, plus the per-layer share breakdown (`--profile` prints
 //!    the full table).
+//! 6. **Requant finish**: every requantizing layer's bias + requant
+//!    finish over the serving demo's real accumulators
+//!    ([`PreparedNet::finish_inputs`]), timed apart from the kernels in
+//!    ns per output: the scalar tier's reference loop against the avx2
+//!    tier's vector finish, alternating each trial on kept buffers, with
+//!    outputs verified identical. Where the CPU has AVX2 it is gated at
+//!    ≥3x the scalar finish (ratio of medians).
 //!
 //! ```sh
 //! cargo run --release --bin engine_throughput -p wp_bench \
@@ -327,6 +334,73 @@ fn main() {
     }
     println!();
 
+    // --- 6. Requant finish: scalar loop vs AVX2 ---------------------------
+    // The finish pass alone, over the accumulators demo-serve's
+    // requantizing layers really produce (fabricated inputs, calibrated
+    // multipliers). Each arm refills its own kept buffers from the raw
+    // accumulators, untimed, then times one finish pass over all of them;
+    // the arms alternate which goes first, and the first pass of each arm
+    // is a warmup.
+    let (bundle, opts) = wp_server::demo::demo_deployment(wp_server::demo::DemoSize::Serve, 1);
+    let mut finish_arms = vec![BackendKind::Scalar];
+    if avx2_available() {
+        finish_arms.push(BackendKind::Avx2);
+    }
+    let finish_nets: Vec<PreparedNet> = finish_arms
+        .iter()
+        .map(|&kind| PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind)))
+        .collect();
+    let finish_images = 8;
+    let raw: Vec<wp_engine::FinishInput> = finish_nets[0]
+        .fabricate_inputs(finish_images, 5)
+        .iter()
+        .flat_map(|x| finish_nets[0].finish_inputs(x))
+        .collect();
+    let finish_outputs: usize = raw.iter().map(|f| f.acc.len()).sum();
+    let outputs_per_image = finish_outputs / finish_images;
+    let finish_trials = if effort.fast { 15 } else { 41 };
+    let mut finished: Vec<Vec<Vec<i32>>> =
+        finish_nets.iter().map(|_| raw.iter().map(|f| f.acc.clone()).collect()).collect();
+    let mut finish_ns = vec![Vec::with_capacity(finish_trials); finish_nets.len()];
+    for trial in 0..=finish_trials {
+        for turn in 0..finish_nets.len() {
+            let arm = (trial + turn) % finish_nets.len();
+            let (backend, bufs) = (finish_nets[arm].backend(), &mut finished[arm]);
+            for (buf, f) in bufs.iter_mut().zip(&raw) {
+                buf.copy_from_slice(&f.acc);
+            }
+            let start = Instant::now();
+            for (buf, f) in bufs.iter_mut().zip(&raw) {
+                backend.finish_plane(&f.oq, buf, &f.bias, f.plane);
+            }
+            let secs = start.elapsed().as_secs_f64();
+            if trial > 0 {
+                finish_ns[arm].push(secs * 1e9 / finish_outputs as f64);
+            }
+        }
+    }
+    for (net, bufs) in finish_nets.iter().zip(&finished).skip(1) {
+        assert!(bufs == &finished[0], "{} finish must be bit-identical", net.backend_kind());
+    }
+    let finish_q: Vec<[f64; 3]> = finish_ns.into_iter().map(quartiles).collect();
+    println!(
+        "== Requant finish (scatter-heavy serving demo, {outputs_per_image} outputs per image, \
+         {finish_images} images, {finish_trials} alternating trials per arm, kept buffers) =="
+    );
+    for (net, [p25, median, p75]) in finish_nets.iter().zip(&finish_q) {
+        println!(
+            "{:>7}: {median:>7.3} ns/output  ({p25:.3} .. {p75:.3})",
+            net.backend_kind().name()
+        );
+    }
+    let finish_ratio = (finish_q.len() > 1).then(|| finish_q[0][1] / finish_q[1][1]);
+    if let Some(ratio) = finish_ratio {
+        println!("avx2 vs scalar: {ratio:.2}x  (medians; outputs verified identical)");
+    } else {
+        println!("AVX2 not available: the vector finish is not timed");
+    }
+    println!();
+
     if let Some(path) = &out_path {
         let body: Vec<String> =
             sections.iter().map(|section| section.json(ab_batch, tier_trials)).collect();
@@ -340,17 +414,33 @@ fn main() {
                 )
             })
             .collect();
+        let finish_rows: Vec<String> = finish_nets
+            .iter()
+            .zip(&finish_q)
+            .map(|(net, [p25, median, p75])| {
+                format!(
+                    "\"{}\":{{\"p25\":{p25:.3},\"median\":{median:.3},\"p75\":{p75:.3}}}",
+                    net.backend_kind().name()
+                )
+            })
+            .collect();
+        let finish_ratio_json =
+            finish_ratio.map(|r| format!(",\"avx2_over_scalar\":{r:.2}")).unwrap_or_default();
         let report = format!(
             "{{\"bench\":\"engine_backends\",{},{},\
              \"trace_overhead\":{{\"batch\":{ab_batch},\"backend\":\"{tier}\",\"trials\":{trials},\
              \"images_per_sec\":{{\"disabled\":{},\"profiled\":{}}},\
              \"profiled_overhead_pct\":{overhead_pct:.2}}},\
-             \"profile\":{{\"model\":\"demo-serve\",\"share_sum\":{share_sum:.4},\"layers\":[{}]}}}}\n",
+             \"profile\":{{\"model\":\"demo-serve\",\"share_sum\":{share_sum:.4},\"layers\":[{}]}},\
+             \"finish\":{{\"model\":\"demo-serve\",\"outputs_per_image\":{outputs_per_image},\
+             \"images\":{finish_images},\"trials\":{finish_trials},\
+             \"ns_per_output\":{{{}}}{finish_ratio_json}}}}}\n",
             fingerprint(),
             body.join(","),
             quartiles_json(off),
             quartiles_json(on),
-            layer_rows.join(",")
+            layer_rows.join(","),
+            finish_rows.join(",")
         );
         std::fs::write(path, &report).expect("write bench JSON");
         println!("wrote {path}");
@@ -387,6 +477,11 @@ fn main() {
             batched >= 1.5,
             "avx2 only {batched:.2}x over swar batched on the pooled demo (gate: >=1.5x)"
         );
+    }
+    // The avx2 tier's vector finish is a second path beside the reference
+    // loop, so it must hold >=3x over the scalar finish per output.
+    if let Some(ratio) = finish_ratio {
+        assert!(ratio >= 3.0, "avx2 finish only {ratio:.2}x over the scalar finish (gate: >=3x)");
     }
 }
 

@@ -41,11 +41,12 @@
 //! itself live with one request, then sits) on one of two identical
 //! servers, drives the batched workload through that herd server and
 //! the herd-free one in turn (5 trials each, alternating which goes
-//! first), and gates: every connection served, `connections /
-//! event-threads >= 500`, and the herd server's median throughput within
-//! 10% of the herd-free one's. `--mostly-idle` runs only this scenario
-//! (the CI smoke hook); by default it runs after the A/B sections.
-//! Results land in the `event_front` section of the JSON.
+//! first, each at least 1,024 requests and about 0.5 s long), and gates:
+//! every connection served, `connections / event-threads >= 500`, and
+//! the herd server's median throughput within 10% of the herd-free
+//! one's. `--mostly-idle` runs only this scenario (the CI smoke hook); by
+//! default it runs after the A/B sections. Results land in the
+//! `event_front` section of the JSON.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -476,6 +477,12 @@ fn poke(stream: &mut BufReader<TcpStream>, host: &str) -> u16 {
 /// Measured passes per arm of the mostly-idle herd scenario.
 const HERD_TRIALS: usize = 5;
 
+/// Shortest herd-scenario pass, in seconds at the warmed rate, and its
+/// fewest requests. Passes of 256 requests (0.1–0.2 s) swung more than
+/// the 10% the gate must resolve.
+const HERD_PASS_SECS: f64 = 0.5;
+const HERD_PASS_REQUESTS: usize = 1024;
+
 /// The mostly-idle herd scenario: `connections` keep-alive connections
 /// parked on a small pool of event threads while the batched workload
 /// runs through them. Gates the event front's acceptance criteria and
@@ -509,13 +516,17 @@ fn run_event_front_section(args: &Args) -> String {
     let addr = &addrs[1];
 
     println!("-- event front: {} mostly-idle connections --", args.connections);
-    // A measurement this scenario gates at +/-10% needs enough requests
-    // to settle, independent of the smoke cap; warm up first so neither
-    // arm pays first-touch costs.
-    let requests = args.requests.max(256);
-    for addr in &addrs {
-        drive("warmup", addr, model, &inputs, &expected, 64, args.concurrency);
-    }
+    // A measurement this scenario gates at +/-10% needs passes long
+    // enough to settle, independent of the smoke cap: warm both servers up
+    // (so neither arm pays first-touch costs), then size every pass to
+    // last at least `HERD_PASS_SECS` at the faster warmed rate.
+    let warmed = addrs
+        .each_ref()
+        .map(|addr| drive("warmup", addr, model, &inputs, &expected, 256, args.concurrency).rps());
+    let requests = args
+        .requests
+        .max(HERD_PASS_REQUESTS)
+        .max((warmed[0].max(warmed[1]) * HERD_PASS_SECS).ceil() as usize);
 
     // Open the herd. Every connection proves itself live with one
     // request, then sits in keep-alive.

@@ -37,10 +37,16 @@
 //! rows with `pmaddwd`, 16 exact products into 8 `i32` lanes per 256
 //! bits. The two kernels are written once over a 16-lane vector type and
 //! built three ways: AVX2 on the avx2 tier, two SSE2 halves on the swar
-//! tier (x86-64's baseline ISA), and plain arrays on other targets. Solo and batched calls run the same kernel. Every other
-//! layer takes the exact route: the `i64` reference loop, once per image.
-//! Both routes compute the reference's integers — pinned by
-//! `tests/madd_route.rs`.
+//! tier (x86-64's baseline ISA), and plain arrays on other targets. Solo
+//! and batched calls run the same kernel. Every other layer takes the
+//! exact route: the `i64` reference loop, once per image. Both routes
+//! compute the reference's integers — pinned by `tests/madd_route.rs`.
+//!
+//! Every kernel here returns raw accumulators; the layer's bias and
+//! requantization follow in one finish pass over each plane
+//! ([`NativeBackend::finish_plane`], in [`crate::finish`]), except in the
+//! gather's batched tiles, which finish each value as it leaves
+//! registers (`WriteOut`).
 
 use crate::options::{BackendKind, ResolvedBackend};
 use crate::scratch::Scratch;
@@ -2088,26 +2094,28 @@ impl TileAcc for i32 {
     }
 }
 
-/// How the pooled gather's batched tile kernel writes a finished
-/// accumulator out: raw checked narrowing
-/// ([`NativeBackend::conv_pooled_prepared_batch`], which the parity suites
-/// compare), or the bias + requant arithmetic fused in as the value
-/// leaves registers (the `Kernel::run_batch` surface), so no separate
-/// finish pass re-walks the output planes.
+/// How the batched pooled conv writes a finished accumulator out: raw
+/// checked narrowing ([`NativeBackend::conv_pooled_prepared_batch`],
+/// which the parity suites compare), or the bias + requant finish (the
+/// `Kernel::run_batch` surface, [`FusedOut`]).
 ///
-/// `emit` must be arithmetic-identical — **including the panics** — to
-/// the raw narrowing followed by [`OutputQuant::apply_plane`]:
-/// [`FusedOut`] reproduces that path's exact checked-narrow, widening
-/// bias add, second checked-narrow and requant sequence per element, so
-/// fusion cannot change (or silently skip) a single output or overflow
-/// check.
+/// Both methods must be arithmetic-identical — **including the panics**
+/// — to the raw narrowing followed by
+/// [`OutputQuant::apply_plane_in_place`]:
+/// [`FusedOut::emit`] reproduces that path's exact checked-narrow,
+/// widening bias add, second checked-narrow and requant sequence per
+/// element, so fusion cannot change (or silently skip) a single output or
+/// overflow check, and [`FusedOut::finish_solo_in_place`] runs the
+/// plan's finish, [`NativeBackend::finish_plane`].
 pub(crate) trait WriteOut {
-    /// Finishes one accumulator belonging to output channel `k`.
+    /// Finishes one accumulator belonging to output channel `k`, as the
+    /// gather's batched tile kernel leaves registers with it, so no
+    /// separate finish pass re-walks the tile's output planes.
     fn emit(&self, k: usize, acc: i64) -> i32;
 
-    /// Finishes a whole raw solo-path accumulator plane in place (tail
-    /// tiles run through the solo kernels, which produce raw
-    /// accumulators into arena buffers).
+    /// Finishes a whole raw solo-path accumulator plane in place: tail
+    /// tiles, and every image on the register route, run the per-image
+    /// kernel, which produces raw accumulators into arena buffers.
     fn finish_solo_in_place(&self, acc: &mut [i32], plane: usize);
 }
 
@@ -2123,9 +2131,12 @@ impl WriteOut for RawOut {
     fn finish_solo_in_place(&self, _acc: &mut [i32], _plane: usize) {}
 }
 
-/// Fused bias+requant write-out (see [`WriteOut`] for the exactness
-/// contract).
+/// Bias+requant write-out (see [`WriteOut`] for the exactness
+/// contract): per element in the gather's tiles, and through the plan's
+/// finish for whole planes.
 pub(crate) struct FusedOut<'a> {
+    /// The plan's backend, whose tier picks the plane finish.
+    pub(crate) backend: &'a NativeBackend,
     pub(crate) bias: &'a [i32],
     pub(crate) oq: &'a OutputQuant,
 }
@@ -2140,7 +2151,7 @@ impl WriteOut for FusedOut<'_> {
     }
 
     fn finish_solo_in_place(&self, acc: &mut [i32], plane: usize) {
-        self.oq.apply_plane_in_place(acc, self.bias, plane);
+        self.backend.finish_plane(self.oq, acc, self.bias, plane);
     }
 }
 

@@ -47,6 +47,20 @@ impl PreparedLayer {
     }
 }
 
+/// One requantizing layer's finish for one image, as
+/// [`PreparedNet::finish_inputs`] captures it.
+#[derive(Debug, Clone)]
+pub struct FinishInput {
+    /// Raw accumulators, `[K, plane]`.
+    pub acc: Vec<i32>,
+    /// Positions per output channel.
+    pub plane: usize,
+    /// One bias per output channel.
+    pub bias: Vec<i32>,
+    /// The layer's requantization.
+    pub oq: OutputQuant,
+}
+
 /// A [`DeployBundle`] compiled for native execution.
 #[derive(Debug, Clone)]
 pub struct PreparedNet {
@@ -385,46 +399,78 @@ impl PreparedNet {
         samples: usize,
         seed: u64,
     ) -> Vec<f64> {
-        let mut net = Self::from_bundle(bundle, opts);
-        let backend = net.backend.clone();
-        let act_bits = net.act_bits;
-        let mut scratch = Scratch::new();
-        let mut planes = net.fabricate_inputs(samples.max(1), seed);
+        let net = Self::from_bundle(bundle, opts);
         let mut multipliers = Vec::new();
-        for li in 0..net.layers.len() {
-            let layer = &net.layers[li];
-            let ctx = layer.ctx(&backend, act_bits);
-            let infos: Option<Vec<(Vec<i32>, usize)>> =
-                planes.iter().map(|p| layer.kernel.accumulate(&ctx, p, &mut scratch)).collect();
-            let Some(infos) = infos else {
-                let kernel = Arc::clone(&layer.kernel);
-                planes = planes.iter().map(|p| kernel.run_solo(&ctx, p, &mut scratch)).collect();
-                continue;
-            };
-            let oq = layer.oq;
-            let bias = layer.bias.clone();
+        net.walk_finishes(net.fabricate_inputs(samples.max(1), seed), |layer, infos| {
             // For ReLU layers only positive accumulators survive, so only
             // they constrain the scale.
             let mut peak = 0i64;
-            for (acc, plane) in &infos {
-                for (chunk, &b) in acc.chunks(*plane).zip(&bias) {
+            for (acc, plane) in infos {
+                for (chunk, &b) in acc.chunks(*plane).zip(&layer.bias) {
                     for &a in chunk {
                         let v = a as i64 + b as i64;
-                        peak = peak.max(if oq.relu { v } else { v.abs() });
+                        peak = peak.max(if layer.oq.relu { v } else { v.abs() });
                     }
                 }
             }
-            let target =
-                if oq.relu { (1i64 << oq.out_bits) - 1 } else { (1i64 << (oq.out_bits - 1)) - 1 };
+            let target = layer.oq.code_range().1;
             let mult =
                 if peak == 0 { opts.requant_multiplier } else { target as f64 / peak as f64 };
             multipliers.push(mult);
-            net.layers[li].oq.requant = Requantizer::from_real_multiplier(mult);
-            let oq = net.layers[li].oq;
-            planes =
-                infos.into_iter().map(|(acc, plane)| oq.apply_plane(&acc, &bias, plane)).collect();
-        }
+            OutputQuant { requant: Requantizer::from_real_multiplier(mult), ..layer.oq }
+        });
         multipliers
+    }
+
+    /// Every requantizing layer's finish input for one image, in layer
+    /// order: its raw accumulators, bias and requantization, exactly as
+    /// [`PreparedNet::run`] hands them to [`NativeBackend::finish_plane`].
+    /// It lets benchmarks time the finish pass on a network's real
+    /// accumulators, apart from the kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`PreparedNet::check_input`] refuses `input`.
+    pub fn finish_inputs(&self, input: &[i32]) -> Vec<FinishInput> {
+        self.check_batch(&[input]);
+        let mut finishes = Vec::new();
+        self.walk_finishes(vec![input.to_vec()], |layer, infos| {
+            let (acc, plane) = infos[0].clone();
+            finishes.push(FinishInput { acc, plane, bias: layer.bias.clone(), oq: layer.oq });
+            layer.oq
+        });
+        finishes
+    }
+
+    /// Runs `planes` through every layer one image at a time. At each
+    /// requantizing layer `finish_with` sees the raw accumulators (with
+    /// the positions per output channel) and returns the requantization
+    /// that finishes them, through [`NativeBackend::finish_plane`], into
+    /// the next layer's input.
+    fn walk_finishes(
+        &self,
+        mut planes: Vec<Vec<i32>>,
+        mut finish_with: impl FnMut(&PreparedLayer, &[(Vec<i32>, usize)]) -> OutputQuant,
+    ) {
+        let mut scratch = Scratch::new();
+        for layer in &self.layers {
+            let ctx = layer.ctx(&self.backend, self.act_bits);
+            let infos: Option<Vec<(Vec<i32>, usize)>> =
+                planes.iter().map(|p| layer.kernel.accumulate(&ctx, p, &mut scratch)).collect();
+            let Some(infos) = infos else {
+                planes =
+                    planes.iter().map(|p| layer.kernel.run_solo(&ctx, p, &mut scratch)).collect();
+                continue;
+            };
+            let oq = finish_with(layer, &infos);
+            planes = infos
+                .into_iter()
+                .map(|(mut acc, plane)| {
+                    self.backend.finish_plane(&oq, &mut acc, &layer.bias, plane);
+                    acc
+                })
+                .collect();
+        }
     }
 
     /// Records one traced layer execution into whichever observers are

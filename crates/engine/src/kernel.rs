@@ -42,7 +42,15 @@
 //! input; `run_batch` consumes its input planes and drains them back
 //! into the arena.
 //!
-//! Requantizing kernels also expose their raw accumulators through
+//! Requantizing kernels (pooled, direct, depthwise, dense) accumulate
+//! raw `i32` sums, then finish each plane — bias, rounding requant and
+//! clamp — through the plan's one finish, [`NativeBackend::finish_plane`]
+//! ([`crate::finish`]): the AVX2 finish on the avx2 tier, the reference
+//! [`OutputQuant::apply_plane_in_place`] loop on the scalar and swar
+//! tiers. `run_solo`'s default does that, and the pooled conv's batched
+//! path finishes its per-image planes the same way; only the gather's
+//! full batch tiles fuse the reference arithmetic into their write-out.
+//! The raw accumulators are also exposed through
 //! [`Kernel::accumulate`], which is what per-layer requant calibration
 //! consumes ([`crate::PreparedNet::calibrate_multipliers`]).
 
@@ -108,14 +116,16 @@ pub trait Kernel: std::fmt::Debug + Send + Sync {
     /// caller (the executor recycles it).
     ///
     /// Default: accumulate, then bias-add + requantize in place through
-    /// the shared [`OutputQuant::apply_plane_in_place`] arithmetic.
-    /// Pass-through kernels (those returning `None` from
-    /// [`Kernel::accumulate`]) must override this.
+    /// the plan's finish, [`NativeBackend::finish_plane`]: the AVX2
+    /// finish on the avx2 tier, [`OutputQuant::apply_plane_in_place`]
+    /// on the others, bit-identical either way. Pass-through kernels
+    /// (those returning `None` from [`Kernel::accumulate`]) must override
+    /// this.
     fn run_solo(&self, ctx: &KernelCtx<'_>, codes: &[i32], scratch: &mut Scratch) -> Vec<i32> {
         let (mut acc, plane) = self
             .accumulate(ctx, codes, scratch)
             .expect("pass-through kernels must override run_solo");
-        ctx.oq.apply_plane_in_place(&mut acc, ctx.bias, plane);
+        ctx.backend.finish_plane(ctx.oq, &mut acc, ctx.bias, plane);
         acc
     }
 
@@ -206,7 +216,7 @@ impl Kernel for PooledConvKernel {
             &planes,
             &self.shape,
             &self.indices,
-            &FusedOut { bias: ctx.bias, oq: ctx.oq },
+            &FusedOut { backend: ctx.backend, bias: ctx.bias, oq: ctx.oq },
             scratch,
             &mut outs,
         );

@@ -63,6 +63,7 @@
 pub mod backend;
 pub mod batch;
 pub mod bundle;
+pub mod finish;
 pub mod kernel;
 pub mod options;
 pub mod scratch;
@@ -70,7 +71,7 @@ pub mod trace;
 
 pub use backend::{LutCache, MacRoute, NativeBackend, PreparedIndices, ScatterRoute};
 pub use batch::BatchRunner;
-pub use bundle::{InputError, PreparedNet};
+pub use bundle::{FinishInput, InputError, PreparedNet};
 pub use kernel::{Kernel, KernelCtx};
 pub use options::{avx2_available, BackendKind, EngineOptions, ResolvedBackend};
 pub use scratch::Scratch;

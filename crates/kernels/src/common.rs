@@ -1,4 +1,9 @@
-//! Shared output-quantization helper for the instrumented kernels.
+//! Shared output quantization: the per-output requantization every
+//! instrumented kernel charges to the [`Mcu`] cost model, and the
+//! reference arithmetic the host engine's finish is defined by.
+//! `wp_engine`'s scalar and swar tiers finish a layer with
+//! [`OutputQuant::apply_plane_in_place`]; its avx2 tier runs a vector
+//! finish pinned to [`OutputQuant::apply_value`] element by element.
 
 use wp_mcu::Mcu;
 use wp_quant::Requantizer;
@@ -31,39 +36,32 @@ impl OutputQuant {
     /// multiplier above 1 scales past `i32` saturates instead of wrapping.
     #[inline]
     pub fn apply_value(&self, acc: i32) -> i32 {
-        let q = self.requant.apply_wide(acc);
-        let (lo, hi) = if self.relu {
+        let (lo, hi) = self.code_range();
+        self.requant.apply_wide(acc).clamp(lo, hi) as i32
+    }
+
+    /// The output code range `[lo, hi]` [`OutputQuant::apply_value`]
+    /// clamps to: `[0, 2^out_bits − 1]` with ReLU, else the two's
+    /// complement range of `out_bits` bits.
+    #[inline]
+    pub fn code_range(&self) -> (i64, i64) {
+        if self.relu {
             (0, (1i64 << self.out_bits) - 1)
         } else {
             let hi = (1i64 << (self.out_bits - 1)) - 1;
             (-hi - 1, hi)
-        };
-        q.clamp(lo, hi) as i32
+        }
     }
 
-    /// Bias add + requantization over a whole accumulator block: `acc` is
-    /// `[K, plane]` raw accumulators (one `plane`-long chunk per output
-    /// channel), `bias` one value per channel. This is *the* shared finish
-    /// path: every host-speed kernel (`wp_engine`'s solo and batched
-    /// paths alike) funnels through it, so batched execution is
-    /// bit-identical to solo in the requant stage by construction. The
-    /// bias add widens to `i64` before the checked narrowing so a bias
-    /// pushing an accumulator past `i32` panics instead of wrapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc.len() != bias.len() * plane` or if `acc + bias`
-    /// overflows `i32`.
-    pub fn apply_plane(&self, acc: &[i32], bias: &[i32], plane: usize) -> Vec<i32> {
-        let mut out = acc.to_vec();
-        self.apply_plane_in_place(&mut out, bias, plane);
-        out
-    }
-
-    /// [`OutputQuant::apply_plane`] rewritten in place: the accumulator
-    /// buffer becomes the output code buffer, element for element (and
-    /// panic for panic), with no intermediate allocation — the finish
-    /// path of the engine's zero-allocation steady state.
+    /// Bias add + requantization over a whole accumulator block, in
+    /// place: `acc` is `[K, plane]` raw accumulators (one `plane`-long
+    /// chunk per output channel) and becomes the output codes, `bias`
+    /// holds one value per channel. This is the reference finish:
+    /// `wp_engine`'s scalar and swar tiers run it, and the avx2 tier's
+    /// vector finish is pinned to [`OutputQuant::apply_value`] element by
+    /// element. The bias add widens to `i64` before the checked narrowing
+    /// so a bias pushing an accumulator past `i32` panics instead of
+    /// wrapping.
     ///
     /// # Panics
     ///
@@ -143,7 +141,8 @@ mod tests {
         let acc = [10, -400, 3000, 7, 0, -1];
         let bias = [5, -9];
         let plane = 3;
-        let got = q.apply_plane(&acc, &bias, plane);
+        let mut got = acc.to_vec();
+        q.apply_plane_in_place(&mut got, &bias, plane);
         let expect: Vec<i32> = acc
             .chunks(plane)
             .zip(&bias)
@@ -155,7 +154,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "accumulator/bias plane mismatch")]
     fn apply_plane_rejects_size_mismatch() {
-        OutputQuant::identity(8).apply_plane(&[1, 2, 3], &[0, 0], 2);
+        OutputQuant::identity(8).apply_plane_in_place(&mut [1, 2, 3], &[0, 0], 2);
     }
 
     /// An accumulator that a multiplier above 1 scales past `i32` clamps

@@ -9,7 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 /// A real multiplier `m ∈ (0, 2^31)` factored as `mult * 2^(-shift)` with
-/// `mult` a positive i32 in `[2^30, 2^31)` (one integer bit of headroom).
+/// `mult` a positive i32 in `[2^30, 2^31)` (one integer bit of headroom)
+/// and `shift` in `0..=63`.
 ///
 /// # Example
 ///
@@ -27,6 +28,13 @@ pub struct Requantizer {
 
 impl Requantizer {
     /// Builds a requantizer computing `round(x * real_multiplier)`.
+    ///
+    /// The stored shift is capped at 63. A multiplier below `2^-33`
+    /// would need more, but every product `x · mult` is below `2^62` in
+    /// magnitude, so a shift of 63 rounds it to 0: the exact rounding of
+    /// `x · real_multiplier` for every `i32` input. A multiplier within
+    /// half a unit of `2^31` keeps shift 0 with `mult = i32::MAX` rather
+    /// than rounding up to a negative shift.
     ///
     /// # Panics
     ///
@@ -52,11 +60,22 @@ impl Requantizer {
         // m in [0.5, 1.0): encode as a Q31 value in [2^30, 2^31).
         let mut mult = (m * (1i64 << 31) as f64).round() as i64;
         if mult == 1i64 << 31 {
-            mult /= 2;
-            exp += 1;
+            if exp < 31 {
+                mult /= 2;
+                exp += 1;
+            } else {
+                mult -= 1;
+            }
         }
         // apply(x) = x * mult * 2^(-31 + exp) => right shift of (31 - exp).
-        Self { mult: mult as i32, shift: 31 - exp }
+        Self { mult: mult as i32, shift: (31 - exp).min(63) }
+    }
+
+    /// The fixed-point factors `(mult, shift)`: `apply(x)` rounds
+    /// `x · mult · 2^-shift`, with `mult` in `[2^30, 2^31)` and `shift`
+    /// in `0..=63`.
+    pub fn mult_shift(&self) -> (i32, i32) {
+        (self.mult, self.shift)
     }
 
     /// Applies the multiplier with round-to-nearest (ties away from zero),
@@ -75,7 +94,11 @@ impl Requantizer {
         round_shift(x as i64 * self.mult as i64, self.shift)
     }
 
-    /// The exact real multiplier this requantizer implements.
+    /// The exact real multiplier this requantizer implements,
+    /// `mult · 2^-shift`. Below `2^-33` that is not the multiplier it was
+    /// built from: the capped shift makes it `mult · 2^-63`, in
+    /// `[2^-33, 2^-32)`, though `apply` still returns the exact rounding
+    /// of the requested product, 0.
     pub fn real_multiplier(&self) -> f64 {
         self.mult as f64 * 2f64.powi(-self.shift)
     }
@@ -83,7 +106,7 @@ impl Requantizer {
 
 /// Arithmetic right shift with round-to-nearest, ties away from zero.
 fn round_shift(value: i64, shift: i32) -> i64 {
-    debug_assert!((0..63).contains(&shift));
+    debug_assert!((0..=63).contains(&shift));
     if shift == 0 {
         return value;
     }
@@ -140,6 +163,37 @@ mod tests {
         let big = Requantizer::from_real_multiplier((1u64 << 30) as f64);
         assert_eq!(big.apply(3), i32::MAX);
         assert_eq!(big.apply(-3), i32::MIN);
+    }
+
+    /// Below `2^-32` every product rounds to 0, and the shift stops at
+    /// 63: past it a release build would shift past 64 bits (`1e-10`
+    /// would map an input of 1 to `i32::MIN`).
+    #[test]
+    fn tiny_multipliers_round_every_input_to_zero() {
+        let tiny = [2f64.powi(-32) * 0.99, 2f64.powi(-33), 1e-10, 1e-12, 1e-30, f64::MIN_POSITIVE];
+        for m in tiny {
+            let r = Requantizer::from_real_multiplier(m);
+            assert_eq!(r.mult_shift().1, 63, "multiplier {m}");
+            for x in [i32::MIN, -1, 0, 1, 12345, i32::MAX] {
+                assert_eq!(r.apply(x), 0, "multiplier {m}, input {x}");
+            }
+            let reported = r.real_multiplier();
+            assert!((2f64.powi(-33)..2f64.powi(-32)).contains(&reported), "{m}: {reported}");
+        }
+        // Just above the cap the answer is still exact: 2^31 · 2^-32 = 0.5
+        // rounds away from zero.
+        let r = Requantizer::from_real_multiplier(2f64.powi(-32));
+        assert_eq!(r.apply(i32::MIN), -1);
+        assert_eq!(r.apply(i32::MAX), 0);
+    }
+
+    /// A multiplier that rounds to `2^31` keeps a non-negative shift.
+    #[test]
+    fn multipliers_just_below_2_pow_31_keep_shift_zero() {
+        let r = Requantizer::from_real_multiplier(2147483647.7);
+        assert_eq!(r.mult_shift(), (i32::MAX, 0));
+        assert_eq!(r.apply(1), i32::MAX);
+        assert_eq!(r.apply(-1), -i32::MAX);
     }
 
     #[test]
