@@ -17,8 +17,11 @@
 //!    depthwise and dense layers run the madd kernels on the swar tier's
 //!    SSE2 lanes. Where the CPU has AVX2, the register-resident pooled
 //!    scatter is gated at ≥2x swar solo and ≥1.5x swar batched on the
-//!    pooled demo; the stem demo's avx2-over-swar ratio (the same madd
-//!    kernel body at twice the register width) is recorded, not gated.
+//!    pooled demo, and the madd kernels' AVX2 lanes at ≥1.4x the swar
+//!    tier's SSE2 lanes, solo and batched, on the stem demo. After the
+//!    timed trials each tier's plan runs the batch once more with a
+//!    [`wp_engine::NetProfile`] attached, recording µs per image per
+//!    layer kind (not gated).
 //! 5. **Tracing overhead + profile**: the serving demo with and without
 //!    the engine's aggregate [`wp_engine::NetProfile`] attached, timed in
 //!    alternation on one kept arena per arm and reported as medians and
@@ -199,7 +202,7 @@ fn main() {
             "== Backend tiers ({label}, batch {ab_batch}, 1 thread, {tier_trials} rotating \
              trials per tier, kept arenas) =="
         );
-        let nets: Vec<PreparedNet> = kinds
+        let mut nets: Vec<PreparedNet> = kinds
             .iter()
             .map(|&kind| PreparedNet::from_bundle(&bundle, &opts.clone().with_backend(kind)))
             .collect();
@@ -240,6 +243,25 @@ fn main() {
                 solo: quartiles(solo),
             })
             .collect();
+        // One more batched run per tier with a profile attached: where
+        // each tier's time goes, layer kind by layer kind.
+        let mut layers = Vec::with_capacity(nets.len());
+        for (net, arena) in nets.iter_mut().zip(&mut arenas) {
+            let profile = std::sync::Arc::new(net.make_profile());
+            net.set_profile(Some(std::sync::Arc::clone(&profile)));
+            let out = net.run(&refs, arena);
+            arena.put_planes(out);
+            net.set_profile(None);
+            let mut kinds: Vec<(String, f64)> = Vec::new();
+            for layer in profile.snapshot().layers {
+                let us = layer.latency.sum as f64 / 1e3 / ab_batch as f64;
+                match kinds.iter_mut().find(|(kind, _)| *kind == layer.kind) {
+                    Some((_, total)) => *total += us,
+                    None => kinds.push((layer.kind, us)),
+                }
+            }
+            layers.push(kinds);
+        }
         for tier in &tiers {
             let ([b25, b50, b75], [s25, s50, s75]) = (tier.batched, tier.solo);
             println!(
@@ -248,7 +270,13 @@ fn main() {
                 tier.name
             );
         }
-        let section = TierSection { key, tiers };
+        println!("us per image by layer kind (one profiled batched run per tier):");
+        for (tier, kinds) in tiers.iter().zip(&layers) {
+            let row: Vec<String> =
+                kinds.iter().map(|(kind, us)| format!("{kind} {us:.1}")).collect();
+            println!("{:>7}: {}", tier.name, row.join("  "));
+        }
+        let section = TierSection { key, model: bundle.spec.name.clone(), tiers, layers };
         println!(
             "swar vs scalar: {:.2}x batched, {:.2}x solo  (medians; outputs verified identical)",
             section.ratio(1, 0, false),
@@ -404,6 +432,7 @@ fn main() {
     if let Some(path) = &out_path {
         let body: Vec<String> =
             sections.iter().map(|section| section.json(ab_batch, tier_trials)).collect();
+        let layers: Vec<String> = sections.iter().map(TierSection::layers_json).collect();
         let layer_rows: Vec<String> = prof
             .layers
             .iter()
@@ -427,7 +456,7 @@ fn main() {
         let finish_ratio_json =
             finish_ratio.map(|r| format!(",\"avx2_over_scalar\":{r:.2}")).unwrap_or_default();
         let report = format!(
-            "{{\"bench\":\"engine_backends\",{},{},\
+            "{{\"bench\":\"engine_backends\",{},{},\"layers\":{{{}}},\
              \"trace_overhead\":{{\"batch\":{ab_batch},\"backend\":\"{tier}\",\"trials\":{trials},\
              \"images_per_sec\":{{\"disabled\":{},\"profiled\":{}}},\
              \"profiled_overhead_pct\":{overhead_pct:.2}}},\
@@ -437,6 +466,7 @@ fn main() {
              \"ns_per_output\":{{{}}}{finish_ratio_json}}}}}\n",
             fingerprint(),
             body.join(","),
+            layers.join(","),
             quartiles_json(off),
             quartiles_json(on),
             layer_rows.join(","),
@@ -478,6 +508,18 @@ fn main() {
             "avx2 only {batched:.2}x over swar batched on the pooled demo (gate: >=1.5x)"
         );
     }
+    // Where the CPU has AVX2, the stem demo's madd kernels must hold
+    // >=1.4x on the AVX2 lanes over the swar tier's SSE2 lanes, solo and
+    // batched: the same kernel body at twice the register width.
+    if sections[1].tiers.len() > 2 {
+        for (arm, solo) in [("solo", true), ("batched", false)] {
+            let ratio = sections[1].ratio(2, 1, solo);
+            assert!(
+                ratio >= 1.4,
+                "avx2 only {ratio:.2}x over swar {arm} on the stem demo (gate: >=1.4x)"
+            );
+        }
+    }
     // The avx2 tier's vector finish is a second path beside the reference
     // loop, so it must hold >=3x over the scalar finish per output.
     if let Some(ratio) = finish_ratio {
@@ -509,7 +551,11 @@ struct TierRates {
 /// (`avx2`) order.
 struct TierSection {
     key: &'static str,
+    /// The demo's model name.
+    model: String,
     tiers: Vec<TierRates>,
+    /// Per tier, µs per image by layer kind, kinds in walk order.
+    layers: Vec<Vec<(String, f64)>>,
 }
 
 impl TierSection {
@@ -517,6 +563,21 @@ impl TierSection {
     fn ratio(&self, a: usize, b: usize, solo: bool) -> f64 {
         let median = |t: &TierRates| if solo { t.solo[1] } else { t.batched[1] };
         median(&self.tiers[a]) / median(&self.tiers[b])
+    }
+
+    /// `"model":{"tier":{"kind":us,..},..}` for the report's `layers` key.
+    fn layers_json(&self) -> String {
+        let tiers: Vec<String> = self
+            .tiers
+            .iter()
+            .zip(&self.layers)
+            .map(|(tier, kinds)| {
+                let kinds: Vec<String> =
+                    kinds.iter().map(|(kind, us)| format!("\"{kind}\":{us:.1}")).collect();
+                format!("\"{}\":{{{}}}", tier.name, kinds.join(","))
+            })
+            .collect();
+        format!("\"{}\":{{{}}}", self.model, tiers.join(","))
     }
 
     /// The section's JSON entry: per-tier medians (the keys earlier

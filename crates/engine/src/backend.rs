@@ -30,17 +30,22 @@
 //! same treatment from [`NativeBackend::mac_route`]: on the swar and avx2
 //! tiers, a layer whose products provably sum inside `i32` takes the
 //! **madd** route ([`MacRoute::Madd`]), the host analogue of the CMSIS-NN
-//! q7→q15 im2col and dual 16-bit MAC the paper runs these layers on.
-//! Each image is staged as zero-padded `i16` rows (im2col rows for direct
-//! convs, one row for dense, a channel-interleaved plane for depthwise)
-//! and multiplied against weights repacked once at plan time as `i16`
-//! rows with `pmaddwd`, 16 exact products into 8 `i32` lanes per 256
-//! bits. The two kernels are written once over a 16-lane vector type and
-//! built three ways: AVX2 on the avx2 tier, two SSE2 halves on the swar
-//! tier (x86-64's baseline ISA), and plain arrays on other targets. Solo
-//! and batched calls run the same kernel. Every other layer takes the
-//! exact route: the `i64` reference loop, once per image. Both routes
-//! compute the reference's integers — pinned by `tests/madd_route.rs`.
+//! q7→q15 dual 16-bit MAC the paper runs these layers on, without its
+//! im2col copy. Each image is staged once as a channel-last `i16` plane
+//! with a zero border (`[H + 2p][W + 2p][C]`, plus zero slack), the one
+//! staging every madd op shares: there, each kernel row of a direct
+//! conv's receptive field (every `kx` × every channel) is one contiguous
+//! run, which the GEMM reads in place against weights repacked once at
+//! plan time as matching `[filter][ky]` runs ([`MaddRows`]); a dense
+//! layer is the one-pixel `1×1×I` case of the same staging, repack and
+//! GEMM, and depthwise reads 16-channel blocks of the plane. Each
+//! `pmaddwd` makes 16 exact products into 8 `i32` lanes per 256 bits.
+//! The two kernels are written once over a 16-lane vector type and built
+//! three ways: AVX2 on the avx2 tier, two SSE2 halves on the swar tier
+//! (x86-64's baseline ISA), and plain arrays on other targets. Solo and
+//! batched calls run the same kernel. Every other layer takes the exact
+//! route: the `i64` reference loop, once per image. Both routes compute
+//! the reference's integers — pinned by `tests/madd_route.rs`.
 //!
 //! Every kernel here returns raw accumulators; the layer's bias and
 //! requantization follow in one finish pass over each plane
@@ -1163,8 +1168,9 @@ impl MaddLanes {
     }
 }
 
-/// `i16` lanes per `pmaddwd` operand: madd-route rows hold their taps
-/// zero-padded to a multiple of this.
+/// `i16` lanes per `pmaddwd` operand: madd-route weight runs hold their
+/// taps zero-padded to a multiple of this, and the channel-last staging
+/// ends in this much zero slack.
 const MADD_LANES: usize = 16;
 
 /// Output pixels per direct-conv madd block.
@@ -1176,24 +1182,26 @@ const DIRECT_BLOCK_PIXELS: usize = 4;
 /// vector in two `xmm` registers, so it keeps fewer of them resident).
 const DIRECT_BLOCK_FILTERS: usize = 3;
 
-/// Output features per dense madd block: the one input row is loaded once
-/// per 16-tap chunk and feeds eight filters.
+/// Filters per madd block on a one-pixel output (every dense layer): the
+/// one input run is loaded once per 16-tap chunk and feeds eight filters.
 const DENSE_BLOCK_FILTERS: usize = 8;
 
-/// A direct-conv or dense layer's weights as `i16` rows for the madd
-/// route: one row per filter (output feature) holding its `C·R·S` (`I`)
-/// taps in the int8 layout's order, zero-padded to whole 16-tap chunks.
-/// Only [`NativeBackend::prepare_madd_rows`] builds one, under the
-/// plan-time range proof, for the lanes of its backend's tier — so rows
-/// for the AVX2 lanes exist only where the CPU has AVX2.
+/// A direct-conv or dense layer's weights for the madd route, laid out
+/// to match the channel-last staging: per filter (output feature) and
+/// kernel row `ky`, one run of that row's `S·C` taps in `(kx, c)` order —
+/// the order the row's receptive field lies in the staged plane —
+/// zero-padded to whole 16-tap chunks. A dense layer is the `1×1` case:
+/// one run of its `I` taps per output feature. Only
+/// [`NativeBackend::prepare_madd_rows`] builds one, under the plan-time
+/// range proof, for the lanes of its backend's tier — so runs for the
+/// AVX2 lanes exist only where the CPU has AVX2.
 #[derive(Debug, Clone)]
 pub struct MaddRows {
-    /// `[filter][chunk]` weight vectors.
+    /// `[filter][ky][chunk]` weight vectors.
     vecs: Vec<[i16; MADD_LANES]>,
-    filters: usize,
-    /// Real taps per row (the int8 row length).
-    terms: usize,
-    /// 16-tap chunks per row.
+    /// The geometry the runs were laid out for.
+    shape: PooledConvShape,
+    /// 16-tap chunks per kernel-row run.
     chunks: usize,
     /// The code range the range proof assumed of every staged plane.
     range: (i32, i32),
@@ -1260,34 +1268,46 @@ impl NativeBackend {
         }
     }
 
-    /// Repacks `[filters, T]` int8 weight rows (a direct conv's `[K, C, R,
-    /// S]` or a dense layer's `[O, I]`) for the madd route — or `None` when
-    /// [`NativeBackend::mac_route`] gives this layer the exact route. Every
-    /// plane the rows multiply must lie in this backend's code range.
+    /// Repacks a direct conv's `[K, C, R, S]` int8 weights for the madd
+    /// route (see [`MaddRows`]) — or `None` when
+    /// [`NativeBackend::mac_route`] gives this layer the exact route. A
+    /// dense layer's `[O, I]` weights are the `1×1` case: `shape` is an
+    /// `I`-channel, one-pixel, unpadded `1×1` conv with `O` filters. Every
+    /// plane the runs multiply must lie in this backend's code range.
     ///
     /// # Panics
     ///
-    /// Panics if `weights` is not `filters` rows.
+    /// Panics if `weights` does not match `shape`.
     pub fn prepare_madd_rows(
         &self,
+        shape: &PooledConvShape,
         weights: &[i8],
-        filters: usize,
         bias: &[i32],
     ) -> Option<MaddRows> {
-        assert!(filters > 0 && weights.len().is_multiple_of(filters), "weight size mismatch");
-        let terms = weights.len() / filters;
-        let (MacRoute::Madd, Some(lanes)) = (self.mac_route(terms, bias), self.madd_lanes) else {
+        let (c, k) = (shape.in_ch, shape.kernel);
+        let taps = c * k * k;
+        assert_eq!(weights.len(), shape.out_ch * taps, "weight size mismatch");
+        let (MacRoute::Madd, Some(lanes)) = (self.mac_route(taps, bias), self.madd_lanes) else {
             return None;
         };
-        let chunks = terms.div_ceil(MADD_LANES).max(1);
-        let mut vecs = vec![[0i16; MADD_LANES]; filters * chunks];
-        for (f, row) in weights.chunks_exact(terms.max(1)).enumerate() {
-            for (t, &w) in row.iter().enumerate() {
-                vecs[f * chunks + t / MADD_LANES][t % MADD_LANES] = i16::from(w);
+        let chunks = (k * c).div_ceil(MADD_LANES).max(1);
+        let mut vecs = vec![[0i16; MADD_LANES]; shape.out_ch * k * chunks];
+        for (filter, runs) in
+            weights.chunks_exact(taps.max(1)).zip(vecs.chunks_exact_mut(k * chunks))
+        {
+            for (ky, run) in runs.chunks_exact_mut(chunks).enumerate() {
+                // Tap `kx·C + ch` of run `(f, ky)` is canonical tap
+                // `((f·C + ch)·R + ky)·S + kx`.
+                let run = run.as_flattened_mut();
+                for kx in 0..k {
+                    for ch in 0..c {
+                        run[kx * c + ch] = i16::from(filter[(ch * k + ky) * k + kx]);
+                    }
+                }
             }
         }
         let range = self.encoding.code_range(self.act_bits);
-        Some(MaddRows { vecs, filters, terms, chunks, range, lanes })
+        Some(MaddRows { vecs, shape: *shape, chunks, range, lanes })
     }
 
     /// Repacks `[C, R, S]` depthwise weights for the madd route (see
@@ -1328,106 +1348,92 @@ impl NativeBackend {
     }
 }
 
-/// Stages one image as `i16` im2col rows for the direct conv's madd
-/// route: row `oy·OW + ox` holds that output pixel's receptive field in
-/// the `[C, R, S]` order of the weight rows. `cols` arrives zeroed, so
-/// padding taps and each row's tail past `C·R·S` stay zero. The codes
-/// lie in the code range, which fits `i16`.
-fn im2col_i16(codes: &[i32], shape: &PooledConvShape, row_len: usize, cols: &mut [i16]) {
-    let geo = shape.geometry();
-    let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (in_h, in_w, k) = (shape.in_h, shape.in_w, shape.kernel);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            // The kernel columns that land inside the input, and the
-            // input column of the first of them.
-            let left = ox * shape.stride;
-            let kx_lo = shape.pad.saturating_sub(left);
-            let kx_hi = k.min((in_w + shape.pad).saturating_sub(left));
-            let row = &mut cols[(oy * ow + ox) * row_len..][..row_len];
-            if kx_lo >= kx_hi {
-                continue;
-            }
-            let ix0 = left + kx_lo - shape.pad;
-            for (c, taps) in row.chunks_exact_mut(k * k).take(shape.in_ch).enumerate() {
-                for (ky, dst) in taps.chunks_exact_mut(k).enumerate() {
-                    let Some(iy) = geo.input_row(oy, ky) else { continue };
-                    let src = &codes[(c * in_h + iy) * in_w + ix0..][..kx_hi - kx_lo];
-                    for (d, &v) in dst[kx_lo..kx_hi].iter_mut().zip(src) {
-                        *d = v as i16;
-                    }
-                }
+/// Stages one `[C, H, W]` image channel-last for the madd kernels: the
+/// codes of position `(iy, ix)` of the zero-bordered `(H + 2p) × (W + 2p)`
+/// plane sit at elements `(iy·(W + 2p) + ix)·stride ..` in channel
+/// order, and [`MADD_LANES`] zero elements of slack follow the plane, so
+/// a 16-lane load starting at any element of the plane stays inside the
+/// buffer. The border, the slack and any lanes past `C` in a `stride`
+/// (depthwise pads channels to whole 16-channel blocks) stay zero. The
+/// codes lie in the code range, which fits `i16`. The buffer comes from
+/// the arena.
+fn stage_channel_last(
+    codes: &[i32],
+    shape: &PooledConvShape,
+    stride: usize,
+    scratch: &mut Scratch,
+) -> Vec<i16> {
+    let (in_h, in_w, pad) = (shape.in_h, shape.in_w, shape.pad);
+    let padded_w = in_w + 2 * pad;
+    let mut staged = scratch.take_i16((in_h + 2 * pad) * padded_w * stride + MADD_LANES);
+    if in_h * in_w == 1 {
+        // One position (every dense layer): its channels are one run, so
+        // copy them straight rather than pay the loops below per code.
+        let at = (pad * padded_w + pad) * stride;
+        for (d, &v) in staged[at..].iter_mut().zip(codes) {
+            *d = v as i16;
+        }
+        return staged;
+    }
+    for (ch, plane) in codes.chunks_exact(in_h * in_w).enumerate() {
+        for (iy, line) in plane.chunks_exact(in_w).enumerate() {
+            let at = ((iy + pad) * padded_w + pad) * stride + ch;
+            for (ix, &v) in line.iter().enumerate() {
+                staged[at + ix * stride] = v as i16;
             }
         }
     }
+    staged
 }
 
-/// Direct-conv accumulators on the madd route: the image, whose codes lie
-/// in the code range, is staged as im2col rows from the `i16` pool and
-/// multiplied against `madd`'s rows, 4 pixels × 3 filters per register
-/// block. The returned buffer comes from the arena.
+/// A dense layer as the madd route runs it: the `1×1` conv of
+/// `in_features` channels at one pixel, with `out_features` filters.
+pub(crate) fn dense_as_conv(in_features: usize, out_features: usize) -> PooledConvShape {
+    PooledConvShape {
+        in_ch: in_features,
+        out_ch: out_features,
+        kernel: 1,
+        stride: 1,
+        pad: 0,
+        in_h: 1,
+        in_w: 1,
+    }
+}
+
+/// Direct-conv and dense accumulators on the madd route: the image, whose
+/// codes lie in the code range, is staged channel-last and `madd`'s runs
+/// read each receptive field in place, 4 pixels × 3 filters per register
+/// block, or 8 filters on a one-pixel output (every dense layer). The
+/// returned buffer comes from the arena.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches.
-pub(crate) fn conv_direct_madd_scratch(
+/// Panics if `codes` does not match the runs' input shape.
+pub(crate) fn direct_madd_scratch(
     codes: &[i32],
-    shape: &PooledConvShape,
     madd: &MaddRows,
     scratch: &mut Scratch,
 ) -> Vec<i32> {
     debug_assert_in_range(codes, madd.range);
+    let shape = &madd.shape;
     assert_eq!(codes.len(), shape.in_ch * shape.in_h * shape.in_w, "activation size mismatch");
-    assert_eq!(
-        (madd.filters, madd.terms),
-        (shape.out_ch, shape.in_ch * shape.kernel * shape.kernel),
-        "madd rows do not match shape"
-    );
+    let staged = stage_channel_last(codes, shape, shape.in_ch, scratch);
     let geo = shape.geometry();
     let pixels = geo.out_h() * geo.out_w();
-    let row_len = madd.chunks * MADD_LANES;
-    let mut cols = scratch.take_i16(pixels * row_len);
-    im2col_i16(codes, shape, row_len, &mut cols);
     let mut out = scratch.take_i32(shape.out_ch * pixels);
-    madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(
-        cols.as_chunks().0,
-        pixels,
-        madd,
-        &mut out,
-    );
-    scratch.put_i16(cols);
-    out
-}
-
-/// Dense accumulators on the madd route: the input, whose codes lie in
-/// the code range, is staged as one `i16` row and dotted with 8 weight
-/// rows per register block.
-///
-/// # Panics
-///
-/// Panics if `codes` does not match the rows' input features.
-pub(crate) fn dense_madd_scratch(
-    codes: &[i32],
-    madd: &MaddRows,
-    scratch: &mut Scratch,
-) -> Vec<i32> {
-    debug_assert_in_range(codes, madd.range);
-    assert_eq!(codes.len(), madd.terms, "weight size mismatch");
-    let mut row = scratch.take_i16(madd.chunks * MADD_LANES);
-    for (d, &v) in row.iter_mut().zip(codes) {
-        *d = v as i16;
+    if pixels == 1 {
+        madd::gemm::<1, DENSE_BLOCK_FILTERS>(&staged, madd, &mut out);
+    } else {
+        madd::gemm::<DIRECT_BLOCK_PIXELS, DIRECT_BLOCK_FILTERS>(&staged, madd, &mut out);
     }
-    let mut out = scratch.take_i32(madd.filters);
-    madd::gemm::<1, DENSE_BLOCK_FILTERS>(row.as_chunks().0, 1, madd, &mut out);
-    scratch.put_i16(row);
+    scratch.put_i16(staged);
     out
 }
 
 /// Depthwise accumulators on the madd route: the image, whose codes lie
-/// in the code range, is staged channel-interleaved (`[H + 2p][W +
-/// 2p][C]`, channels padded to whole 16-channel blocks, a zero border for
-/// the padding) so one vector load reads 16 channels at one position, and
-/// each pair of taps costs two unpacks and two `pmaddwd`.
+/// in the code range, is staged channel-last with its channels padded to
+/// whole 16-channel blocks, so one vector load reads 16 channels at one
+/// position, and each pair of taps costs two unpacks and two `pmaddwd`.
 ///
 /// # Panics
 ///
@@ -1439,28 +1445,19 @@ pub(crate) fn dwconv_madd_scratch(
     scratch: &mut Scratch,
 ) -> Vec<i32> {
     debug_assert_in_range(codes, madd.range);
-    let (c, in_h, in_w) = (shape.in_ch, shape.in_h, shape.in_w);
-    assert_eq!(codes.len(), c * in_h * in_w, "activation size mismatch");
+    let c = shape.in_ch;
+    assert_eq!(codes.len(), c * shape.in_h * shape.in_w, "activation size mismatch");
     assert_eq!(
         (madd.channels, madd.kernel, shape.out_ch),
         (c, shape.kernel, c),
         "madd taps do not match shape"
     );
     let blocks = c.div_ceil(MADD_LANES);
-    let padded_w = in_w + 2 * shape.pad;
-    let mut staged = scratch.take_i16((in_h + 2 * shape.pad) * padded_w * blocks * MADD_LANES);
-    let row = blocks * MADD_LANES;
-    for (ch, plane) in codes.chunks_exact(in_h * in_w).enumerate() {
-        for (iy, line) in plane.chunks_exact(in_w).enumerate() {
-            let at = ((iy + shape.pad) * padded_w + shape.pad) * row + ch;
-            for (ix, &v) in line.iter().enumerate() {
-                staged[at + ix * row] = v as i16;
-            }
-        }
-    }
+    let staged = stage_channel_last(codes, shape, blocks * MADD_LANES, scratch);
     // Each tap pair's vector offsets from its window's first position; an
     // odd last tap pairs with itself, against the zero weight its
     // partner slot holds.
+    let padded_w = shape.in_w + 2 * shape.pad;
     let (k, kk) = (shape.kernel, shape.kernel * shape.kernel);
     let offset = |t: usize| (t / k * padded_w + t % k) * blocks;
     let mut taps = scratch.take_pairs();
@@ -1521,37 +1518,40 @@ mod madd {
         }
     }
 
-    /// `out[f · n_rows + r] = rows[r] · madd[f]` for every row `r <
-    /// n_rows` and filter `f < madd.filters`, in register blocks of `P`
-    /// rows × `F` filters (at most sixteen `i32` accumulators) over
-    /// `madd.chunks` 16-tap chunks, on `madd`'s lanes. A block reaching
-    /// past the last row or filter repeats it, and drops those sums. Every
-    /// product of an int8 weight and an in-range code fits `i16 × i16 →
-    /// i32`, and the route's range proof bounds every partial sum, so the
-    /// `i32` lanes and their horizontal sums are exact in any order.
+    /// `out[f · pixels + p]` = output pixel `p`'s receptive field in
+    /// `staged` · filter `f`'s runs, for every pixel and filter of
+    /// `madd.shape`, in register blocks of `P` pixels × `F` filters (at
+    /// most sixteen `i32` accumulators), on `madd`'s lanes. Pixel `(oy,
+    /// ox)`'s run for kernel row `ky` is read in place, `madd.chunks`
+    /// vectors from element `((oy·s + ky)·(W + 2p) + ox·s)·C`; the lanes
+    /// past its `S·C` taps, which may reach the slack, meet zero weights.
+    /// A block reaching past the last pixel or filter repeats it, and
+    /// drops those sums. Every product of an int8 weight and an in-range
+    /// code fits `i16 × i16 → i32`, and the route's range proof bounds
+    /// every partial sum, so the `i32` lanes and their horizontal sums are
+    /// exact in any order.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is shorter than `n_rows` rows of `madd.chunks`
-    /// vectors, or `out` shorter than `madd.filters · n_rows`.
+    /// Panics unless `staged` holds `madd.shape`'s channel-last plane and
+    /// its slack, and `out` one `[K, OH, OW]` plane.
     pub(super) fn gemm<const P: usize, const F: usize>(
-        rows: &[[i16; MADD_LANES]],
-        n_rows: usize,
+        staged: &[i16],
         madd: &MaddRows,
         out: &mut [i32],
     ) {
         match madd.lanes {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the call assumes AVX2. Only a backend on the avx2
-            // tier prepares rows for the AVX2 lanes
+            // tier prepares runs for the AVX2 lanes
             // (`MaddLanes::for_tier`), and `BackendKind::resolve` yields
             // that tier only when the CPU reports AVX2 at run time. The
-            // kernel body reads `rows`, `madd` and `out` through
+            // kernel body reads `staged`, `madd` and `out` through
             // bounds-checked slices only.
-            MaddLanes::Avx2 => unsafe { avx2::gemm::<P, F>(rows, n_rows, madd, out) },
+            MaddLanes::Avx2 => unsafe { avx2::gemm::<P, F>(staged, madd, out) },
             #[cfg(target_arch = "x86_64")]
-            MaddLanes::Sse2 => gemm_on::<_, P, F>(sse2::Sse2, rows, n_rows, madd, out),
-            MaddLanes::Portable => gemm_on::<_, P, F>(Portable, rows, n_rows, madd, out),
+            MaddLanes::Sse2 => gemm_on::<_, P, F>(sse2::Sse2, staged, madd, out),
+            MaddLanes::Portable => gemm_on::<_, P, F>(Portable, staged, madd, out),
         }
     }
 
@@ -1589,34 +1589,45 @@ mod madd {
         }
     }
 
-    /// [`gemm`]'s body, on `lanes`.
+    /// [`gemm`]'s body, on `lanes`. Filter blocks run outermost, so a
+    /// block's runs stay cache-resident across every pixel block.
     #[inline(always)]
     fn gemm_on<L: Lanes, const P: usize, const F: usize>(
         lanes: L,
-        rows: &[[i16; MADD_LANES]],
-        n_rows: usize,
+        staged: &[i16],
         madd: &MaddRows,
         out: &mut [i32],
     ) {
         const { assert!(P * F <= 16, "a block fits sixteen accumulators") };
-        let (chunks, filters) = (madd.chunks, madd.filters);
-        for r0 in (0..n_rows).step_by(P) {
-            let mut x = [&rows[..0]; P];
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = &rows[(r0 + i).min(n_rows - 1) * chunks..][..chunks];
-            }
-            for f0 in (0..filters).step_by(F) {
-                let mut w = [&madd.vecs[..0]; F];
-                for (j, wj) in w.iter_mut().enumerate() {
-                    *wj = &madd.vecs[(f0 + j).min(filters - 1) * chunks..][..chunks];
-                }
+        let shape = &madd.shape;
+        let geo = shape.geometry();
+        let (ow, pixels) = (geo.out_w(), geo.out_h() * geo.out_w());
+        let (k, chunks, filters) = (shape.kernel, madd.chunks, shape.out_ch);
+        let (row, step) = ((shape.in_w + 2 * shape.pad) * shape.in_ch, shape.stride * shape.in_ch);
+        let filter_len = k * chunks;
+        for f0 in (0..filters).step_by(F) {
+            let w: [&[[i16; MADD_LANES]]; F] = std::array::from_fn(|j| {
+                &madd.vecs[(f0 + j).min(filters - 1) * filter_len..][..filter_len]
+            });
+            for p0 in (0..pixels).step_by(P) {
+                // Each pixel's window origin in `staged`.
+                let origin: [usize; P] = std::array::from_fn(|i| {
+                    let p = (p0 + i).min(pixels - 1);
+                    p / ow * shape.stride * row + p % ow * step
+                });
                 let mut acc = [lanes.zero(); 16];
-                for c in 0..chunks {
-                    let wv: [L::I16; F] = std::array::from_fn(|j| lanes.load(&w[j][c]));
-                    for (i, xi) in x.iter().enumerate() {
-                        let xv = lanes.load(&xi[c]);
-                        for (j, &v) in wv.iter().enumerate() {
-                            acc[i * F + j] = lanes.madd(acc[i * F + j], xv, v);
+                for ky in 0..k {
+                    let x: [&[[i16; MADD_LANES]]; P] = std::array::from_fn(|i| {
+                        staged[origin[i] + ky * row..][..chunks * MADD_LANES].as_chunks().0
+                    });
+                    for c in 0..chunks {
+                        let wv: [L::I16; F] =
+                            std::array::from_fn(|j| lanes.load(&w[j][ky * chunks + c]));
+                        for (i, xi) in x.iter().enumerate() {
+                            let xv = lanes.load(&xi[c]);
+                            for (j, &v) in wv.iter().enumerate() {
+                                acc[i * F + j] = lanes.madd(acc[i * F + j], xv, v);
+                            }
                         }
                     }
                 }
@@ -1627,9 +1638,9 @@ mod madd {
                     sums[8..]
                         .copy_from_slice(&lanes.hsum8(hi.try_into().expect("eight accumulators")));
                 }
-                for i in 0..P.min(n_rows - r0) {
+                for i in 0..P.min(pixels - p0) {
                     for j in 0..F.min(filters - f0) {
-                        out[(f0 + j) * n_rows + r0 + i] = sums[i * F + j];
+                        out[(f0 + j) * pixels + p0 + i] = sums[i * F + j];
                     }
                 }
             }
@@ -1757,12 +1768,11 @@ mod madd {
         /// [`super::gemm`] on AVX2 lanes.
         #[target_feature(enable = "avx2")]
         pub(super) fn gemm<const P: usize, const F: usize>(
-            rows: &[[i16; MADD_LANES]],
-            n_rows: usize,
+            staged: &[i16],
             madd: &MaddRows,
             out: &mut [i32],
         ) {
-            super::gemm_on::<_, P, F>(Avx2(()), rows, n_rows, madd, out);
+            super::gemm_on::<_, P, F>(Avx2(()), staged, madd, out);
         }
 
         /// [`super::depthwise`] on AVX2 lanes.
@@ -2488,7 +2498,7 @@ mod tests {
         let lut = small_lut(LutOrder::InputOriented);
         let scalar = NativeBackend::new_with(&lut, 1, ActEncoding::Unsigned, BackendKind::Scalar);
         assert_eq!(scalar.mac_route(9, &[]), MacRoute::Exact);
-        assert!(scalar.prepare_madd_rows(&[1; 9], 1, &[0]).is_none());
+        assert!(scalar.prepare_madd_rows(&dense_as_conv(9, 1), &[1; 9], &[0]).is_none());
         assert_eq!(scalar.with_portable_lanes().mac_route(9, &[]), MacRoute::Exact);
 
         let tiers = [BackendKind::Swar, BackendKind::Avx2];
@@ -2506,12 +2516,14 @@ mod tests {
             assert_eq!(unsigned.mac_route(65_793, &[0, 127]), MacRoute::Madd, "{tier}");
             assert_eq!(unsigned.mac_route(65_793, &[-128]), MacRoute::Exact);
             assert_eq!(unsigned.mac_route(65_794, &[]), MacRoute::Exact);
-            assert!(unsigned.prepare_madd_rows(&vec![1; 65_794], 1, &[0]).is_none());
+            let shape = dense_as_conv(65_794, 1);
+            assert!(unsigned.prepare_madd_rows(&shape, &vec![1; 65_794], &[0]).is_none());
 
             let weights = vec![-128i8; 65_793];
-            let rows = unsigned.prepare_madd_rows(&weights, 1, &[0]).expect("madd rows");
+            let shape = dense_as_conv(65_793, 1);
+            let rows = unsigned.prepare_madd_rows(&shape, &weights, &[0]).expect("madd rows");
             let codes = vec![255; 65_793];
-            let acc = dense_madd_scratch(&codes, &rows, &mut Scratch::new());
+            let acc = direct_madd_scratch(&codes, &rows, &mut Scratch::new());
             assert_eq!(acc, [-2_147_483_520], "{tier}");
             assert_eq!(acc, dense_acc(&codes, &weights, 1));
         }

@@ -16,9 +16,9 @@
 //! * Direct, depthwise and dense layers run one kernel for solo and
 //!   batched calls on every tier, and a batch is a plain loop over
 //!   images: on the swar and avx2 tiers the `pmaddwd` kernels
-//!   ([`MacRoute::Madd`], SSE2 or AVX2 lanes), whose im2col staging
-//!   already reuses each weight across every output pixel, and otherwise
-//!   the exact `i64` reference loop. The madd route is admitted by a
+//!   ([`MacRoute::Madd`], SSE2 or AVX2 lanes), which stage each image
+//!   once channel-last and read every output pixel's receptive field in
+//!   place, and otherwise the exact `i64` reference loop. The madd route is admitted by a
 //!   plan-time range proof over the code range, which every plane a plan
 //!   stages lies in: [`crate::PreparedNet::run`] checks its input planes
 //!   at entry.
@@ -261,7 +261,7 @@ impl DirectConvKernel {
             shape.out_ch * shape.in_ch * shape.kernel * shape.kernel,
             "weight size mismatch"
         );
-        let madd = backend.prepare_madd_rows(&weights, shape.out_ch, bias);
+        let madd = backend.prepare_madd_rows(&shape, &weights, bias);
         Self { shape, weights, madd }
     }
 }
@@ -282,7 +282,7 @@ impl Kernel for DirectConvKernel {
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match &self.madd {
-            Some(madd) => backend::conv_direct_madd_scratch(codes, &self.shape, madd, scratch),
+            Some(madd) => backend::direct_madd_scratch(codes, madd, scratch),
             None => backend::conv_direct_scratch(codes, &self.shape, &self.weights, scratch),
         };
         Some((acc, out_plane(&self.shape)))
@@ -349,8 +349,8 @@ impl Kernel for DwConvKernel {
     }
 }
 
-/// Fully-connected int8 layer. Like [`DirectConvKernel`], holds
-/// [`MaddRows`] on the madd route.
+/// Fully-connected int8 layer. On the madd route it runs as the `1×1`
+/// case of [`DirectConvKernel`]'s staging, [`MaddRows`] and kernel.
 #[derive(Debug, Clone)]
 pub struct DenseKernel {
     /// `[O, I]` int8 weights, row per output feature.
@@ -375,7 +375,8 @@ impl DenseKernel {
     ) -> Self {
         assert!(out_features > 0, "dense layer needs at least one output feature");
         assert_eq!(weights.len() % out_features, 0, "weight size mismatch");
-        let madd = backend.prepare_madd_rows(&weights, out_features, bias);
+        let shape = backend::dense_as_conv(weights.len() / out_features, out_features);
+        let madd = backend.prepare_madd_rows(&shape, &weights, bias);
         Self { weights, out_features, madd }
     }
 }
@@ -396,7 +397,7 @@ impl Kernel for DenseKernel {
         scratch: &mut Scratch,
     ) -> Option<(Vec<i32>, usize)> {
         let acc = match &self.madd {
-            Some(madd) => backend::dense_madd_scratch(codes, madd, scratch),
+            Some(madd) => backend::direct_madd_scratch(codes, madd, scratch),
             None => backend::dense_acc_scratch(codes, &self.weights, self.out_features, scratch),
         };
         Some((acc, 1))

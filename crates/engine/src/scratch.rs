@@ -79,8 +79,9 @@ impl<T: Copy + Default> SizeClasses<T> {
 pub struct Scratch {
     i32_classes: SizeClasses<i32>,
     i64_classes: SizeClasses<i64>,
-    /// `i16` buffers: the madd route's staged activations (im2col rows,
-    /// channel-interleaved depthwise planes, dense input rows).
+    /// `i16` buffers: the madd route's staged activations (one
+    /// channel-last plane per image, for direct, depthwise and dense
+    /// layers alike).
     i16_classes: SizeClasses<i16>,
     /// Byte buffers: the register-resident pooled scatter's per-position
     /// `vpshufb` table pairs.
